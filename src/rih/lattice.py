@@ -7,6 +7,7 @@ so that order is fixed here once and never revisited.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -132,11 +133,17 @@ def edges(spec):
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def edge_index_array(spec):
-    """Edges as an (E, 2) int array of lexicographic site indices."""
-    return np.array(
+    """Edges as an (E, 2) int array of lexicographic site indices.
+
+    Built once per spec and shared by every caller, so the array is read-only.
+    """
+    out = np.array(
         [[spec.site_index(u), spec.site_index(v)] for u, v in edges(spec)], dtype=np.int64
     )
+    out.setflags(write=False)
+    return out
 
 
 def permute_coords(u, perm):

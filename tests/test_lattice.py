@@ -119,6 +119,17 @@ def test_edge_counts(spec, count):
     assert len(es) == expected
 
 
+def test_edge_index_array_is_shared_and_read_only():
+    spec = LatticeSpec(2, 3)
+    ei = edge_index_array(spec)
+    assert edge_index_array(LatticeSpec(2, 3)) is ei
+    assert ei.tolist() == [[spec.site_index(u), spec.site_index(v)] for u, v in edges(spec)]
+    with pytest.raises(ValueError):
+        ei[0, 0] = 5
+    with pytest.raises(ValueError):
+        ei.sort(axis=0)
+
+
 def test_edges_unordered_unique_sorted():
     for spec in [LatticeSpec(2, 3), LatticeSpec(2, 4, OPEN), LatticeSpec(3, 3)]:
         es = edges(spec)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 import time
@@ -7,8 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rih.hamiltonian import EPR_HALF_PROJECTOR, build_single_copy_term, toy_plugs
-from rih.lattice import LatticeSpec, lattice_symmetry_permutations
+from rih.hamiltonian import (
+    EPR_HALF_PROJECTOR,
+    TranslationPlug,
+    build_single_copy_term,
+    toy_plugs,
+)
+from rih.lattice import LatticeSpec, edge_index_array, lattice_symmetry_permutations
 from rih.tiling import (
     Tiling,
     classical_energy,
@@ -385,6 +391,103 @@ class TestSymmetryInvariance:
         b = solver.ground_energy_search(TORUS, None, epr_exact_cap=18)
         assert a.minimum == b.minimum
         assert a.argmin == b.argmin
+
+
+def _burnside_orbit_count(spec):
+    """(1/|G|) * sum over symmetries g of the step patterns g fixes.
+
+    Counted on numberings: the lattice is connected, so each step pattern
+    comes from exactly three numberings, a global shift apart."""
+    perms = lattice_symmetry_permutations(spec)
+    ei = edge_index_array(spec)
+    numberings = np.array(list(itertools.product(range(3), repeat=spec.num_sites)))
+
+    def steps(nums):
+        return (nums[:, ei[:, 1]] - nums[:, ei[:, 0]]) % 3
+
+    base = steps(numberings)
+    fixed = 0
+    for g in perms:
+        moved = np.empty_like(numberings)
+        moved[:, g] = numberings  # site g[i] carries what site i carried
+        same = int((steps(moved) == base).all(axis=1).sum())
+        assert same % 3 == 0
+        fixed += same // 3
+    assert fixed % len(perms) == 0
+    return fixed // len(perms)
+
+
+def _random_psd(rng, d, complex_entries):
+    g = rng.standard_normal((d * d, d * d))
+    if complex_entries:
+        g = g + 1j * rng.standard_normal((d * d, d * d))
+    return g @ g.conj().T / (d * d)
+
+
+# every pattern of the two rings, 200 seeded patterns of the torus
+ORBIT_CASES = [(LatticeSpec(1, 5), None), (LatticeSpec(1, 7), None), (TORUS, 200)]
+ORBIT_IDS = ["ring5", "ring7", "torus3x3"]
+
+
+def _patterns_under_test(nt, sample):
+    if sample is None:
+        return range(len(nt.patterns))
+    rng = np.random.default_rng(2024)
+    return np.sort(rng.choice(len(nt.patterns), sample, replace=False))
+
+
+class TestSymmetryOrbits:
+    @pytest.mark.parametrize("spec,orbits", [(TORUS, 150), (OPEN3, 954)])
+    def test_orbit_count_is_the_burnside_count(self, spec, orbits):
+        nt = solver.NumberingTable(spec)
+        assert _burnside_orbit_count(spec) == orbits
+        assert len(nt.orbit_reps) == orbits
+        assert len(np.unique(nt.orbit_of)) == orbits
+
+    @pytest.mark.parametrize("spec", [TORUS, OPEN3, LatticeSpec(1, 7)])
+    def test_orbit_of_is_invariant_under_every_symmetry(self, spec):
+        nt = solver.NumberingTable(spec)
+        place = 3 ** np.arange(spec.num_sites - 1, -1, -1)
+        orbit = nt.orbit_of[nt.pattern_of]  # per numbering, in digit-table order
+        for g in lattice_symmetry_permutations(spec):
+            moved = np.empty_like(nt.digits)
+            moved[:, g] = nt.digits
+            assert (orbit[moved.astype(np.int64) @ place] == orbit).all()
+        # each representative is its orbit's smallest pattern index
+        assert (nt.orbit_reps[nt.orbit_of] <= np.arange(len(nt.patterns))).all()
+        assert (nt.orbit_of[nt.orbit_reps] == np.arange(len(nt.orbit_reps))).all()
+
+    @pytest.mark.parametrize("spec,sample", ORBIT_CASES, ids=ORBIT_IDS)
+    def test_broadcast_pairing_minima_match_direct_solves(self, spec, sample):
+        nt = solver.NumberingTable(spec, exact_cap=18)
+        nt.solve_all()
+        for p in _patterns_under_test(nt, sample):
+            direct = solver.epr_min_energy(nt.demands_for_pattern(p), exact_cap=18)
+            assert direct.value == pytest.approx(nt.epr[p], abs=1e-9)
+            assert direct.exact == nt.epr_exact[p]
+
+    @pytest.mark.parametrize("spec,sample", ORBIT_CASES, ids=ORBIT_IDS)
+    def test_embedded_minima_are_orbit_invariant(self, spec, sample):
+        rng = np.random.default_rng(5)
+        nondiagonal = TranslationPlug(
+            2, _random_psd(rng, 2, True), _random_psd(rng, 2, False), name="random"
+        )
+        assert not solver._plug_is_diagonal(nondiagonal, ("h", "v"))
+        nt = solver.NumberingTable(spec)
+        zero = np.zeros(nt.num_edges, dtype=np.int8)
+
+        def energy(p, part, plug):
+            steps = (nt.patterns[p], zero) if part == "h" else (zero, nt.patterns[p])
+            return solver.embedded_step_energy(spec, *steps, plug, parts=(part,))
+
+        for plug in (toy_plugs()["afm"], nondiagonal):
+            rep_value = {}
+            for p in _patterns_under_test(nt, sample):
+                rep = int(nt.orbit_reps[nt.orbit_of[p]])
+                for part in ("h", "v"):
+                    if (rep, part) not in rep_value:
+                        rep_value[rep, part] = energy(rep, part, plug)
+                    assert energy(p, part, plug) == pytest.approx(rep_value[rep, part], abs=1e-9)
 
 
 class TestDecide:
