@@ -11,7 +11,6 @@ from __future__ import annotations
 import collections
 import json
 import random
-import threading
 from importlib import resources
 from time import perf_counter
 
@@ -65,20 +64,17 @@ GOLDEN_TERM_HASH = "b2547d31b7ae05807d4aeca9a371687ac0b292abfa9975397a39179228c5
 class AcceptanceContext:
     """Shared caches plus the knobs a run can turn."""
 
-    def __init__(self, coefficient_overrides=None, threads=None, fixtures_path=None):
+    def __init__(self, coefficient_overrides=None, fixtures_path=None):
         self.coefficient_overrides = (
             dict(coefficient_overrides) if coefficient_overrides else None
         )
-        self.threads = threads
         self.fixtures_path = fixtures_path
-        self._lock = threading.Lock()
         self._memo = {}
 
     def memo(self, key, factory):
-        with self._lock:
-            if key not in self._memo:
-                self._memo[key] = factory()
-            return self._memo[key]
+        if key not in self._memo:
+            self._memo[key] = factory()
+        return self._memo[key]
 
     def term(self, plug_name="zero"):
         return self.memo(
@@ -91,9 +87,7 @@ class AcceptanceContext:
     def zero_search(self):
         return self.memo(
             "zero-search",
-            lambda: solver.ground_energy_search(
-                TORUS33, None, epr_exact_cap=18, threads=self.threads
-            ),
+            lambda: solver.ground_energy_search(TORUS33, None, epr_exact_cap=18),
         )
 
     def fixtures(self):
@@ -351,7 +345,7 @@ def crit_term_audit(ctx):
 
 def crit_open_boundary_endpoints(ctx):
     t0 = perf_counter()
-    rep = solver.ground_energy_search(OPEN3, None, epr_exact_cap=18, threads=ctx.threads)
+    rep = solver.ground_energy_search(OPEN3, None, epr_exact_cap=18)
     if not rep.certified or abs(rep.minimum - 24.0) > 1e-9:
         return False, f"open 3x3 certified minimum {rep.minimum} != 24"
     for copy in (1, 2):
@@ -514,7 +508,7 @@ def crit_symmetry_invariance(ctx):
             if dz > 1e-8 or da > 1e-8:
                 return False, "sector energy changed under a coordinate permutation"
     a = ctx.zero_search()
-    b = solver.ground_energy_search(TORUS33, None, epr_exact_cap=18, threads=ctx.threads)
+    b = solver.ground_energy_search(TORUS33, None, epr_exact_cap=18)
     if a.minimum != b.minimum or a.argmin != b.argmin:
         return False, "ground search not stable across reruns"
     dt = perf_counter() - t0
@@ -543,7 +537,7 @@ CRITERIA = (
 )
 
 
-def run_criteria(profile="full", coefficient_overrides=None, threads=None, fixtures_path=None):
+def run_criteria(profile="full", coefficient_overrides=None, fixtures_path=None):
     """Execute the suite and return a JSON-ready report."""
     if profile not in ("fast", "full"):
         raise ValueError(f"unknown profile {profile!r}")
@@ -552,7 +546,6 @@ def run_criteria(profile="full", coefficient_overrides=None, threads=None, fixtu
     ]
     ctx = AcceptanceContext(
         coefficient_overrides=coefficient_overrides,
-        threads=threads,
         fixtures_path=fixtures_path,
     )
 
@@ -571,13 +564,7 @@ def run_criteria(profile="full", coefficient_overrides=None, threads=None, fixtu
         }
 
     t0 = perf_counter()
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_one, chosen))
-    else:
-        rows = [run_one(c) for c in chosen]
+    rows = [run_one(c) for c in chosen]
     return {
         "schema": REPORT_SCHEMA,
         "profile": profile,

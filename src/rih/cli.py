@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from rih import solver
@@ -40,11 +39,6 @@ KNOWN_ERRORS = (
 def _emit(obj):
     json.dump(obj, sys.stdout, indent=1)
     sys.stdout.write("\n")
-
-
-def _env_threads():
-    raw = os.environ.get("RIH_THREADS")
-    return int(raw) if raw else None
 
 
 def _resolve_plug_arg(name):
@@ -85,7 +79,6 @@ def _cmd_verify(args):
     report = verify_claims(
         profile=args.profile,
         coefficient_overrides=overrides or None,
-        threads=args.threads or _env_threads(),
     )
     _emit(report)
     for row in report["criteria"]:
@@ -97,10 +90,7 @@ def _cmd_verify(args):
 def _cmd_solve(args):
     spec = LatticeSpec(args.r, args.n, args.boundary)
     report = solver.ground_energy_search(
-        spec,
-        _resolve_plug_arg(args.plug),
-        epr_exact_cap=args.cap,
-        threads=args.threads or _env_threads(),
+        spec, _resolve_plug_arg(args.plug), epr_exact_cap=args.cap
     )
     _emit(report.to_json_dict())
     return 0
@@ -148,11 +138,7 @@ def _cmd_classify(args):
 def _cmd_tiles_enumerate(args):
     rs = load_ruleset(args.rules)
     res = enumerate_valid(
-        rs,
-        args.n,
-        limit=args.limit,
-        require_present=args.require or None,
-        threads=args.threads or _env_threads(),
+        rs, args.n, limit=args.limit, require_present=args.require or None
     )
     _emit(
         {
@@ -209,7 +195,6 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--profile", choices=("fast", "full"), default="fast")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument(
         "--mutate",
         action="append",
@@ -224,7 +209,6 @@ def build_parser():
     p.add_argument("--plug", default="zero")
     p.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
     p.add_argument("--cap", type=int, default=18, help="exact pairing component cap")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("witness", help="striped low-energy configuration")
@@ -247,7 +231,6 @@ def build_parser():
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--require", action="append", metavar="TILE")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(fn=_cmd_tiles_enumerate)
 
     p = tsub.add_parser("check", help="violations of a grid against a rule set")

@@ -214,12 +214,11 @@ def reduction(x, r, plug="zero", seed=0, max_trials=DEFAULT_TRIAL_BUDGET):
     return ReducedInstance(encoding=enc, lattice=spec, term=term)
 
 
-def verify_claims(profile="fast", coefficient_overrides=None, threads=None):
+def verify_claims(profile="fast", coefficient_overrides=None):
     """Run the acceptance criteria and return the suite report."""
     from rih.acceptance import run_criteria
 
     return run_criteria(
         profile=profile,
         coefficient_overrides=coefficient_overrides,
-        threads=threads,
     )

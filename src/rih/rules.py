@@ -176,7 +176,7 @@ def _valid_rows(n, k, allowed_h, wrap):
     return rows
 
 
-def enumerate_valid(rs, n, limit=None, require_present=None, threads=None):
+def enumerate_valid(rs, n, limit=None, require_present=None):
     """Exactly the valid n-by-n tilings, by row transfer with memoized row
     compatibility, emitted in lexicographic row order.  A limit truncates the
     output and sets the flag; require_present keeps only tilings containing
@@ -238,51 +238,7 @@ def enumerate_valid(rs, n, limit=None, require_present=None, threads=None):
                 return True
         return False
 
-    if n == 1:
-        for i in range(R):
-            if wrap and not allowed_v[arr[i], arr[i]].all():
-                continue
-            if emit([i]):
-                break
-    else:
-        first_rows = list(range(R))
-        if threads and threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            # branches are independent; merge preserves lex order
-            def branch(i):
-                saved = []
-                stack = [i]
-
-                def local_dfs(s):
-                    if len(s) == n:
-                        if wrap and not allowed_v[arr[s[-1]], arr[s[0]]].all():
-                            return
-                        tile_rows = tuple(tuple(names[t] for t in rows[q]) for q in s)
-                        saved.append(GridTiling(n, tile_rows))
-                        return
-                    for j in successors(s[-1]):
-                        local_dfs(s + [j])
-
-                local_dfs(stack)
-                return saved
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for part in pool.map(branch, first_rows):
-                    for g in part:
-                        if required and not required <= {
-                            t for r in g.rows for t in r
-                        }:
-                            continue
-                        results.append(g)
-                        if budget is not None and len(results) >= budget:
-                            break
-                    if budget is not None and len(results) >= budget:
-                        break
-        else:
-            for i in first_rows:
-                if dfs([i]):
-                    break
+    dfs([])
     if budget is not None and len(results) >= budget:
         results = results[: limit]
         truncated = True

@@ -29,7 +29,6 @@ pairing bound stay per pattern.
 from __future__ import annotations
 
 import functools
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -113,11 +112,16 @@ def _pairing_entries(local_edges, k):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-def _pairing_dense(local_edges, k):
-    r, c, v = _pairing_entries(local_edges, k)
-    out = np.zeros((2**k, 2**k))
-    np.add.at(out, (r, c), v)
-    return out
+def _min_eigenvalue_coo(rows, cols, vals, dim):
+    """Smallest eigenvalue of the dim x dim operator with these COO entries
+    (duplicates summed).  Built dense up to DENSE_CUTOFF and as CSR above, so
+    min_eigenvalue never has to convert between the two."""
+    if dim <= DENSE_CUTOFF:
+        op = np.zeros((dim, dim), dtype=vals.dtype)
+        np.add.at(op, (rows, cols), vals)
+    else:
+        op = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+    return min_eigenvalue(op)
 
 
 def _pairing_sparse(local_edges, k):
@@ -136,9 +140,7 @@ def _chain_energy(k, closed):
     local = [(i, i + 1) for i in range(k - 1)]
     if closed:
         local.append((k - 1, 0))
-    if k <= 10:
-        return min_eigenvalue(_pairing_dense(local, k))
-    return min_eigenvalue(_pairing_sparse(local, k))
+    return _min_eigenvalue_coo(*_pairing_entries(local, k), 2**k)
 
 
 _STRUCTURE_CACHE = {}
@@ -277,12 +279,10 @@ def _solve_component(k, local_edges, exact_cap):
     cached = _STRUCTURE_CACHE.get(key)
     if cached is not None:
         return ComponentResult(k, m, cached[1], cached[0], True)
-    if k <= 10:
-        val, kind = min_eigenvalue(_pairing_dense(local_edges, k)), "dense"
-    elif k <= exact_cap:
-        val, kind = min_eigenvalue(_pairing_sparse(local_edges, k)), "lanczos"
-    else:
+    if k > exact_cap:
         return ComponentResult(k, m, "bound", _component_bound(k, local_edges), False)
+    val = _min_eigenvalue_coo(*_pairing_entries(local_edges, k), 2**k)
+    kind = "dense" if 2**k <= DENSE_CUTOFF else "lanczos"
     _STRUCTURE_CACHE[key] = (val, kind)
     return ComponentResult(k, m, kind, val, True)
 
@@ -291,9 +291,10 @@ def epr_min_energy(g, exact_cap=EXACT_COMPONENT_CAP):
     """Minimum total pairing penalty for a demand graph.
 
     Connected slot components are independent.  Paths and cycles of any size
-    up to 18 slots are solved exactly from a shape cache; other components get
-    a dense solve up to 10 slots and a Lanczos solve up to exact_cap; beyond
-    that a certified lower bound is returned and flagged inexact.
+    up to 18 slots are solved exactly from a shape cache; other components are
+    solved exactly up to exact_cap slots (dense up to DENSE_CUTOFF, Lanczos
+    above); beyond that a certified lower bound is returned and flagged
+    inexact.
     """
     demands = _normalize_demands(g)
     if not demands:
@@ -535,18 +536,10 @@ def embedded_step_energy(spec, steps1, steps2, plug, parts=("h", "v"), cap=2**18
                 rows.append(r)
                 cols.append(c)
                 vals.append(v)
-        if not rows:
-            continue
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        v = np.concatenate(vals)
-        if dim <= DENSE_CUTOFF:
-            out = np.zeros((dim, dim), dtype=v.dtype)
-            np.add.at(out, (r, c), v)
-            total += min_eigenvalue(out)
-        else:
-            msp = scipy.sparse.coo_matrix((v, (r, c)), shape=(dim, dim)).tocsr()
-            total += min_eigenvalue(msp)
+        if rows:
+            total += _min_eigenvalue_coo(
+                np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), dim
+            )
     return float(total)
 
 
@@ -712,18 +705,6 @@ def sector_full_oracle(t, plug, tol=DEFAULT_TOL, cap=2**18):
     ).tocsr()
     op.sum_duplicates()
     return scalar + min_eigenvalue(op, tol=tol)
-
-
-def brute_force_oracle(mode, **kwargs):
-    """Dispatch to one of the independent oracles by name."""
-    table = {
-        "sector-qubits": sector_qubit_oracle,
-        "full-space": full_space_oracle,
-        "sector-full": sector_full_oracle,
-    }
-    if mode not in table:
-        raise ValueError(f"unknown oracle mode {mode!r}; choose from {sorted(table)}")
-    return table[mode](**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -917,16 +898,13 @@ class ColoringTable:
         return flags
 
 
-_TABLE_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _tables(spec, exact_cap):
-    key = (spec.r, spec.n, spec.boundary, exact_cap)
-    if key not in _TABLE_CACHE:
-        nt = NumberingTable(spec, exact_cap=exact_cap)
-        nt.solve_all()
-        _TABLE_CACHE[key] = (nt, ColoringTable(spec))
-    return _TABLE_CACHE[key]
+    """The solved numbering table and the coloring table, built once per
+    lattice and cap and shared by every later search in the process."""
+    nt = NumberingTable(spec, exact_cap=exact_cap)
+    nt.solve_all()
+    return nt, ColoringTable(spec)
 
 
 def _violations_for_mask(mask, nt):
@@ -1005,7 +983,6 @@ def ground_energy_search(
     spec,
     plug=None,
     epr_exact_cap=CHAIN_SLOT_CAP,
-    threads=None,
     emb_cap=2**18,
 ):
     """Exhaustive certified minimum of the summed term over all tile sectors.
@@ -1013,13 +990,9 @@ def ground_energy_search(
     Sectors are grouped by (same-color mask, step pattern) per copy; the
     groups cover every sector exactly once, so the sweep is exhaustive even
     though nothing is enumerated site by site.  Feasible when 3^(sites) is
-    enumerable; larger lattices raise BudgetExceeded.  ``threads`` (default
-    ``RIH_THREADS``) is only recorded in the stats: the search runs on one
-    thread.
+    enumerable; larger lattices raise BudgetExceeded.
     """
     t0 = time.perf_counter()
-    if threads is None:
-        threads = int(os.environ.get("RIH_THREADS", "1"))
     nt, ct = _tables(spec, epr_exact_cap)
     E = nt.num_edges
     plug_name = "zero" if plug is None else plug.name
@@ -1202,7 +1175,6 @@ def ground_energy_search(
         "embedded_refinements": refinements,
         "structure_cache_size": len(_STRUCTURE_CACHE),
         "elapsed_seconds": round(time.perf_counter() - t0, 3),
-        "threads": threads,
     }
     return EnergyReport(
         spec=spec,

@@ -55,6 +55,12 @@ class TestSolveWitness:
         assert out["minimum"] == pytest.approx(36.0, abs=1e-9)
         assert out["argmin"] is not None
 
+    def test_threads_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--r", "2", "--n", "3", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_witness_energies_and_flags(self, capsys):
         out = run_json(capsys, "witness", "--r", "2", "--n", "3")
         assert out["classical"]["total"] == 36

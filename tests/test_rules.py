@@ -155,11 +155,6 @@ class TestEnumerateValid:
         with pytest.raises(RuleSetError):
             enumerate_valid(AB, 2, require_present={"zz"})
 
-    def test_threads_match_serial(self):
-        a = enumerate_valid(AB, 3)
-        b = enumerate_valid(AB, 3, threads=2)
-        assert [g.rows for g in a] == [g.rows for g in b]
-
     def test_unsatisfiable_is_empty(self):
         rs = TileRuleSet(("a",), frozenset({("a", "a")}), frozenset())
         assert len(enumerate_valid(rs, 2)) == 0

@@ -98,7 +98,7 @@ class TestChainEnergies:
         local = [(i, i + 1) for i in range(k - 1)]
         if closed:
             local.append((k - 1, 0))
-        direct = np.linalg.eigvalsh(solver._pairing_dense(local, k)).min()
+        direct = np.linalg.eigvalsh(solver._pairing_sparse(local, k).toarray()).min()
         assert solver._chain_energy(k, closed) == pytest.approx(direct, abs=1e-10)
 
 
@@ -143,6 +143,18 @@ class TestEprMinEnergy:
         assert exact.exact
         assert bound.value <= exact.value + 1e-9
         assert exact.value == pytest.approx(36.0, abs=1e-8)
+
+    @pytest.mark.parametrize("k,kind", [(5, "dense"), (8, "dense"), (9, "lanczos"), (10, "lanczos")])
+    def test_component_kind_names_the_method_used(self, monkeypatch, k, kind):
+        # a star of k-1 demands into one slot branches, so it is neither path
+        # nor cycle; the label follows the dense cutoff (2**8), not a slot tier
+        monkeypatch.setattr(solver, "_STRUCTURE_CACHE", {})
+        g = [((i, 2), (99, 1)) for i in range(k - 1)]
+        (comp,) = solver.epr_min_energy(g).components
+        assert (comp.num_slots, comp.kind, comp.exact) == (k, kind, True)
+        local = [(i, k - 1) for i in range(k - 1)]
+        direct = np.linalg.eigvalsh(solver._pairing_sparse(local, k).toarray()).min()
+        assert comp.value == pytest.approx(direct, abs=1e-9)
 
     def test_isomorphic_components_share_energy(self):
         # same shape under relabeling: cached or not, values must agree
@@ -324,6 +336,16 @@ class TestGroundEnergySearch:
         assert s["distinct_step_patterns"] > 0
         assert s["mask_pairs_swept"] == s["distinct_masks"] ** 2
         assert s["sectors_total"] == 9**9
+
+    def test_tables_are_built_once_per_lattice_and_cap(self):
+        # equal specs built apart share one solved table pair, so a later
+        # search in the same process reuses it
+        a = solver._tables(LatticeSpec(1, 5, "periodic"), 18)
+        b = solver._tables(LatticeSpec(1, 5, "periodic"), 18)
+        assert a[0] is b[0] and a[1] is b[1]
+        assert isinstance(a[0], solver.NumberingTable)
+        assert isinstance(a[1], solver.ColoringTable)
+        assert solver._tables(LatticeSpec(1, 5, "periodic"), 12)[0] is not a[0]
 
     def test_search_is_fast_enough(self):
         t0 = time.time()
