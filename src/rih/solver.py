@@ -21,9 +21,19 @@ branching site by site:
     the 3x3 torus) and broadcast to the orbit's members.
 
 So sectors group by (mask1, mask2, steps1, steps2), copies decouple given the
-masks, and the per-copy number minimization is a vectorized sweep.  The joint
-embedded refinement of a non-separable plug and the escalation of an inexact
-pairing bound stay per pattern.
+masks, and the per-copy number minimization is a vectorized sweep:
+
+  * a violation count depends on a step pattern only through its zero mask,
+    so patterns group by zero mask (2,914 groups for 6,561 patterns on the
+    3x3 torus) and the per-mask minima are one min-plus product of the masks
+    against the groups, through an AND-popcount kernel taken in blocks;
+  * a mask pair's value values1[i] + values2[j] + |m_i & m_j| is bounded
+    below by values1[i] + values2[j], so the pair sweep evaluates only the
+    pairs whose bound reaches the pair of row minima (4 of 8.5M on the 3x3
+    torus).
+
+The joint embedded refinement of a non-separable plug and the escalation of
+an inexact pairing bound stay per pattern.
 """
 
 from __future__ import annotations
@@ -52,6 +62,7 @@ DEFAULT_TOL = 1e-10
 DENSE_CUTOFF = 2**8  # dense eigvalsh up to here, eigsh above: the measured crossover
 EXACT_COMPONENT_CAP = 12
 CHAIN_SLOT_CAP = 18
+SWEEP_BLOCK = 2**14  # elements per block of the mask-sweep kernels
 REPORT_SCHEMA = "energy-report/1"
 
 
@@ -275,12 +286,14 @@ def _solve_component(k, local_edges, exact_cap):
         closed = m == k
         kind = "cycle" if closed else "path"
         return ComponentResult(k, m, kind, _chain_energy(k, closed), True)
+    # the cap is checked first, so the answer never depends on what wider
+    # caps have cached earlier in the process
+    if k > exact_cap:
+        return ComponentResult(k, m, "bound", _component_bound(k, local_edges), False)
     key = _canonical_component_key(k, local_edges)
     cached = _STRUCTURE_CACHE.get(key)
     if cached is not None:
         return ComponentResult(k, m, cached[1], cached[0], True)
-    if k > exact_cap:
-        return ComponentResult(k, m, "bound", _component_bound(k, local_edges), False)
     val = _min_eigenvalue_coo(*_pairing_entries(local_edges, k), 2**k)
     kind = "dense" if 2**k <= DENSE_CUTOFF else "lanczos"
     _STRUCTURE_CACHE[key] = (val, kind)
@@ -769,6 +782,8 @@ class NumberingTable:
         for j in range(E):
             self.zero_mask |= z[:, j].astype(np.uint64) << np.uint64(j)
         self.zero_count = _popcount(self.zero_mask)
+        # violation counts depend on a pattern only through its zero mask
+        self.zero_groups, self.group_of = np.unique(self.zero_mask, return_inverse=True)
         self.num_edges = E
         self.orbit_reps, self.orbit_of = self._orbits(codes, weight)
         self.epr = np.zeros(P)
@@ -934,6 +949,78 @@ def _q_for_mask(mask, nt, extra=None, escalation_budget=200):
     return float(vals[p]), p, False
 
 
+def _group_minima(nt, extra):
+    """For each violation count v and zero-mask group z, the smallest
+    8.0*v + epr (+ extra) over the group's patterns, with the smallest pattern
+    index attaining it.  Both tables have shape (E + 1, Z); the values are
+    computed with the same float operations as _q_for_mask."""
+    E, Z = nt.num_edges, len(nt.zero_groups)
+    order = np.argsort(nt.group_of, kind="stable")  # by group, then pattern index
+    group_sorted = nt.group_of[order]
+    starts = np.searchsorted(group_sorted, np.arange(Z))
+    sizes = np.diff(np.append(starts, len(order)))
+    value = np.empty((E + 1, Z))
+    arg = np.empty((E + 1, Z), dtype=np.int32)
+    for v in range(E + 1):
+        vals = 8.0 * v + nt.epr
+        if extra is not None:
+            vals = vals + extra
+        vals = vals[order]
+        value[v] = np.minimum.reduceat(vals, starts)
+        hit = np.flatnonzero(vals == np.repeat(value[v], sizes))
+        arg[v] = order[hit[np.searchsorted(group_sorted[hit], np.arange(Z))]]
+    return value, arg
+
+
+def _q_sweep(masks, nt, extra):
+    """_q_for_mask for every mask at once, without escalation: a min-plus
+    product of the masks against the zero-mask groups, taken in blocks of
+    about SWEEP_BLOCK elements.  Ties go to the smallest pattern index, as
+    np.argmin does in the per-mask loop."""
+    value, arg = _group_minima(nt, extra)
+    value, arg = value.ravel(), arg.ravel()
+    E, Z, M = nt.num_edges, len(nt.zero_groups), len(masks)
+    # flat table index (viol, z) = viol*Z + z with
+    # viol = 2*|m & z| + (E - |z|) - |m|
+    col = (E - _popcount(nt.zero_groups)) * Z + np.arange(Z)
+    row = _popcount(masks) * Z
+    q = np.empty(M)
+    argmin = np.empty(M, dtype=np.int64)
+    step = max(1, SWEEP_BLOCK // Z)
+    for s in range(0, M, step):
+        idx = _popcount(masks[s : s + step, None] & nt.zero_groups) * (2 * Z)
+        idx += col
+        idx -= row[s : s + step, None]
+        vals = value[idx]
+        best = vals.min(axis=1)
+        q[s : s + step] = best
+        argmin[s : s + step] = np.where(vals == best[:, None], arg[idx], len(nt.patterns)).min(
+            axis=1
+        )
+    return q, argmin
+
+
+def _q_all(masks, nt, extras=(None,)):
+    """Per-mask minima of _q_for_mask for every mask and each extra, as a list
+    of (q, argmin, ok) arrays, equal to calling _q_for_mask mask by mask and,
+    within a mask, extra by extra.
+
+    The vectorized sweep reads the current pairing values.  Masks whose argmin
+    is inexact are then redone by _q_for_mask in that same order, escalating
+    as it goes.  An escalation only raises an inexact pattern's value (the
+    bound it replaces is a lower bound), so an argmin that was exact stays the
+    argmin and those masks need no second look."""
+    out = []
+    for extra in extras:
+        q, argmin = _q_sweep(masks, nt, extra)
+        out.append((q, argmin, np.ones(len(masks), dtype=bool), ~nt.epr_exact[argmin]))
+    for i in np.flatnonzero(np.logical_or.reduce([redo for *_, redo in out])):
+        for (q, argmin, ok, redo), extra in zip(out, extras):
+            if redo[i]:
+                q[i], argmin[i], ok[i] = _q_for_mask(int(masks[i]), nt, extra=extra)
+    return [(q, argmin, ok) for q, argmin, ok, _ in out]
+
+
 @dataclass
 class EnergyReport:
     spec: LatticeSpec
@@ -961,22 +1048,50 @@ class EnergyReport:
         }
 
 
-def _pair_sweep(values1, values2, masks, cross=None):
+def _pairs_below(values1, values2, masks, limit):
+    """Every mask pair whose value values1[i] + values2[j] + |m_i & m_j| is at
+    most limit, as (value, i, j) arrays in lexicographic order.
+
+    values1[i] + values2[j] bounds a pair's value from below, so each row i
+    evaluates only the prefix of values2, in ascending order, whose bound
+    can reach limit.  Candidates go through in blocks of about SWEEP_BLOCK."""
+    order = np.argsort(values2, kind="stable")
+    finite = np.isfinite(values1)
+    # a float sum at most limit needs values2[j] <= limit - values1[i] up to
+    # rounding; the slack only admits extra candidates, which the exact test
+    # below drops
+    reach = np.full(len(values1), -np.inf)
+    reach[finite] = limit - values1[finite] + 1e-9 * (1 + abs(limit) + np.abs(values1[finite]))
+    counts = np.searchsorted(values2[order], reach, side="right")
+    rows = np.flatnonzero(counts)
+    ends = np.cumsum(counts[rows])
+    found = [(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))]
+    start = 0
+    while start < len(rows):
+        done = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + SWEEP_BLOCK, side="right")))
+        c = counts[rows[start:stop]]
+        i = np.repeat(rows[start:stop], c)
+        j = order[np.arange(len(i)) - np.repeat(np.cumsum(c) - c, c)]
+        val = values1[i] + values2[j] + _popcount(masks[i] & masks[j])
+        keep = val <= limit
+        found.append((val[keep], i[keep], j[keep]))
+        start = stop
+    val, i, j = (np.concatenate(parts) for parts in zip(*found))
+    lex = np.lexsort((j, i, val))
+    return val[lex], i[lex], j[lex]
+
+
+def _pair_sweep(values1, values2, masks):
     """min over ordered mask pairs of values1[i] + values2[j] + |m_i & m_j|,
-    restricted to pairs allowed by the boolean matrix-like filter cross."""
-    best = np.inf
-    arg = (0, 0)
-    M = len(masks)
-    for i in range(M):
-        inter = _popcount(np.bitwise_and(masks, masks[i]))
-        row = values1[i] + values2 + inter
-        if cross is not None:
-            row = np.where(cross[i], row, np.inf)
-        j = int(np.argmin(row))
-        if row[j] < best:
-            best = float(row[j])
-            arg = (i, j)
-    return best, arg
+    with the lexicographically smallest (i, j) attaining it.  The pair of the
+    two row minima seeds the limit for _pairs_below."""
+    i, j = int(np.argmin(values1)), int(np.argmin(values2))
+    seed = values1[i] + values2[j] + _popcount(masks[i] & masks[j])
+    if not np.isfinite(seed):
+        return np.inf, (0, 0)
+    val, rows, cols = _pairs_below(values1, values2, masks, seed)
+    return float(val[0]), (int(rows[0]), int(cols[0]))
 
 
 def ground_energy_search(
@@ -1002,7 +1117,7 @@ def ground_energy_search(
 
     # per-copy, per-mask minima over numberings; embedded part folded in when
     # it attaches to a single copy (separable case)
-    extra_h = extra_v = None
+    extras = (None,)
     if plug is not None:
         # like the pairing minima, one-copy embedded minima are invariant
         # under the lattice symmetries: solve one pattern per orbit
@@ -1024,25 +1139,13 @@ def ground_energy_search(
                     for s in reps
                 ]
             )
-        extra_h, extra_v = eh, ev
+        extras = (eh, ev)
 
     M = len(ct.masks)
     loop_cost = 2.0 * (E - ct.same_count)
-    q1 = np.zeros(M)
-    q2 = np.zeros(M)
-    argn1 = np.zeros(M, dtype=np.int64)
-    argn2 = np.zeros(M, dtype=np.int64)
-    all_exact = True
-    for i in range(M):
-        v, p, ok = _q_for_mask(int(ct.masks[i]), nt, extra=extra_h)
-        q1[i], argn1[i] = v, p
-        all_exact &= ok
-        if extra_v is extra_h or (extra_v is None and extra_h is None):
-            q2[i], argn2[i] = v, p
-        else:
-            v2, p2, ok2 = _q_for_mask(int(ct.masks[i]), nt, extra=extra_v)
-            q2[i], argn2[i] = v2, p2
-            all_exact &= ok2
+    sweeps = _q_all(ct.masks, nt, extras)
+    (q1, argn1, ok1), (q2, argn2, ok2) = sweeps[0], sweeps[-1]
+    all_exact = bool(ok1.all() and ok2.all())
 
     values1 = loop_cost + q1
     values2 = loop_cost + q2
@@ -1100,14 +1203,9 @@ def ground_energy_search(
         seed, seed_arg = joint_best(i1, i2, incumbent)
         if seed < incumbent:
             incumbent, inc_state = seed, (i1, i2, *seed_arg)
-        order = []
-        for i in range(M):
-            inter = _popcount(np.bitwise_and(ct.masks, ct.masks[i]))
-            bounds = values1[i] + values2 + inter
-            for j in np.flatnonzero(bounds < incumbent):
-                if (i, j) != (i1, i2):
-                    order.append((float(bounds[j]), i, int(j)))
-        order.sort()
+        bounds, rows, cols = _pairs_below(values1, values2, ct.masks, incumbent)
+        keep = (bounds < incumbent) & ((rows != i1) | (cols != i2))
+        order = zip(bounds[keep].tolist(), rows[keep].tolist(), cols[keep].tolist())
         for bval, i, j in order:
             if bval >= incumbent:
                 break
@@ -1191,16 +1289,10 @@ def single_copy_minimum(spec, epr_exact_cap=CHAIN_SLOT_CAP):
     """min over one copy's sectors of tile + color + pairing energy; the
     reduced quantity the full-space oracle can check independently."""
     nt, ct = _tables(spec, epr_exact_cap)
-    E = nt.num_edges
-    best = np.inf
-    arg = None
-    for i in range(len(ct.masks)):
-        v, p, ok = _q_for_mask(int(ct.masks[i]), nt)
-        tot = 2.0 * (E - int(ct.same_count[i])) + v
-        if tot < best:
-            best = float(tot)
-            arg = (i, p)
-    return best, arg
+    ((q, argn, _),) = _q_all(ct.masks, nt)
+    tot = 2.0 * (nt.num_edges - ct.same_count) + q
+    i = int(np.argmin(tot))
+    return float(tot[i]), (i, int(argn[i]))
 
 
 def single_copy_floor_check(spec, epr_exact_cap=CHAIN_SLOT_CAP):
@@ -1210,16 +1302,14 @@ def single_copy_floor_check(spec, epr_exact_cap=CHAIN_SLOT_CAP):
     the smallest slack found."""
     nt, ct = _tables(spec, epr_exact_cap)
     E = nt.num_edges
-    worst = np.inf
-    for i in range(len(ct.masks)):
-        q, _, ok = _q_for_mask(int(ct.masks[i]), nt)
-        if not ok:
-            return False, -np.inf
-        deg = ct.same_degree[i].astype(int)
-        floor = 2 * E - int(deg.sum()) + 4 * int((deg // 3).sum())
-        energy = 2.0 * (E - int(ct.same_count[i])) + q
-        worst = min(worst, energy - floor)
-    return bool(worst > -1e-9), float(worst)
+    ((q, _, ok),) = _q_all(ct.masks, nt)
+    if not ok.all():
+        return False, -np.inf
+    deg = ct.same_degree.astype(int)
+    floor = 2 * E - deg.sum(axis=1) + 4 * (deg // 3).sum(axis=1)
+    energy = 2.0 * (E - ct.same_count) + q
+    worst = float((energy - floor).min())
+    return bool(worst > -1e-9), worst
 
 
 def _poly(coeffs, n):

@@ -2,6 +2,7 @@ import itertools
 import json
 import pathlib
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,17 +241,28 @@ class TestSectorEnergy:
         assert set(d) >= {"classical", "epr", "embedded", "method"}
         json.dumps(d)
 
-    def test_bound_only_method_flagged(self, monkeypatch):
+    def test_bound_only_method_flagged(self):
         # the serpentine rows chain 12 slots into one branching component; a
-        # cap below that size forces the bound tier (with a clean structure
-        # cache, since exact values cached by wider caps are reused otherwise)
-        monkeypatch.setattr(solver, "_STRUCTURE_CACHE", {})
+        # cap below that size forces the bound tier
         t = snake_tiling(6)
         se = solver.tile_sector_energy(t, epr_exact_cap=10)
         assert se.method == "bound-only"
         exact = solver.tile_sector_energy(t, epr_exact_cap=18)
         assert exact.method == "component-exact"
         assert se.total <= exact.total + 1e-9
+
+    def test_method_does_not_depend_on_earlier_wider_caps(self):
+        # exact values that a wider cap cached must not leak into a narrower one
+        t = snake_tiling(6)
+        first = solver.tile_sector_energy(t, epr_exact_cap=10)
+        wide = solver.tile_sector_energy(t, epr_exact_cap=18)
+        again = solver.tile_sector_energy(t, epr_exact_cap=10)
+        assert (first.method, wide.method, again.method) == (
+            "bound-only",
+            "component-exact",
+            "bound-only",
+        )
+        assert again.total == first.total
 
 
 @pytest.fixture(scope="module")
@@ -363,6 +375,7 @@ class TestGroundEnergySearch:
         rep = solver.ground_energy_search(TORUS, toy_plugs()["frustration_free"], epr_exact_cap=18)
         assert rep.minimum == pytest.approx(36.0, abs=1e-9)
         assert rep.certified
+        assert rep.stats["embedded_refinements"] == 4
 
     def test_frustrated_plug_raises_the_floor(self):
         rep = solver.ground_energy_search(TORUS, toy_plugs()["afm"], epr_exact_cap=18)
@@ -510,6 +523,177 @@ class TestSymmetryOrbits:
                     if (rep, part) not in rep_value:
                         rep_value[rep, part] = energy(rep, part, plug)
                     assert energy(p, part, plug) == pytest.approx(rep_value[rep, part], abs=1e-9)
+
+
+def _one_copy_extra(spec, nt, plug):
+    """Horizontal one-copy embedded minima per pattern, as the search folds
+    them into the first copy's sweep."""
+    zero = np.zeros(nt.num_edges, dtype=np.int8)
+    reps = nt.patterns[nt.orbit_reps]
+    return nt.broadcast(
+        [solver.embedded_step_energy(spec, s, zero, plug, parts=("h",)) for s in reps]
+    )
+
+
+def _sweep_extra(spec, nt, kind):
+    if kind == "none":
+        return None
+    if kind == "afm":
+        return _one_copy_extra(spec, nt, toy_plugs()["afm"])
+    rng = np.random.default_rng(7)
+    if kind == "complex":
+        plug = TranslationPlug(
+            2, _random_psd(rng, 2, True), _random_psd(rng, 2, True), name="complex"
+        )
+        return _one_copy_extra(spec, nt, plug)
+    # arbitrary floats, constant on each orbit like every embedded extra
+    return nt.broadcast(3 * rng.random(len(nt.orbit_reps)))
+
+
+def _q_loop(masks, nt, extras=(None,)):
+    """The per-mask reference: _q_for_mask mask by mask, extra by extra."""
+    rows = [[solver._q_for_mask(int(m), nt, extra=x) for x in extras] for m in masks]
+    return [tuple(np.array(col) for col in zip(*per_extra)) for per_extra in zip(*rows)]
+
+
+def _brute_pair_min(values1, values2, masks):
+    """Row-major argmin of the full M x M pair matrix, built in row blocks."""
+    best, arg = np.inf, (0, 0)
+    for s in range(0, len(masks), 128):
+        block = values1[s : s + 128, None] + values2 + solver._popcount(
+            masks[s : s + 128, None] & masks
+        )
+        k = int(np.argmin(block))
+        if block.flat[k] < best:
+            i, j = divmod(k, len(masks))
+            best, arg = float(block.flat[k]), (s + i, j)
+    return best, arg
+
+
+def _assert_same_sweep(got, want):
+    for (q, argmin, ok), (rq, rargmin, rok) in zip(got, want, strict=True):
+        assert q.tobytes() == rq.astype(np.float64).tobytes()
+        assert (argmin == rargmin).all()
+        assert (ok == rok).all()
+
+
+# (spec, extra) pairs for the mask-sweep equivalence tests: the complex plug's
+# embedded minima cost seconds to tens of seconds on the open 3x3 and ring 11,
+# so there the orbit-constant random floats stand in for them
+SWEEP_CASES = [
+    (spec, kind)
+    for spec, kinds in (
+        (TORUS, ("none", "afm", "complex", "random")),
+        (OPEN3, ("none", "afm", "random")),
+        (LatticeSpec(1, 7), ("none", "afm", "complex", "random")),
+        (LatticeSpec(1, 11), ("none", "afm", "random")),
+    )
+    for kind in kinds
+]
+SWEEP_IDS = [f"{s.r}d{s.n}{s.boundary[0]}-{k}" for s, k in SWEEP_CASES]
+
+
+@pytest.fixture(scope="module")
+def sweep_extra():
+    """_sweep_extra, computed once per (spec, kind) for the module."""
+    cache = {}
+
+    def get(spec, nt, kind):
+        if (spec, kind) not in cache:
+            cache[spec, kind] = _sweep_extra(spec, nt, kind)
+        return cache[spec, kind]
+
+    return get
+
+
+class TestMaskSweep:
+    @pytest.mark.parametrize("spec,kind", SWEEP_CASES, ids=SWEEP_IDS)
+    def test_q_all_matches_the_per_mask_loop(self, sweep_extra, spec, kind):
+        # cap 18 leaves nothing inexact here, so the shared table is not escalated
+        nt, ct = solver._tables(spec, 18)
+        assert nt.epr_exact.all()
+        extra = sweep_extra(spec, nt, kind)
+        _assert_same_sweep(solver._q_all(ct.masks, nt, (extra,)), _q_loop(ct.masks, nt, (extra,)))
+
+    @pytest.mark.parametrize("spec,kind", SWEEP_CASES, ids=SWEEP_IDS)
+    def test_pair_sweep_matches_brute_force(self, sweep_extra, spec, kind):
+        nt, ct = solver._tables(spec, 18)
+        loop_cost = 2.0 * (nt.num_edges - ct.same_count)
+        (q1, _, _), (q2, _, _) = solver._q_all(ct.masks, nt, (sweep_extra(spec, nt, kind), None))
+        values1, values2 = loop_cost + q1, loop_cost + q2
+        every = np.ones(len(ct.masks), dtype=bool)
+        straight = ct.looped & ~ct.has_turn
+        for allow1, allow2 in ((every, every), (straight, straight), (~ct.looped, every)):
+            v1 = np.where(allow1, values1, np.inf)
+            v2 = np.where(allow2, values2, np.inf)
+            want = _brute_pair_min(v1, v2, ct.masks)
+            assert solver._pair_sweep(v1, v2, ct.masks) == want
+
+    def test_pairs_below_lists_every_pair_under_the_limit(self):
+        nt, ct = solver._tables(LatticeSpec(1, 7), 18)
+        (q, _, _), = solver._q_all(ct.masks, nt)
+        values = 2.0 * (nt.num_edges - ct.same_count) + q
+        full = values[:, None] + values + solver._popcount(ct.masks[:, None] & ct.masks)
+        limit = full.min() + 3.0
+        val, i, j = solver._pairs_below(values, values, ct.masks, limit)
+        wi, wj = np.nonzero(full <= limit)  # row-major, so (i, j) lexicographic
+        order = np.argsort(full[wi, wj], kind="stable")
+        assert len(val) > 100
+        assert (i == wi[order]).all() and (j == wj[order]).all()
+        assert val.tobytes() == full[wi, wj][order].tobytes()
+
+    def test_inexact_argmins_fall_back_to_escalation(self):
+        # at cap 6 thousands of torus patterns hold only a bound, and some
+        # per-mask argmins land on them; both tables escalate the same patterns
+        fast = solver.NumberingTable(TORUS, exact_cap=6)
+        ref = solver.NumberingTable(TORUS, exact_cap=6)
+        fast.solve_all()
+        ref.solve_all()
+        ct = solver.ColoringTable(TORUS)
+        _, argmin = solver._q_sweep(ct.masks, fast, None)
+        assert not fast.epr_exact[argmin].all()
+        rng = np.random.default_rng(3)
+        extras = (None, fast.broadcast(rng.random(len(fast.orbit_reps))))
+        got = solver._q_all(ct.masks, fast, extras)
+        want = _q_loop(ct.masks, ref, extras)
+        _assert_same_sweep(got, want)
+        assert fast.epr.tobytes() == ref.epr.tobytes()
+        assert (fast.epr_exact == ref.epr_exact).all()
+
+        loop_cost = 2.0 * (ref.num_edges - ct.same_count)
+        (q, _, ok) = want[0]
+        minimum, _ = _brute_pair_min(loop_cost + q, loop_cost + q, ct.masks)
+        rep = solver.ground_energy_search(TORUS, None, epr_exact_cap=6)
+        assert (rep.minimum, rep.certified) == (minimum, bool(ok.all()))
+        assert rep.minimum == 36.0
+
+    def test_sweep_without_bitwise_count(self, monkeypatch):
+        # numpy < 2.0 has no bitwise_count; _popcount falls back to shifts
+        spec = LatticeSpec(1, 7)
+        nt, ct = solver._tables(spec, 18)
+        values = 2.0 * (nt.num_edges - ct.same_count)
+
+        def sweep():
+            (q, argmin, ok), = solver._q_all(ct.masks, nt)
+            return q, argmin, ok, solver._pair_sweep(values + q, values + q, ct.masks)
+
+        with_native = sweep()
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        without = sweep()
+        assert with_native[0].tobytes() == without[0].tobytes()
+        assert (with_native[1] == without[1]).all() and (with_native[2] == without[2]).all()
+        assert with_native[3] == without[3]
+
+    def test_warm_search_allocates_little(self):
+        # the kernels work in blocks of about SWEEP_BLOCK elements, never M x M
+        solver.ground_energy_search(TORUS, None, epr_exact_cap=18)
+        tracemalloc.start()
+        try:
+            solver.ground_energy_search(TORUS, None, epr_exact_cap=18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
 
 class TestDecide:
