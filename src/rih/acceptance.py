@@ -85,10 +85,7 @@ class AcceptanceContext:
         )
 
     def zero_search(self):
-        return self.memo(
-            "zero-search",
-            lambda: solver.ground_energy_search(TORUS33, None, epr_exact_cap=18),
-        )
+        return self.memo("zero-search", lambda: solver.ground_energy_search(TORUS33, None))
 
     def fixtures(self):
         def load():
@@ -222,7 +219,7 @@ def crit_witness_energies(ctx):
             return False, (
                 f"witness ({r},{n}) classical energy {ce.total} != {expected}"
             )
-        se = solver.tile_sector_energy(w, ff, epr_exact_cap=18)
+        se = solver.tile_sector_energy(w, ff)
         if not se.exact or abs(se.total - expected) > 1e-9:
             return False, (
                 f"witness ({r},{n}) satisfiable-plug sector {se.total} "
@@ -268,7 +265,7 @@ def crit_certified_ground_search(ctx):
 
 def crit_single_copy_floor(ctx):
     t0 = perf_counter()
-    ok, margin = solver.single_copy_floor_check(TORUS33, epr_exact_cap=18)
+    ok, margin = solver.single_copy_floor_check(TORUS33)
     dt = perf_counter() - t0
     passed = ok and margin >= -1e-9
     return passed, (
@@ -280,8 +277,8 @@ def crit_single_copy_floor(ctx):
 def crit_chain_ring_energies(ctx):
     ring = Tiling(LatticeSpec(1, 3, "periodic"), [0, 0, 0], [0, 1, 2])
     path = Tiling(LatticeSpec(1, 3, "open"), [0, 0, 0], [0, 1, 0])
-    e_ring = solver.epr_min_energy(epr_demand_graph(ring, 1), exact_cap=18)
-    e_path = solver.epr_min_energy(epr_demand_graph(path, 1), exact_cap=18)
+    e_ring = solver.epr_min_energy(epr_demand_graph(ring, 1))
+    e_path = solver.epr_min_energy(epr_demand_graph(path, 1))
     ok = (
         e_ring.exact
         and abs(e_ring.value - 0.0) <= 1e-10
@@ -305,7 +302,7 @@ def crit_oracle_agreement(ctx):
         t = Tiling.from_json_dict(f["tiling"])
         plug = plugs[f["plug"]]
         oracle = solver.sector_full_oracle(t, plug)
-        se = solver.tile_sector_energy(t, plug, epr_exact_cap=18)
+        se = solver.tile_sector_energy(t, plug)
         if not se.exact:
             return False, f"decomposition not certified on fixture {f['plug']}"
         worst = max(worst, abs(oracle - se.total))
@@ -345,7 +342,7 @@ def crit_term_audit(ctx):
 
 def crit_open_boundary_endpoints(ctx):
     t0 = perf_counter()
-    rep = solver.ground_energy_search(OPEN3, None, epr_exact_cap=18)
+    rep = solver.ground_energy_search(OPEN3, None)
     if not rep.certified or abs(rep.minimum - 24.0) > 1e-9:
         return False, f"open 3x3 certified minimum {rep.minimum} != 24"
     for copy in (1, 2):
@@ -354,7 +351,7 @@ def crit_open_boundary_endpoints(ctx):
     details = []
     for spec, expected in ((OPEN3, 24.0), (OPEN6, 120.0)):
         w = striped_witness(spec)
-        base = solver.tile_sector_energy(w, epr_exact_cap=18)
+        base = solver.tile_sector_energy(w)
         if not base.exact or abs(base.total - expected) > 1e-9:
             return False, f"straight witness at n={spec.n} not certified at {expected}"
         if not _witness_line_ends_free(w):
@@ -362,7 +359,7 @@ def crit_open_boundary_endpoints(ctx):
         alt = _snake_tiling(spec.n)
         if not (classify(alt, 1).has_turn or classify(alt, 2).has_turn):
             return False, "alternative does not introduce a turn"
-        alt_se = solver.tile_sector_energy(alt, epr_exact_cap=18)
+        alt_se = solver.tile_sector_energy(alt)
         if not alt_se.exact or alt_se.total <= base.total + 1.0:
             return False, (
                 f"turn alternative at n={spec.n} not strictly costlier: "
@@ -491,24 +488,19 @@ def crit_symmetry_invariance(ctx):
     for t in cases:
         perms = lattice_symmetry_permutations(t.spec)
         base_flags = (invariant_flags(t, 1), invariant_flags(t, 2))
-        base_zero = solver.tile_sector_energy(t, epr_exact_cap=18).total
-        base_afm = solver.tile_sector_energy(t, plugs["afm"], epr_exact_cap=18).total
+        base_zero = solver.tile_sector_energy(t).total
+        base_afm = solver.tile_sector_energy(t, plugs["afm"]).total
         for perm in perms:
             moved = t.permuted(perm)
             if (invariant_flags(moved, 1), invariant_flags(moved, 2)) != base_flags:
                 return False, "classification flags changed under a coordinate permutation"
-            dz = abs(
-                solver.tile_sector_energy(moved, epr_exact_cap=18).total - base_zero
-            )
-            da = abs(
-                solver.tile_sector_energy(moved, plugs["afm"], epr_exact_cap=18).total
-                - base_afm
-            )
+            dz = abs(solver.tile_sector_energy(moved).total - base_zero)
+            da = abs(solver.tile_sector_energy(moved, plugs["afm"]).total - base_afm)
             worst = max(worst, dz, da)
             if dz > 1e-8 or da > 1e-8:
                 return False, "sector energy changed under a coordinate permutation"
     a = ctx.zero_search()
-    b = solver.ground_energy_search(TORUS33, None, epr_exact_cap=18)
+    b = solver.ground_energy_search(TORUS33, None)
     if a.minimum != b.minimum or a.argmin != b.argmin:
         return False, "ground search not stable across reruns"
     dt = perf_counter() - t0

@@ -89,9 +89,7 @@ def _cmd_verify(args):
 
 def _cmd_solve(args):
     spec = LatticeSpec(args.r, args.n, args.boundary)
-    report = solver.ground_energy_search(
-        spec, _resolve_plug_arg(args.plug), epr_exact_cap=args.cap
-    )
+    report = solver.ground_energy_search(spec, _resolve_plug_arg(args.plug))
     _emit(report.to_json_dict())
     return 0
 
@@ -108,9 +106,7 @@ def _cmd_witness(args):
         },
     }
     if args.plug is not None:
-        se = solver.tile_sector_energy(
-            w, _resolve_plug_arg(args.plug), epr_exact_cap=args.cap
-        )
+        se = solver.tile_sector_energy(w, _resolve_plug_arg(args.plug))
         out["sector"] = se.to_json_dict()
     _emit(out)
     return 0
@@ -208,7 +204,6 @@ def build_parser():
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--plug", default="zero")
     p.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
-    p.add_argument("--cap", type=int, default=18, help="exact pairing component cap")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("witness", help="striped low-energy configuration")
@@ -216,7 +211,6 @@ def build_parser():
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
     p.add_argument("--plug", default=None)
-    p.add_argument("--cap", type=int, default=18)
     p.set_defaults(fn=_cmd_witness)
 
     p = sub.add_parser("classify", help="flags and energies of a stored tiling")

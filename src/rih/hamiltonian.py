@@ -444,6 +444,18 @@ class TwoBodyTerm:
         return m
 
 
+def _coefficients(coefficient_overrides):
+    """DEFAULT_COEFFICIENTS with the overrides applied; an unknown name
+    raises ValueError."""
+    w = dict(DEFAULT_COEFFICIENTS)
+    if coefficient_overrides:
+        unknown = set(coefficient_overrides) - set(w)
+        if unknown:
+            raise ValueError(f"unknown coefficient names: {sorted(unknown)}")
+        w.update(coefficient_overrides)
+    return w
+
+
 def build_site_term(plug, coefficient_overrides=None):
     """Assemble the full two-copy two-site term for the given embedded plug.
 
@@ -451,12 +463,7 @@ def build_site_term(plug, coefficient_overrides=None):
     self-checks can demonstrate that perturbed weights break the published
     invariants, and is not part of the normal construction path.
     """
-    w = dict(DEFAULT_COEFFICIENTS)
-    if coefficient_overrides:
-        unknown = set(coefficient_overrides) - set(w)
-        if unknown:
-            raise ValueError(f"unknown coefficient names: {sorted(unknown)}")
-        w.update(coefficient_overrides)
+    w = _coefficients(coefficient_overrides)
     layout, blocks = _build_blocks_two_copy(plug, w)
     return TwoBodyTerm(layout, w, blocks=blocks)
 
@@ -464,9 +471,7 @@ def build_site_term(plug, coefficient_overrides=None):
 def build_single_copy_term(coefficient_overrides=None):
     """One copy's term alone (tile rules, pairing, color penalty): the reduced
     model used by the cross-check oracles."""
-    w = dict(DEFAULT_COEFFICIENTS)
-    if coefficient_overrides:
-        w.update(coefficient_overrides)
+    w = _coefficients(coefficient_overrides)
     layout, blocks = _build_blocks_single_copy(w)
     return TwoBodyTerm(layout, w, blocks=blocks)
 

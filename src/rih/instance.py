@@ -111,8 +111,9 @@ def f_search(x, seed=0, max_trials=DEFAULT_TRIAL_BUDGET):
     )
 
 
-def _poly_eval(coeffs, n):
-    # lowest power first
+def poly_eval(coeffs, n):
+    """Value at n of the polynomial with these coefficients, lowest power
+    first."""
     acc = 0.0
     for k, c in enumerate(coeffs):
         acc += c * n**k
@@ -142,13 +143,13 @@ class DecisionSpec:
             raise ValueError("q must not be identically zero")
 
     def p_of(self, n):
-        return _poly_eval(self.p_coeffs, n)
+        return poly_eval(self.p_coeffs, n)
 
     def q_of(self, n):
-        return _poly_eval(self.q_coeffs, n)
+        return poly_eval(self.q_coeffs, n)
 
     def g_of(self, n):
-        return _poly_eval(self.g_coeffs, n)
+        return poly_eval(self.g_coeffs, n)
 
     def completeness_bound(self, n):
         """Satisfiable-side energy target: the witness value plus the

@@ -32,13 +32,19 @@ masks, and the per-copy number minimization is a vectorized sweep:
     pairs whose bound reaches the pair of row minima (4 of 8.5M on the 3x3
     torus).
 
-The joint embedded refinement of a non-separable plug and the escalation of
-an inexact pairing bound stay per pattern.
+The joint embedded refinement of a non-separable plug stays per pattern.
+
+Pairing components are solved exactly up to EXACT_PAIRING_CAP slots.  A larger
+branching component gets a certified lower bound and is flagged inexact, and a
+search whose table holds such a bound is reported uncertified.  No lattice the
+numbering table accepts comes near the cap: its largest component has 9 slots
+on the 3x3 lattices and 12 on ring 12.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -47,6 +53,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from rih.hamiltonian import EPR_HALF_PROJECTOR, dense_entries, embed_operator
+from rih.instance import poly_eval
 from rih.lattice import LatticeSpec, edge_index_array, lattice_symmetry_permutations
 from rih.tiling import (
     EprDemandGraph,
@@ -60,8 +67,8 @@ PAIR_PENALTY = 16 * EPR_HALF_PROJECTOR  # integer-entried, one per demand
 
 DEFAULT_TOL = 1e-10
 DENSE_CUTOFF = 2**8  # dense eigvalsh up to here, eigsh above: the measured crossover
-EXACT_COMPONENT_CAP = 12
-CHAIN_SLOT_CAP = 18
+EXACT_PAIRING_CAP = 18  # slots of the largest pairing component solved exactly
+DIAG_CAP = 2**18  # largest embedded component or sector oracle diagonalized
 SWEEP_BLOCK = 2**14  # elements per block of the mask-sweep kernels
 REPORT_SCHEMA = "energy-report/1"
 
@@ -80,18 +87,19 @@ def _deterministic_start(dim):
     return v / np.linalg.norm(v)
 
 
-def min_eigenvalue(op, tol=DEFAULT_TOL, dense_cutoff=DENSE_CUTOFF):
+def min_eigenvalue(op):
     """Smallest eigenvalue of a Hermitian operator.
 
-    Dense solve below dense_cutoff, shift-free Lanczos above; iteration budget
-    10*sqrt(dim)+500.  Convergence failures raise, they are never papered over.
+    Dense solve up to DENSE_CUTOFF, shift-free Lanczos to DEFAULT_TOL above;
+    iteration budget 10*sqrt(dim)+500.  Convergence failures raise, they are
+    never papered over.
     """
     if isinstance(op, np.ndarray):
-        if op.shape[0] <= dense_cutoff:
+        if op.shape[0] <= DENSE_CUTOFF:
             return float(np.linalg.eigvalsh(op).min())
         op = scipy.sparse.csr_matrix(op)
     dim = op.shape[0]
-    if dim <= dense_cutoff and scipy.sparse.issparse(op):
+    if dim <= DENSE_CUTOFF and scipy.sparse.issparse(op):
         return float(np.linalg.eigvalsh(op.toarray()).min())
     maxiter = int(10 * np.sqrt(dim) + 500)
     try:
@@ -99,7 +107,7 @@ def min_eigenvalue(op, tol=DEFAULT_TOL, dense_cutoff=DENSE_CUTOFF):
             op,
             k=1,
             which="SA",
-            tol=tol,
+            tol=DEFAULT_TOL,
             maxiter=maxiter,
             v0=_deterministic_start(dim),
             return_eigenvectors=False,
@@ -146,8 +154,8 @@ def _pairing_sparse(local_edges, k):
 def _chain_energy(k, closed):
     """Exact minimum of the pairing sum along a path (k slots, k-1 demands) or
     cycle (k demands); solved once per shape and reused everywhere."""
-    if k > CHAIN_SLOT_CAP:
-        raise ValueError(f"chain of {k} slots exceeds the exact cap {CHAIN_SLOT_CAP}")
+    if k > EXACT_PAIRING_CAP:
+        raise ValueError(f"chain of {k} slots exceeds the exact cap {EXACT_PAIRING_CAP}")
     local = [(i, i + 1) for i in range(k - 1)]
     if closed:
         local.append((k - 1, 0))
@@ -274,7 +282,7 @@ def _normalize_demands(g):
     return out
 
 
-def _solve_component(k, local_edges, exact_cap):
+def _solve_component(k, local_edges):
     degs = np.zeros(k, dtype=int)
     for a, b in local_edges:
         degs[a] += 1
@@ -286,9 +294,9 @@ def _solve_component(k, local_edges, exact_cap):
         closed = m == k
         kind = "cycle" if closed else "path"
         return ComponentResult(k, m, kind, _chain_energy(k, closed), True)
-    # the cap is checked first, so the answer never depends on what wider
-    # caps have cached earlier in the process
-    if k > exact_cap:
+    # the cap is checked first, so the answer never depends on what a wider
+    # cap cached earlier in the process
+    if k > EXACT_PAIRING_CAP:
         return ComponentResult(k, m, "bound", _component_bound(k, local_edges), False)
     key = _canonical_component_key(k, local_edges)
     cached = _STRUCTURE_CACHE.get(key)
@@ -300,14 +308,14 @@ def _solve_component(k, local_edges, exact_cap):
     return ComponentResult(k, m, kind, val, True)
 
 
-def epr_min_energy(g, exact_cap=EXACT_COMPONENT_CAP):
+def epr_min_energy(g):
     """Minimum total pairing penalty for a demand graph.
 
-    Connected slot components are independent.  Paths and cycles of any size
-    up to 18 slots are solved exactly from a shape cache; other components are
-    solved exactly up to exact_cap slots (dense up to DENSE_CUTOFF, Lanczos
-    above); beyond that a certified lower bound is returned and flagged
-    inexact.
+    Connected slot components are independent.  Components of up to
+    EXACT_PAIRING_CAP slots are solved exactly: paths and cycles from a cache
+    per shape, other components by diagonalization (dense up to DENSE_CUTOFF,
+    Lanczos above).  A larger branching component gets a certified lower
+    bound and is flagged inexact; a larger path or cycle raises ValueError.
     """
     demands = _normalize_demands(g)
     if not demands:
@@ -335,7 +343,7 @@ def epr_min_energy(g, exact_cap=EXACT_COMPONENT_CAP):
         slots = sorted({s for p in pairs for s in p})
         index = {s: i for i, s in enumerate(slots)}
         local = [(index[a], index[b]) for a, b in pairs]
-        results.append(_solve_component(len(slots), local, exact_cap))
+        results.append(_solve_component(len(slots), local))
     results.sort(key=lambda c: (-c.num_slots, c.kind))
     return EprEnergy(
         value=float(sum(c.value for c in results)),
@@ -348,7 +356,18 @@ def epr_min_energy(g, exact_cap=EXACT_COMPONENT_CAP):
 # embedded model
 
 
-def _embedded_entries(spec, steps1, steps2, plug, parts=("h", "v")):
+def _active_terms(steps1, steps2, plug):
+    """(steps, matrix) of each embedded term that acts: the horizontal term
+    along steps1 and the vertical term along steps2, each kept when its matrix
+    is nonzero and its step pattern has a nonzero step."""
+    return [
+        (steps, mat)
+        for steps, mat in ((steps1, plug.horizontal), (steps2, plug.vertical))
+        if np.count_nonzero(mat) and np.count_nonzero(steps)
+    ]
+
+
+def _embedded_entries(spec, steps1, steps2, plug):
     """COO entries of the embedded operator on the d^N space for the given
     per-edge step patterns (1 = forward, 2 = reverse, 0 = inactive)."""
     d = plug.d
@@ -356,14 +375,7 @@ def _embedded_entries(spec, steps1, steps2, plug, parts=("h", "v")):
     dims = (d,) * N
     ei = edge_index_array(spec)
     rows, cols, vals = [], [], []
-    specs = []
-    if "h" in parts:
-        specs.append((steps1, plug.horizontal))
-    if "v" in parts:
-        specs.append((steps2, plug.vertical))
-    for steps, mat in specs:
-        if mat is None or not np.count_nonzero(mat):
-            continue
+    for steps, mat in _active_terms(steps1, steps2, plug):
         e = dense_entries(mat)
         for j in range(len(ei)):
             a, b = int(ei[j, 0]), int(ei[j, 1])
@@ -383,27 +395,17 @@ def _embedded_entries(spec, steps1, steps2, plug, parts=("h", "v")):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-def _plug_is_diagonal(plug, parts):
-    mats = []
-    if "h" in parts:
-        mats.append(plug.horizontal)
-    if "v" in parts:
-        mats.append(plug.vertical)
-    return all(np.count_nonzero(m - np.diag(np.diag(m))) == 0 for m in mats)
+def _plug_is_diagonal(terms):
+    """Whether every active term (see _active_terms) is diagonal."""
+    return all(np.count_nonzero(m - np.diag(np.diag(m))) == 0 for _, m in terms)
 
 
-def _edge_cost_tables(spec, steps1, steps2, plug, parts):
-    """Per-edge (d, d) classical cost tables for diagonal plugs, indexed
+def _edge_cost_tables(spec, terms, d):
+    """Per-edge (d, d) classical cost tables of diagonal active terms, indexed
     [level at edge tail, level at edge head] in site order (a, b)."""
-    d = plug.d
     ei = edge_index_array(spec)
     costs = [None] * len(ei)
-    for steps, mat in (
-        (steps1, plug.horizontal if "h" in parts else None),
-        (steps2, plug.vertical if "v" in parts else None),
-    ):
-        if mat is None or not np.count_nonzero(mat):
-            continue
+    for steps, mat in terms:
         diag = np.real(np.diag(mat)).reshape(d, d)
         for j in range(len(ei)):
             s = int(steps[j])
@@ -473,18 +475,10 @@ def _embedded_diag_dp(spec, costs, d):
     return best
 
 
-def _embedded_components(spec, steps1, steps2, plug, parts):
-    """Connected site groups of the active embedded edges."""
+def _embedded_components(spec, terms):
+    """Connected site groups of the edges where some active term acts."""
     ei = edge_index_array(spec)
-    active = []
-    for j in range(len(ei)):
-        on = False
-        if "h" in parts and np.count_nonzero(plug.horizontal) and int(steps1[j]):
-            on = True
-        if "v" in parts and np.count_nonzero(plug.vertical) and int(steps2[j]):
-            on = True
-        if on:
-            active.append(j)
+    active = [j for j in range(len(ei)) if any(int(steps[j]) for steps, _ in terms)]
     parent = {}
 
     def find(x):
@@ -506,41 +500,37 @@ def _embedded_components(spec, steps1, steps2, plug, parts):
     return groups
 
 
-def embedded_step_energy(spec, steps1, steps2, plug, parts=("h", "v"), cap=2**18):
+def embedded_step_energy(spec, steps1, steps2, plug):
     """Exact minimum of the embedded terms for fixed step patterns.
 
-    Diagonal plugs reduce to a classical minimization solved by a layered
-    min-plus sweep; otherwise each connected group of active edges is
-    diagonalized on its own factors under the cap.
+    Only the active terms count (see _active_terms).  When they are all
+    diagonal the minimization is classical and solved by a layered min-plus
+    sweep; otherwise each connected group of active edges is diagonalized on
+    its own factors, up to DIAG_CAP dimensions.
     """
     d = plug.d
+    terms = _active_terms(steps1, steps2, plug)
+    if not terms:
+        return 0.0
+    if _plug_is_diagonal(terms):
+        return _embedded_diag_dp(spec, _edge_cost_tables(spec, terms, d), d)
     ei = edge_index_array(spec)
-    if _plug_is_diagonal(plug, parts):
-        costs = _edge_cost_tables(spec, steps1, steps2, plug, parts)
-        if all(c is None for c in costs):
-            return 0.0
-        return _embedded_diag_dp(spec, costs, d)
-    groups = _embedded_components(spec, steps1, steps2, plug, parts)
+    entries = [(steps, dense_entries(mat)) for steps, mat in terms]
     total = 0.0
-    empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
-    e_h = dense_entries(plug.horizontal) if "h" in parts else empty
-    e_v = dense_entries(plug.vertical) if "v" in parts else empty
-    for sites_edges in groups.values():
+    for sites_edges in _embedded_components(spec, terms).values():
         comp_sites = sorted(
             {int(ei[j, 0]) for j in sites_edges} | {int(ei[j, 1]) for j in sites_edges}
         )
         local = {s: i for i, s in enumerate(comp_sites)}
         k = len(comp_sites)
         dim = d**k
-        if dim > cap:
-            raise ValueError(f"embedded component dimension {dim} exceeds cap {cap}")
+        if dim > DIAG_CAP:
+            raise ValueError(f"embedded component dimension {dim} exceeds cap {DIAG_CAP}")
         dims = (d,) * k
         rows, cols, vals = [], [], []
         for j in sites_edges:
             a, b = local[int(ei[j, 0])], local[int(ei[j, 1])]
-            for steps, e in ((steps1, e_h), (steps2, e_v)):
-                if len(e[0]) == 0:
-                    continue
+            for steps, e in entries:
                 s = int(steps[j])
                 if s == 0:
                     continue
@@ -549,10 +539,9 @@ def embedded_step_energy(spec, steps1, steps2, plug, parts=("h", "v"), cap=2**18
                 rows.append(r)
                 cols.append(c)
                 vals.append(v)
-        if rows:
-            total += _min_eigenvalue_coo(
-                np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), dim
-            )
+        total += _min_eigenvalue_coo(
+            np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), dim
+        )
     return float(total)
 
 
@@ -563,13 +552,13 @@ def _step_patterns(t):
     return s1, s2
 
 
-def embedded_2d_energy(t, plug, cap=2**18):
+def embedded_2d_energy(t, plug):
     """Exact minimum of the embedded horizontal and vertical terms in the tile
     sector of t.  Orientation comes from the number steps of each copy."""
     if plug is None:
         return 0.0
     s1, s2 = _step_patterns(t)
-    return embedded_step_energy(t.spec, s1, s2, plug, cap=cap)
+    return embedded_step_energy(t.spec, s1, s2, plug)
 
 
 # ---------------------------------------------------------------------------
@@ -604,14 +593,14 @@ class SectorEnergy:
         }
 
 
-def tile_sector_energy(t, plug=None, epr_exact_cap=EXACT_COMPONENT_CAP, cap=2**18):
+def tile_sector_energy(t, plug=None):
     """Ground energy of the sector that fixes every tile value of t: classical
     scalar plus both copies' pairing minima plus the embedded minimum.  These
     act on disjoint factors, so the sector minimum is their sum."""
     ce = classical_energy(t)
-    e1 = epr_min_energy(epr_demand_graph(t, 1), exact_cap=epr_exact_cap)
-    e2 = epr_min_energy(epr_demand_graph(t, 2), exact_cap=epr_exact_cap)
-    emb = embedded_2d_energy(t, plug, cap=cap)
+    e1 = epr_min_energy(epr_demand_graph(t, 1))
+    e2 = epr_min_energy(epr_demand_graph(t, 2))
+    emb = embedded_2d_energy(t, plug)
     method = "component-exact" if (e1.exact and e2.exact) else "bound-only"
     return SectorEnergy(
         classical=float(ce.total),
@@ -631,38 +620,38 @@ def tile_sector_energy(t, plug=None, epr_exact_cap=EXACT_COMPONENT_CAP, cap=2**1
 # independent oracles
 
 
-def sector_qubit_oracle(t, copy, include_classical=True, tol=DEFAULT_TOL, cap=2**18):
-    """Direct diagonalization of one copy's pairing operator over the full
-    qubit space of the lattice (2 slots per site), no component splitting."""
+def sector_qubit_oracle(t, copy):
+    """One copy's tile and color energy plus a direct diagonalization of its
+    pairing operator over the full qubit space of the lattice (2 slots per
+    site), no component splitting."""
     N = t.spec.num_sites
     k = 2 * N
-    if 2**k > cap:
-        raise ValueError(f"qubit space 2^{k} exceeds cap {cap}")
+    if 2**k > DIAG_CAP:
+        raise ValueError(f"qubit space 2^{k} exceeds cap {DIAG_CAP}")
     g = epr_demand_graph(t, copy)
     # slot (site, port) -> qubit index: in-port then out-port per site
     local = [
         (2 * d.tail.site + 1, 2 * d.head.site) for d in g.demands
     ]
-    base = 0.0
-    if include_classical:
-        ce = classical_energy(t)
-        base = float(ce.tile1 + ce.loop1 if copy == 1 else ce.tile2 + ce.loop2)
+    ce = classical_energy(t)
+    base = float(ce.tile1 + ce.loop1 if copy == 1 else ce.tile2 + ce.loop2)
     if not local:
         return base
     op = _pairing_sparse(local, k)
-    return base + min_eigenvalue(op, tol=tol)
+    return base + min_eigenvalue(op)
 
 
-def full_space_oracle(spec, term, tol=DEFAULT_TOL, cap=2**26):
+def full_space_oracle(spec, term):
     """Ground energy of the summed term over the whole many-site Hilbert
-    space; independent of every sector decomposition above."""
+    space; independent of every sector decomposition above.  The size check
+    is global_hamiltonian's, made before it allocates."""
     from rih.hamiltonian import global_hamiltonian
 
-    H = global_hamiltonian(spec, term, cap_dim=cap)
-    return min_eigenvalue(H.asfptype(), tol=tol)
+    H = global_hamiltonian(spec, term)
+    return min_eigenvalue(H.asfptype())
 
 
-def sector_full_oracle(t, plug, tol=DEFAULT_TOL, cap=2**18):
+def sector_full_oracle(t, plug):
     """Diagonalize the full non-tile factor space of a sector in one shot:
     both copies' qubits and the embedded levels together."""
     spec = t.spec
@@ -670,9 +659,9 @@ def sector_full_oracle(t, plug, tol=DEFAULT_TOL, cap=2**18):
     N = spec.num_sites
     per_site = (2, 2, 2, 2, d)  # qin1, qout1, qin2, qout2, embedded
     dims = per_site * N
-    dim = int(np.prod(dims))
-    if dim > cap:
-        raise ValueError(f"sector space {dim} exceeds cap {cap}")
+    dim = math.prod(dims)  # Python ints: numpy's int64 product wraps past 2**63
+    if dim > DIAG_CAP:
+        raise ValueError(f"sector space {dim} exceeds cap {DIAG_CAP}")
 
     def pos(site, factor):
         return 5 * site + factor
@@ -717,7 +706,7 @@ def sector_full_oracle(t, plug, tol=DEFAULT_TOL, cap=2**18):
         shape=(dim, dim),
     ).tocsr()
     op.sum_duplicates()
-    return scalar + min_eigenvalue(op, tol=tol)
+    return scalar + min_eigenvalue(op)
 
 
 # ---------------------------------------------------------------------------
@@ -752,12 +741,11 @@ class NumberingTable:
     are invariant under the lattice symmetries, so they are solved once per
     symmetry orbit of patterns and broadcast to the orbit's members."""
 
-    def __init__(self, spec, exact_cap=EXACT_COMPONENT_CAP):
+    def __init__(self, spec):
         N = spec.num_sites
         if 3**N > 600_000:
             raise BudgetExceeded(f"numbering table infeasible for {N} sites")
         self.spec = spec
-        self.exact_cap = exact_cap
         self.edge_idx = edge_index_array(spec)
         E = len(self.edge_idx)
         digits = _digit_table(3**N, N)
@@ -830,25 +818,11 @@ class NumberingTable:
                 out.append(((b, 2), (a, 1)))
         return out
 
-    def solve_pattern(self, p, exact_cap=None):
-        cap = self.exact_cap if exact_cap is None else exact_cap
-        res = epr_min_energy(self.demands_for_pattern(p), exact_cap=cap)
-        self.epr[p] = res.value
-        self.epr_exact[p] = res.exact
-        return res
-
     def solve_all(self):
         """Pairing minima of every pattern: one solve per orbit representative."""
-        results = [
-            epr_min_energy(self.demands_for_pattern(p), exact_cap=self.exact_cap)
-            for p in self.orbit_reps
-        ]
+        results = [epr_min_energy(self.demands_for_pattern(p)) for p in self.orbit_reps]
         self.epr = self.broadcast([r.value for r in results])
         self.epr_exact = self.broadcast([r.exact for r in results])
-
-    def escalate(self, p):
-        """Re-solve one pattern with the widest exact cap."""
-        return self.solve_pattern(p, exact_cap=CHAIN_SLOT_CAP)
 
 
 class ColoringTable:
@@ -914,10 +888,10 @@ class ColoringTable:
 
 
 @functools.lru_cache(maxsize=None)
-def _tables(spec, exact_cap):
+def _tables(spec):
     """The solved numbering table and the coloring table, built once per
-    lattice and cap and shared by every later search in the process."""
-    nt = NumberingTable(spec, exact_cap=exact_cap)
+    lattice and shared by every later search in the process."""
+    nt = NumberingTable(spec)
     nt.solve_all()
     return nt, ColoringTable(spec)
 
@@ -930,30 +904,12 @@ def _violations_for_mask(mask, nt):
     return 2 * inter + nt.num_edges - mask_count - nt.zero_count
 
 
-def _q_for_mask(mask, nt, extra=None, escalation_budget=200):
-    """min over numberings of 8*violations + pairing (+ extra per pattern),
-    escalating inexact pairing values until the argmin is certified."""
-    vals = 8.0 * _violations_for_mask(mask, nt) + nt.epr
-    if extra is not None:
-        vals = vals + extra
-    for _ in range(escalation_budget):
-        p = int(np.argmin(vals))
-        if nt.epr_exact[p]:
-            return float(vals[p]), p, True
-        old = nt.epr[p]
-        nt.escalate(p)
-        vals = vals + (nt.epr[p] - old) * (np.arange(len(vals)) == p)
-        if nt.epr_exact[p] and np.argmin(vals) == p:
-            return float(vals[p]), p, True
-    p = int(np.argmin(vals))
-    return float(vals[p]), p, False
-
-
 def _group_minima(nt, extra):
     """For each violation count v and zero-mask group z, the smallest
     8.0*v + epr (+ extra) over the group's patterns, with the smallest pattern
-    index attaining it.  Both tables have shape (E + 1, Z); the values are
-    computed with the same float operations as _q_for_mask."""
+    index attaining it.  Both tables have shape (E + 1, Z); each value is
+    computed as 8.0*v + epr (+ extra), so it is bit-identical to summing a
+    pattern's terms on its own."""
     E, Z = nt.num_edges, len(nt.zero_groups)
     order = np.argsort(nt.group_of, kind="stable")  # by group, then pattern index
     group_sorted = nt.group_of[order]
@@ -972,11 +928,13 @@ def _group_minima(nt, extra):
     return value, arg
 
 
-def _q_sweep(masks, nt, extra):
-    """_q_for_mask for every mask at once, without escalation: a min-plus
-    product of the masks against the zero-mask groups, taken in blocks of
-    about SWEEP_BLOCK elements.  Ties go to the smallest pattern index, as
-    np.argmin does in the per-mask loop."""
+def _q_sweep(masks, nt, extra=None):
+    """Per mask, the min over step patterns of 8*violations + pairing
+    (+ extra per pattern), with the smallest pattern index attaining it.
+
+    Computed for every mask at once as a min-plus product of the masks
+    against the zero-mask groups, taken in blocks of about SWEEP_BLOCK
+    elements.  Returns (q, argmin) arrays."""
     value, arg = _group_minima(nt, extra)
     value, arg = value.ravel(), arg.ravel()
     E, Z, M = nt.num_edges, len(nt.zero_groups), len(masks)
@@ -998,27 +956,6 @@ def _q_sweep(masks, nt, extra):
             axis=1
         )
     return q, argmin
-
-
-def _q_all(masks, nt, extras=(None,)):
-    """Per-mask minima of _q_for_mask for every mask and each extra, as a list
-    of (q, argmin, ok) arrays, equal to calling _q_for_mask mask by mask and,
-    within a mask, extra by extra.
-
-    The vectorized sweep reads the current pairing values.  Masks whose argmin
-    is inexact are then redone by _q_for_mask in that same order, escalating
-    as it goes.  An escalation only raises an inexact pattern's value (the
-    bound it replaces is a lower bound), so an argmin that was exact stays the
-    argmin and those masks need no second look."""
-    out = []
-    for extra in extras:
-        q, argmin = _q_sweep(masks, nt, extra)
-        out.append((q, argmin, np.ones(len(masks), dtype=bool), ~nt.epr_exact[argmin]))
-    for i in np.flatnonzero(np.logical_or.reduce([redo for *_, redo in out])):
-        for (q, argmin, ok, redo), extra in zip(out, extras):
-            if redo[i]:
-                q[i], argmin[i], ok[i] = _q_for_mask(int(masks[i]), nt, extra=extra)
-    return [(q, argmin, ok) for q, argmin, ok, _ in out]
 
 
 @dataclass
@@ -1094,12 +1031,7 @@ def _pair_sweep(values1, values2, masks):
     return float(val[0]), (int(rows[0]), int(cols[0]))
 
 
-def ground_energy_search(
-    spec,
-    plug=None,
-    epr_exact_cap=CHAIN_SLOT_CAP,
-    emb_cap=2**18,
-):
+def ground_energy_search(spec, plug=None):
     """Exhaustive certified minimum of the summed term over all tile sectors.
 
     Sectors are grouped by (same-color mask, step pattern) per copy; the
@@ -1108,17 +1040,20 @@ def ground_energy_search(
     enumerable; larger lattices raise BudgetExceeded.
     """
     t0 = time.perf_counter()
-    nt, ct = _tables(spec, epr_exact_cap)
+    nt, ct = _tables(spec)
     E = nt.num_edges
     plug_name = "zero" if plug is None else plug.name
     separable = plug is None or (
         not np.count_nonzero(plug.horizontal) or not np.count_nonzero(plug.vertical)
     )
 
-    # per-copy, per-mask minima over numberings; embedded part folded in when
-    # it attaches to a single copy (separable case)
-    extras = (None,)
-    if plug is not None:
+    # per-copy, per-mask minima over numberings, with each copy's one-copy
+    # embedded minima folded in (the whole embedded part when separable)
+    M = len(ct.masks)
+    loop_cost = 2.0 * (E - ct.same_count)
+    if plug is None:
+        q1, argn1 = q2, argn2 = _q_sweep(ct.masks, nt)
+    else:
         # like the pairing minima, one-copy embedded minima are invariant
         # under the lattice symmetries: solve one pattern per orbit
         eh = np.zeros(len(nt.patterns))
@@ -1126,26 +1061,11 @@ def ground_energy_search(
         zero_steps = np.zeros(E, dtype=np.int8)
         reps = nt.patterns[nt.orbit_reps]
         if np.count_nonzero(plug.horizontal):
-            eh = nt.broadcast(
-                [
-                    embedded_step_energy(spec, s, zero_steps, plug, parts=("h",), cap=emb_cap)
-                    for s in reps
-                ]
-            )
+            eh = nt.broadcast([embedded_step_energy(spec, s, zero_steps, plug) for s in reps])
         if np.count_nonzero(plug.vertical):
-            ev = nt.broadcast(
-                [
-                    embedded_step_energy(spec, zero_steps, s, plug, parts=("v",), cap=emb_cap)
-                    for s in reps
-                ]
-            )
-        extras = (eh, ev)
-
-    M = len(ct.masks)
-    loop_cost = 2.0 * (E - ct.same_count)
-    sweeps = _q_all(ct.masks, nt, extras)
-    (q1, argn1, ok1), (q2, argn2, ok2) = sweeps[0], sweeps[-1]
-    all_exact = bool(ok1.all() and ok2.all())
+            ev = nt.broadcast([embedded_step_energy(spec, zero_steps, s, plug) for s in reps])
+        q1, argn1 = _q_sweep(ct.masks, nt, eh)
+        q2, argn2 = _q_sweep(ct.masks, nt, ev)
 
     values1 = loop_cost + q1
     values2 = loop_cost + q2
@@ -1163,9 +1083,7 @@ def ground_energy_search(
             key = (int(p1), int(p2))
             if key not in emb_cache:
                 refinements += 1
-                emb_cache[key] = embedded_step_energy(
-                    spec, nt.patterns[p1], nt.patterns[p2], plug, cap=emb_cap
-                )
+                emb_cache[key] = embedded_step_energy(spec, nt.patterns[p1], nt.patterns[p2], plug)
             return emb_cache[key]
 
         def joint_best(i, j, budget_val):
@@ -1197,7 +1115,7 @@ def ground_energy_search(
         inc_state = None  # (i, j, p1, p2)
         if spec.n % 3 == 0 and spec.r >= 2:
             w = striped_witness(spec)
-            wtot = tile_sector_energy(w, plug, epr_exact_cap=epr_exact_cap).total
+            wtot = tile_sector_energy(w, plug).total
             if wtot < incumbent:
                 incumbent, inc_state = wtot, ("witness", w)
         seed, seed_arg = joint_best(i1, i2, incumbent)
@@ -1252,8 +1170,9 @@ def ground_energy_search(
     # of the embedded energy, so they are certified lower bounds only
     cat["exact"] = bool(separable)
 
-    # the refinement pass, if any, explored every pair under the bound
-    certified = all_exact
+    # the refinement pass, if any, explored every pair under the bound, so
+    # the minimum is certified unless some pairing value is only a bound
+    certified = bool(nt.epr_exact.all())
 
     # reconstruct the argmin tiling
     if argmin_override is not None:
@@ -1285,26 +1204,26 @@ def ground_energy_search(
     )
 
 
-def single_copy_minimum(spec, epr_exact_cap=CHAIN_SLOT_CAP):
+def single_copy_minimum(spec):
     """min over one copy's sectors of tile + color + pairing energy; the
     reduced quantity the full-space oracle can check independently."""
-    nt, ct = _tables(spec, epr_exact_cap)
-    ((q, argn, _),) = _q_all(ct.masks, nt)
+    nt, ct = _tables(spec)
+    q, argn = _q_sweep(ct.masks, nt)
     tot = 2.0 * (nt.num_edges - ct.same_count) + q
     i = int(np.argmin(tot))
     return float(tot[i]), (i, int(argn[i]))
 
 
-def single_copy_floor_check(spec, epr_exact_cap=CHAIN_SLOT_CAP):
+def single_copy_floor_check(spec):
     """Verify, for every single-copy tile sector of a small lattice, that the
     sector energy respects the counting floor 2E - sum(deg) + 4*sum(deg//3),
     minimizing over all numberings per color mask.  Returns (ok, margin) with
     the smallest slack found."""
-    nt, ct = _tables(spec, epr_exact_cap)
+    nt, ct = _tables(spec)
     E = nt.num_edges
-    ((q, _, ok),) = _q_all(ct.masks, nt)
-    if not ok.all():
+    if not nt.epr_exact.all():
         return False, -np.inf
+    q, _ = _q_sweep(ct.masks, nt)
     deg = ct.same_degree.astype(int)
     floor = 2 * E - deg.sum(axis=1) + 4 * (deg // 3).sum(axis=1)
     energy = 2.0 * (E - ct.same_count) + q
@@ -1312,20 +1231,16 @@ def single_copy_floor_check(spec, epr_exact_cap=CHAIN_SLOT_CAP):
     return bool(worst > -1e-9), worst
 
 
-def _poly(coeffs, n):
-    return sum(c * n**k for k, c in enumerate(coeffs))
-
-
-def decide(spec, plug, p_coeffs, q_coeffs, report=None, **search_kwargs):
+def decide(spec, plug, p_coeffs, q_coeffs, report=None):
     """Resolve the promise problem: ground energy at most p(n), or at least
     p(n) + 1/q(n).  Coefficients are lowest power first."""
     if report is None:
-        report = ground_energy_search(spec, plug, **search_kwargs)
+        report = ground_energy_search(spec, plug)
     if not report.certified:
         raise SolverConvergenceError("search result is not certified; cannot decide")
     n = spec.n
-    low = _poly(p_coeffs, n)
-    qn = _poly(q_coeffs, n)
+    low = poly_eval(p_coeffs, n)
+    qn = poly_eval(q_coeffs, n)
     if qn <= 0:
         raise ValueError("q(n) must be positive")
     high = low + 1.0 / qn

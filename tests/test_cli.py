@@ -61,6 +61,14 @@ class TestSolveWitness:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,cap", [("solve", "12"), ("witness", "18")])
+    def test_cap_flag_is_rejected(self, capsys, command, cap):
+        # the exact pairing cap is fixed; no command takes it
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--r", "2", "--n", "3", "--cap", cap])
+        assert exc.value.code == 2
+        assert "--cap" in capsys.readouterr().err
+
     def test_witness_energies_and_flags(self, capsys):
         out = run_json(capsys, "witness", "--r", "2", "--n", "3")
         assert out["classical"]["total"] == 36

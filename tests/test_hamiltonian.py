@@ -383,6 +383,10 @@ class TestFullTerm:
         with pytest.raises(ValueError):
             build_site_term(toy_plugs()["zero"], {"nonsense": 1.0})
 
+    def test_unknown_single_copy_override_rejected(self):
+        with pytest.raises(ValueError, match="pairng"):
+            build_single_copy_term({"pairng": 3.0})
+
 
 class TestNegativeControls:
     def test_asymmetric_matrix_fails_swap(self):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import pathlib
@@ -135,10 +136,12 @@ class TestEprMinEnergy:
         vb = solver.epr_min_energy(b).value
         assert solver.epr_min_energy(a + b).value == pytest.approx(va + vb, abs=1e-9)
 
-    def test_oversized_component_reports_certified_bound(self):
+    def test_oversized_component_reports_certified_bound(self, monkeypatch):
+        # 11 slots; a cap below that size forces the bound tier
         g = [((i, 2), (99, 1)) for i in range(10)]
-        bound = solver.epr_min_energy(g, exact_cap=4)
-        exact = solver.epr_min_energy(g, exact_cap=18)
+        exact = solver.epr_min_energy(g)
+        monkeypatch.setattr(solver, "EXACT_PAIRING_CAP", 4)
+        bound = solver.epr_min_energy(g)
         assert not bound.exact
         assert bound.components[0].kind == "bound"
         assert exact.exact
@@ -170,8 +173,8 @@ class TestEprMinEnergy:
     def test_adding_demands_never_lowers_energy(self, raw):
         # each summand is positive semidefinite
         demands = [((a, 2), (b, 1)) for a, b in raw]
-        prefix = solver.epr_min_energy(demands[:-1], exact_cap=14)
-        full = solver.epr_min_energy(demands, exact_cap=14)
+        prefix = solver.epr_min_energy(demands[:-1])
+        full = solver.epr_min_energy(demands)
         if prefix.exact and full.exact:
             assert full.value >= prefix.value - 1e-8
 
@@ -203,6 +206,23 @@ class TestEmbedded:
         dense = np.zeros((dim, dim))
         np.add.at(dense, (r, c), v)
         assert fast == pytest.approx(np.linalg.eigvalsh(dense).min(), abs=1e-10)
+
+    def test_inactive_term_does_not_pick_the_method(self, monkeypatch):
+        # a diagonal horizontal term and a non-diagonal vertical one: with no
+        # vertical steps only the horizontal term acts, so the minimum comes
+        # from the classical sweep, bit-identical to the plug without it
+        afm = toy_plugs()["afm"]
+        vertical = _random_psd(np.random.default_rng(9), 2, False)
+        mixed = TranslationPlug(2, afm.horizontal, vertical, name="mixed")
+        s1 = np.array([1, 2, 1], dtype=np.int8)
+        zero = np.zeros(3, dtype=np.int8)
+        want = solver.embedded_step_energy(RING, s1, zero, afm)
+
+        def no_diagonalization(*args):
+            raise AssertionError("diagonalized a classical minimization")
+
+        monkeypatch.setattr(solver, "_min_eigenvalue_coo", no_diagonalization)
+        assert solver.embedded_step_energy(RING, s1, zero, mixed) == want
 
     def test_orientation_reversal_is_a_relabeling(self):
         plug = toy_plugs()["afm"]
@@ -241,28 +261,17 @@ class TestSectorEnergy:
         assert set(d) >= {"classical", "epr", "embedded", "method"}
         json.dumps(d)
 
-    def test_bound_only_method_flagged(self):
+    def test_bound_only_method_flagged(self, monkeypatch):
         # the serpentine rows chain 12 slots into one branching component; a
-        # cap below that size forces the bound tier
+        # cap below that size forces the bound tier, even though the exact
+        # solve just cached the component's value
         t = snake_tiling(6)
-        se = solver.tile_sector_energy(t, epr_exact_cap=10)
-        assert se.method == "bound-only"
-        exact = solver.tile_sector_energy(t, epr_exact_cap=18)
+        exact = solver.tile_sector_energy(t)
         assert exact.method == "component-exact"
+        monkeypatch.setattr(solver, "EXACT_PAIRING_CAP", 10)
+        se = solver.tile_sector_energy(t)
+        assert se.method == "bound-only"
         assert se.total <= exact.total + 1e-9
-
-    def test_method_does_not_depend_on_earlier_wider_caps(self):
-        # exact values that a wider cap cached must not leak into a narrower one
-        t = snake_tiling(6)
-        first = solver.tile_sector_energy(t, epr_exact_cap=10)
-        wide = solver.tile_sector_energy(t, epr_exact_cap=18)
-        again = solver.tile_sector_energy(t, epr_exact_cap=10)
-        assert (first.method, wide.method, again.method) == (
-            "bound-only",
-            "component-exact",
-            "bound-only",
-        )
-        assert again.total == first.total
 
 
 @pytest.fixture(scope="module")
@@ -272,7 +281,7 @@ def fixtures():
 
 @pytest.fixture(scope="module")
 def zero_report():
-    return solver.ground_energy_search(TORUS, None, epr_exact_cap=18)
+    return solver.ground_energy_search(TORUS, None)
 
 
 class TestOracleAgreement:
@@ -286,7 +295,7 @@ class TestOracleAgreement:
             t = Tiling.from_json_dict(f["tiling"])
             plug = plugs[f["plug"]]
             direct = solver.sector_full_oracle(t, plug)
-            se = solver.tile_sector_energy(t, plug, epr_exact_cap=18)
+            se = solver.tile_sector_energy(t, plug)
             assert direct == pytest.approx(se.total, abs=1e-8)
             assert direct == pytest.approx(f["expected_total"], abs=1e-6)
 
@@ -297,7 +306,7 @@ class TestOracleAgreement:
             direct = solver.sector_qubit_oracle(t, copy)
             ce = classical_energy(t)
             part = (ce.tile1 + ce.loop1) if copy == 1 else (ce.tile2 + ce.loop2)
-            epr = solver.epr_min_energy(epr_demand_graph(t, copy), exact_cap=18)
+            epr = solver.epr_min_energy(epr_demand_graph(t, copy))
             assert epr.exact
             assert direct == pytest.approx(part + epr.value, abs=1e-8)
             assert direct == pytest.approx(f["expected_total"], abs=1e-6)
@@ -306,6 +315,17 @@ class TestOracleAgreement:
         # the classic anchor: pairing satisfied, color penalty 18 remains
         val = solver.sector_qubit_oracle(striped_witness(TORUS), 1)
         assert val == pytest.approx(18.0, abs=1e-8)
+
+    def test_oversized_sectors_are_rejected(self):
+        # 2^20 qubit states on ring 10; (2^4)^16 sector states on the 4x4
+        # torus, a product that wraps to 0 in int64
+        ring = LatticeSpec(1, 10)
+        with pytest.raises(ValueError, match="exceeds cap"):
+            solver.sector_qubit_oracle(Tiling(ring, np.zeros(10, int), np.arange(10) % 3), 1)
+        spec = LatticeSpec(2, 4)
+        t = Tiling(spec, *(np.arange(16) % 3 for _ in range(4)))
+        with pytest.raises(ValueError, match="exceeds cap"):
+            solver.sector_full_oracle(t, None)
 
     def test_full_space_ring_matches_sector_sweep(self):
         term = build_single_copy_term()
@@ -349,19 +369,50 @@ class TestGroundEnergySearch:
         assert s["mask_pairs_swept"] == s["distinct_masks"] ** 2
         assert s["sectors_total"] == 9**9
 
-    def test_tables_are_built_once_per_lattice_and_cap(self):
+    def test_tables_are_built_once_per_lattice(self):
         # equal specs built apart share one solved table pair, so a later
         # search in the same process reuses it
-        a = solver._tables(LatticeSpec(1, 5, "periodic"), 18)
-        b = solver._tables(LatticeSpec(1, 5, "periodic"), 18)
+        a = solver._tables(LatticeSpec(1, 5, "periodic"))
+        b = solver._tables(LatticeSpec(1, 5, "periodic"))
         assert a[0] is b[0] and a[1] is b[1]
         assert isinstance(a[0], solver.NumberingTable)
         assert isinstance(a[1], solver.ColoringTable)
-        assert solver._tables(LatticeSpec(1, 5, "periodic"), 12)[0] is not a[0]
+
+    @pytest.mark.parametrize(
+        "spec,largest",
+        [(TORUS, 9), (OPEN3, 9), (LatticeSpec(1, 11), 11)],
+        ids=["torus3x3", "open3x3", "ring11"],
+    )
+    def test_every_pattern_is_exact_at_the_fixed_cap(self, spec, largest):
+        # why the search needs no way to repair an inexact pairing value: the
+        # largest pairing component stays below the cap
+        nt, _ = solver._tables(spec)
+        assert nt.epr_exact.all()
+        sizes = [
+            c.num_slots
+            for p in nt.orbit_reps
+            for c in solver.epr_min_energy(nt.demands_for_pattern(p)).components
+        ]
+        assert max(sizes) == largest < solver.EXACT_PAIRING_CAP
+
+    def test_inexact_pairing_value_leaves_the_search_uncertified(self, monkeypatch):
+        # below 9 slots the torus's largest branching components get a bound;
+        # its paths and cycles are solved at the real cap first, so they stay
+        # exact from the chain cache
+        for k in range(3, 10):
+            solver._chain_energy(k, False)
+            solver._chain_energy(k, True)
+        monkeypatch.setattr(solver, "EXACT_PAIRING_CAP", 8)
+        monkeypatch.setattr(solver, "_tables", functools.lru_cache(solver._tables.__wrapped__))
+        rep = solver.ground_energy_search(TORUS)
+        assert not solver._tables(TORUS)[0].epr_exact.all()
+        assert not rep.certified
+        assert rep.minimum <= 36.0
+        assert solver.single_copy_floor_check(TORUS) == (False, -np.inf)
 
     def test_search_is_fast_enough(self):
         t0 = time.time()
-        solver.ground_energy_search(TORUS, None, epr_exact_cap=18)
+        solver.ground_energy_search(TORUS, None)
         assert time.time() - t0 < 600.0
 
     def test_report_serializes(self, zero_report):
@@ -372,20 +423,20 @@ class TestGroundEnergySearch:
         json.dumps(d)
 
     def test_satisfiable_plug_keeps_the_floor(self):
-        rep = solver.ground_energy_search(TORUS, toy_plugs()["frustration_free"], epr_exact_cap=18)
+        rep = solver.ground_energy_search(TORUS, toy_plugs()["frustration_free"])
         assert rep.minimum == pytest.approx(36.0, abs=1e-9)
         assert rep.certified
         assert rep.stats["embedded_refinements"] == 4
 
     def test_frustrated_plug_raises_the_floor(self):
-        rep = solver.ground_energy_search(TORUS, toy_plugs()["afm"], epr_exact_cap=18)
+        rep = solver.ground_energy_search(TORUS, toy_plugs()["afm"])
         assert rep.minimum == pytest.approx(39.0, abs=1e-9)
         assert rep.certified
-        se = solver.tile_sector_energy(rep.argmin, toy_plugs()["afm"], epr_exact_cap=18)
+        se = solver.tile_sector_energy(rep.argmin, toy_plugs()["afm"])
         assert se.total == pytest.approx(39.0, abs=1e-9)
 
     def test_open_boundary_optimum_leaves_chain_ends_unpaired(self):
-        rep = solver.ground_energy_search(OPEN3, None, epr_exact_cap=18)
+        rep = solver.ground_energy_search(OPEN3, None)
         assert rep.minimum == pytest.approx(24.0, abs=1e-9)
         assert rep.certified
         for copy in (1, 2):
@@ -414,16 +465,16 @@ class TestSymmetryInvariance:
         perms = lattice_symmetry_permutations(TORUS)
         for _ in range(3):
             t = Tiling(TORUS, *(rng.integers(0, 3, 9) for _ in range(4)))
-            base = solver.tile_sector_energy(t, epr_exact_cap=18).total
+            base = solver.tile_sector_energy(t).total
             for g in rng.choice(len(perms), 4, replace=False):
                 moved = t.permuted(perms[g])
-                assert solver.tile_sector_energy(moved, epr_exact_cap=18).total == pytest.approx(
+                assert solver.tile_sector_energy(moved).total == pytest.approx(
                     base, abs=1e-8
                 )
 
     def test_search_minimum_stable_across_reruns(self):
-        a = solver.ground_energy_search(TORUS, None, epr_exact_cap=18)
-        b = solver.ground_energy_search(TORUS, None, epr_exact_cap=18)
+        a = solver.ground_energy_search(TORUS, None)
+        b = solver.ground_energy_search(TORUS, None)
         assert a.minimum == b.minimum
         assert a.argmin == b.argmin
 
@@ -494,10 +545,10 @@ class TestSymmetryOrbits:
 
     @pytest.mark.parametrize("spec,sample", ORBIT_CASES, ids=ORBIT_IDS)
     def test_broadcast_pairing_minima_match_direct_solves(self, spec, sample):
-        nt = solver.NumberingTable(spec, exact_cap=18)
+        nt = solver.NumberingTable(spec)
         nt.solve_all()
         for p in _patterns_under_test(nt, sample):
-            direct = solver.epr_min_energy(nt.demands_for_pattern(p), exact_cap=18)
+            direct = solver.epr_min_energy(nt.demands_for_pattern(p))
             assert direct.value == pytest.approx(nt.epr[p], abs=1e-9)
             assert direct.exact == nt.epr_exact[p]
 
@@ -507,13 +558,14 @@ class TestSymmetryOrbits:
         nondiagonal = TranslationPlug(
             2, _random_psd(rng, 2, True), _random_psd(rng, 2, False), name="random"
         )
-        assert not solver._plug_is_diagonal(nondiagonal, ("h", "v"))
+        ones = np.ones(len(edge_index_array(spec)), dtype=np.int8)
+        assert not solver._plug_is_diagonal(solver._active_terms(ones, ones, nondiagonal))
         nt = solver.NumberingTable(spec)
         zero = np.zeros(nt.num_edges, dtype=np.int8)
 
         def energy(p, part, plug):
             steps = (nt.patterns[p], zero) if part == "h" else (zero, nt.patterns[p])
-            return solver.embedded_step_energy(spec, *steps, plug, parts=(part,))
+            return solver.embedded_step_energy(spec, *steps, plug)
 
         for plug in (toy_plugs()["afm"], nondiagonal):
             rep_value = {}
@@ -531,7 +583,7 @@ def _one_copy_extra(spec, nt, plug):
     zero = np.zeros(nt.num_edges, dtype=np.int8)
     reps = nt.patterns[nt.orbit_reps]
     return nt.broadcast(
-        [solver.embedded_step_energy(spec, s, zero, plug, parts=("h",)) for s in reps]
+        [solver.embedded_step_energy(spec, s, zero, plug) for s in reps]
     )
 
 
@@ -550,10 +602,18 @@ def _sweep_extra(spec, nt, kind):
     return nt.broadcast(3 * rng.random(len(nt.orbit_reps)))
 
 
-def _q_loop(masks, nt, extras=(None,)):
-    """The per-mask reference: _q_for_mask mask by mask, extra by extra."""
-    rows = [[solver._q_for_mask(int(m), nt, extra=x) for x in extras] for m in masks]
-    return [tuple(np.array(col) for col in zip(*per_extra)) for per_extra in zip(*rows)]
+def _q_loop(masks, nt, extra=None):
+    """The per-mask reference for _q_sweep: mask by mask, the np.argmin over
+    patterns of 8*violations + pairing (+ extra) and its value."""
+    q = np.empty(len(masks))
+    argmin = np.empty(len(masks), dtype=np.int64)
+    for i, m in enumerate(masks):
+        vals = 8.0 * solver._violations_for_mask(int(m), nt) + nt.epr
+        if extra is not None:
+            vals = vals + extra
+        argmin[i] = np.argmin(vals)
+        q[i] = vals[argmin[i]]
+    return q, argmin
 
 
 def _brute_pair_min(values1, values2, masks):
@@ -568,13 +628,6 @@ def _brute_pair_min(values1, values2, masks):
             i, j = divmod(k, len(masks))
             best, arg = float(block.flat[k]), (s + i, j)
     return best, arg
-
-
-def _assert_same_sweep(got, want):
-    for (q, argmin, ok), (rq, rargmin, rok) in zip(got, want, strict=True):
-        assert q.tobytes() == rq.astype(np.float64).tobytes()
-        assert (argmin == rargmin).all()
-        assert (ok == rok).all()
 
 
 # (spec, extra) pairs for the mask-sweep equivalence tests: the complex plug's
@@ -609,17 +662,19 @@ def sweep_extra():
 class TestMaskSweep:
     @pytest.mark.parametrize("spec,kind", SWEEP_CASES, ids=SWEEP_IDS)
     def test_q_all_matches_the_per_mask_loop(self, sweep_extra, spec, kind):
-        # cap 18 leaves nothing inexact here, so the shared table is not escalated
-        nt, ct = solver._tables(spec, 18)
-        assert nt.epr_exact.all()
+        nt, ct = solver._tables(spec)
         extra = sweep_extra(spec, nt, kind)
-        _assert_same_sweep(solver._q_all(ct.masks, nt, (extra,)), _q_loop(ct.masks, nt, (extra,)))
+        q, argmin = solver._q_sweep(ct.masks, nt, extra)
+        want_q, want_argmin = _q_loop(ct.masks, nt, extra)
+        assert q.tobytes() == want_q.tobytes()
+        assert (argmin == want_argmin).all()
 
     @pytest.mark.parametrize("spec,kind", SWEEP_CASES, ids=SWEEP_IDS)
     def test_pair_sweep_matches_brute_force(self, sweep_extra, spec, kind):
-        nt, ct = solver._tables(spec, 18)
+        nt, ct = solver._tables(spec)
         loop_cost = 2.0 * (nt.num_edges - ct.same_count)
-        (q1, _, _), (q2, _, _) = solver._q_all(ct.masks, nt, (sweep_extra(spec, nt, kind), None))
+        q1, _ = solver._q_sweep(ct.masks, nt, sweep_extra(spec, nt, kind))
+        q2, _ = solver._q_sweep(ct.masks, nt)
         values1, values2 = loop_cost + q1, loop_cost + q2
         every = np.ones(len(ct.masks), dtype=bool)
         straight = ct.looped & ~ct.has_turn
@@ -630,8 +685,8 @@ class TestMaskSweep:
             assert solver._pair_sweep(v1, v2, ct.masks) == want
 
     def test_pairs_below_lists_every_pair_under_the_limit(self):
-        nt, ct = solver._tables(LatticeSpec(1, 7), 18)
-        (q, _, _), = solver._q_all(ct.masks, nt)
+        nt, ct = solver._tables(LatticeSpec(1, 7))
+        q, _ = solver._q_sweep(ct.masks, nt)
         values = 2.0 * (nt.num_edges - ct.same_count) + q
         full = values[:, None] + values + solver._popcount(ct.masks[:, None] & ct.masks)
         limit = full.min() + 3.0
@@ -642,54 +697,29 @@ class TestMaskSweep:
         assert (i == wi[order]).all() and (j == wj[order]).all()
         assert val.tobytes() == full[wi, wj][order].tobytes()
 
-    def test_inexact_argmins_fall_back_to_escalation(self):
-        # at cap 6 thousands of torus patterns hold only a bound, and some
-        # per-mask argmins land on them; both tables escalate the same patterns
-        fast = solver.NumberingTable(TORUS, exact_cap=6)
-        ref = solver.NumberingTable(TORUS, exact_cap=6)
-        fast.solve_all()
-        ref.solve_all()
-        ct = solver.ColoringTable(TORUS)
-        _, argmin = solver._q_sweep(ct.masks, fast, None)
-        assert not fast.epr_exact[argmin].all()
-        rng = np.random.default_rng(3)
-        extras = (None, fast.broadcast(rng.random(len(fast.orbit_reps))))
-        got = solver._q_all(ct.masks, fast, extras)
-        want = _q_loop(ct.masks, ref, extras)
-        _assert_same_sweep(got, want)
-        assert fast.epr.tobytes() == ref.epr.tobytes()
-        assert (fast.epr_exact == ref.epr_exact).all()
-
-        loop_cost = 2.0 * (ref.num_edges - ct.same_count)
-        (q, _, ok) = want[0]
-        minimum, _ = _brute_pair_min(loop_cost + q, loop_cost + q, ct.masks)
-        rep = solver.ground_energy_search(TORUS, None, epr_exact_cap=6)
-        assert (rep.minimum, rep.certified) == (minimum, bool(ok.all()))
-        assert rep.minimum == 36.0
-
     def test_sweep_without_bitwise_count(self, monkeypatch):
         # numpy < 2.0 has no bitwise_count; _popcount falls back to shifts
         spec = LatticeSpec(1, 7)
-        nt, ct = solver._tables(spec, 18)
+        nt, ct = solver._tables(spec)
         values = 2.0 * (nt.num_edges - ct.same_count)
 
         def sweep():
-            (q, argmin, ok), = solver._q_all(ct.masks, nt)
-            return q, argmin, ok, solver._pair_sweep(values + q, values + q, ct.masks)
+            q, argmin = solver._q_sweep(ct.masks, nt)
+            return q, argmin, solver._pair_sweep(values + q, values + q, ct.masks)
 
         with_native = sweep()
         monkeypatch.delattr(np, "bitwise_count", raising=False)
         without = sweep()
         assert with_native[0].tobytes() == without[0].tobytes()
-        assert (with_native[1] == without[1]).all() and (with_native[2] == without[2]).all()
-        assert with_native[3] == without[3]
+        assert (with_native[1] == without[1]).all()
+        assert with_native[2] == without[2]
 
     def test_warm_search_allocates_little(self):
         # the kernels work in blocks of about SWEEP_BLOCK elements, never M x M
-        solver.ground_energy_search(TORUS, None, epr_exact_cap=18)
+        solver.ground_energy_search(TORUS, None)
         tracemalloc.start()
         try:
-            solver.ground_energy_search(TORUS, None, epr_exact_cap=18)
+            solver.ground_energy_search(TORUS, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -698,27 +728,27 @@ class TestMaskSweep:
 
 class TestDecide:
     def test_low_side(self):
-        rep = solver.decide(TORUS, None, [36.0], [1.0], epr_exact_cap=18)
+        rep = solver.decide(TORUS, None, [36.0], [1.0])
         assert rep.decision == "low"
         assert rep.thresholds == {"p_of_n": 36.0, "p_plus_inv_q": 37.0}
 
     def test_high_side(self):
-        rep = solver.decide(TORUS, None, [35.0], [1.0], epr_exact_cap=18)
+        rep = solver.decide(TORUS, None, [35.0], [1.0])
         assert rep.decision == "high"
 
     def test_promise_violation(self):
-        rep = solver.decide(TORUS, None, [35.5], [1.0], epr_exact_cap=18)
+        rep = solver.decide(TORUS, None, [35.5], [1.0])
         assert rep.decision == "promise-violation"
 
     def test_uncertified_search_refuses_to_decide(self):
-        rep = solver.ground_energy_search(TORUS, None, epr_exact_cap=18)
+        rep = solver.ground_energy_search(TORUS, None)
         rep.certified = False
         with pytest.raises(solver.SolverConvergenceError):
             solver.decide(TORUS, None, [36.0], [1.0], report=rep)
 
     def test_nonpositive_tolerance_polynomial_rejected(self):
         with pytest.raises(ValueError):
-            solver.decide(TORUS, None, [36.0], [0.0], epr_exact_cap=18)
+            solver.decide(TORUS, None, [36.0], [0.0])
 
 
 class TestTurnAlternatives:
@@ -726,13 +756,13 @@ class TestTurnAlternatives:
     def test_turns_cost_strictly_more_than_open_chains(self, n, straight_total):
         spec = LatticeSpec(2, n, "open")
         w = striped_witness(spec)
-        base = solver.tile_sector_energy(w, epr_exact_cap=18)
+        base = solver.tile_sector_energy(w)
         assert base.total == pytest.approx(straight_total, abs=1e-9)
         assert all(
             d <= 1 for d in epr_demand_graph(w, 1).slot_degrees().values()
         )
         alt = snake_tiling(n)
         assert classify(alt, 1).has_turn
-        alt_se = solver.tile_sector_energy(alt, epr_exact_cap=18)
+        alt_se = solver.tile_sector_energy(alt)
         assert alt_se.exact
         assert alt_se.total > base.total + 1.0
