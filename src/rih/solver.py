@@ -20,6 +20,14 @@ branching site by site:
     is solved once per symmetry orbit (150 orbits for the 6,561 patterns of
     the 3x3 torus) and broadcast to the orbit's members.
 
+A global shift of a copy's numbers or colors changes neither its step
+pattern nor its same-color mask, so the numbering and coloring tables are
+built from the 3^(N-1) numberings and colorings with site 0 fixed to 0, one
+numbering per step pattern.  The orbit representatives' pairing minima are
+sums over slot components, and the same component recurs across many
+representatives, so each distinct component is solved once (108 solves for
+the 2,806 orbits of ring 11, 303 for the 150 of the 3x3 torus).
+
 So sectors group by (mask1, mask2, steps1, steps2), copies decouple given the
 masks, and the per-copy number minimization is a vectorized sweep:
 
@@ -50,6 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from rih.hamiltonian import EPR_HALF_PROJECTOR, dense_entries, embed_operator
@@ -154,8 +163,6 @@ def _pairing_sparse(local_edges, k):
 def _chain_energy(k, closed):
     """Exact minimum of the pairing sum along a path (k slots, k-1 demands) or
     cycle (k demands); solved once per shape and reused everywhere."""
-    if k > EXACT_PAIRING_CAP:
-        raise ValueError(f"chain of {k} slots exceeds the exact cap {EXACT_PAIRING_CAP}")
     local = [(i, i + 1) for i in range(k - 1)]
     if closed:
         local.append((k - 1, 0))
@@ -283,21 +290,21 @@ def _normalize_demands(g):
 
 
 def _solve_component(k, local_edges):
+    m = len(local_edges)
+    if m == 1:
+        return ComponentResult(k, 1, "isolated-demand", 0.0, True)
+    # the cap is checked ahead of both caches, so the answer never depends on
+    # what a wider cap cached earlier in the process
+    if k > EXACT_PAIRING_CAP:
+        return ComponentResult(k, m, "bound", _component_bound(k, local_edges), False)
     degs = np.zeros(k, dtype=int)
     for a, b in local_edges:
         degs[a] += 1
         degs[b] += 1
-    m = len(local_edges)
-    if m == 1:
-        return ComponentResult(k, 1, "isolated-demand", 0.0, True)
     if degs.max() <= 2:
         closed = m == k
         kind = "cycle" if closed else "path"
         return ComponentResult(k, m, kind, _chain_energy(k, closed), True)
-    # the cap is checked first, so the answer never depends on what a wider
-    # cap cached earlier in the process
-    if k > EXACT_PAIRING_CAP:
-        return ComponentResult(k, m, "bound", _component_bound(k, local_edges), False)
     key = _canonical_component_key(k, local_edges)
     cached = _STRUCTURE_CACHE.get(key)
     if cached is not None:
@@ -314,8 +321,8 @@ def epr_min_energy(g):
     Connected slot components are independent.  Components of up to
     EXACT_PAIRING_CAP slots are solved exactly: paths and cycles from a cache
     per shape, other components by diagonalization (dense up to DENSE_CUTOFF,
-    Lanczos above).  A larger branching component gets a certified lower
-    bound and is flagged inexact; a larger path or cycle raises ValueError.
+    Lanczos above).  A larger component of any shape gets a certified lower
+    bound (kind "bound") and is flagged inexact.
     """
     demands = _normalize_demands(g)
     if not demands:
@@ -725,82 +732,132 @@ def _popcount(arr):
     return out
 
 
-def _digit_table(count, N):
-    """(count, N) base-3 digits, site 0 most significant."""
+TABLE_ROW_CAP = 200_000  # rows of a numbering or coloring table: N <= 12 sites
+
+
+def _site0_digits(spec, table):
+    """(3^(N-1), N) base-3 assignments of 0, 1, 2 to the sites with site 0
+    fixed to 0, in lexicographic order (site 1 most significant).
+
+    On a connected lattice a global shift of the values changes neither a
+    numbering's step pattern nor a coloring's same-color mask, so these rows
+    reach every pattern and every mask; a numbering row is even the only one
+    with its pattern.  The size is checked before anything is allocated."""
+    N = spec.num_sites
+    count = 3 ** (N - 1)
+    if count > TABLE_ROW_CAP:
+        raise BudgetExceeded(f"{table} table infeasible for {N} sites")
     idx = np.arange(count, dtype=np.int64)
-    out = np.empty((count, N), dtype=np.int8)
-    for k in range(N - 1, -1, -1):
+    out = np.zeros((count, N), dtype=np.int8)
+    for k in range(N - 1, 0, -1):
         out[:, k] = idx % 3
         idx //= 3
     return out
 
 
+def _components(n, a, b):
+    """Connected components of the graph on nodes 0..n-1 with edges (a, b):
+    the smallest node of each node's component."""
+    graph = scipy.sparse.coo_matrix((np.ones(len(a), dtype=bool), (a, b)), shape=(n, n))
+    _, label = scipy.sparse.csgraph.connected_components(graph, directed=False)
+    _, first = np.unique(label, return_index=True)
+    return first[label]
+
+
+def _generators(perms):
+    """Rows of perms that generate the same group as all of them, picked
+    greedily in row order."""
+    N = perms.shape[1]
+    gens, group = [], {tuple(range(N))}
+    for g in perms:
+        if tuple(g) in group:
+            continue
+        gens.append(g)
+        group, frontier = set(), [np.arange(N)]
+        while frontier:
+            h = frontier.pop()
+            if tuple(h) not in group:
+                group.add(tuple(h))
+                frontier.extend(s[h] for s in gens)
+    return gens
+
+
+def _pattern_demands(edge_idx, steps):
+    """Pairing demands of a step pattern, in edge order: a forward step on
+    edge (a, b) asks slot (a, 2) to pair with (b, 1), a reverse one (b, 2)
+    with (a, 1)."""
+    out = []
+    for j in np.flatnonzero(steps):
+        a, b = int(edge_idx[j, 0]), int(edge_idx[j, 1])
+        out.append(((a, 2), (b, 1)) if steps[j] == 1 else ((b, 2), (a, 1)))
+    return out
+
+
 class NumberingTable:
     """Per-edge step patterns and exact pairing minima for every numbering of
-    a small lattice.  Pairing energies depend only on the step pattern, and
-    are invariant under the lattice symmetries, so they are solved once per
-    symmetry orbit of patterns and broadcast to the orbit's members."""
+    a small lattice.
+
+    A connected lattice gives each step pattern from exactly three numberings,
+    a global shift apart, so the table is built from the 3^(N-1) numberings
+    with site 0 fixed to 0: patterns[p] is the pattern of digits[p], in
+    ascending order of their base-3 codes (first edge most significant).
+    Pairing energies depend only on the step pattern and are invariant under
+    the lattice symmetries, so they are solved once per symmetry orbit of
+    patterns and broadcast to the orbit's members."""
 
     def __init__(self, spec):
-        N = spec.num_sites
-        if 3**N > 600_000:
-            raise BudgetExceeded(f"numbering table infeasible for {N} sites")
+        digits = _site0_digits(spec, "numbering")
         self.spec = spec
         self.edge_idx = edge_index_array(spec)
         E = len(self.edge_idx)
-        digits = _digit_table(3**N, N)
-        steps = (
-            digits[:, self.edge_idx[:, 1]].astype(np.int8)
-            - digits[:, self.edge_idx[:, 0]].astype(np.int8)
-        ) % 3
+        steps = (digits[:, self.edge_idx[:, 1]] - digits[:, self.edge_idx[:, 0]]) % 3
         # base-3 code of each row, first edge most significant, so that sorted
         # codes are lexicographically sorted patterns (E <= 39 fits in int64)
         weight = 3 ** np.arange(E - 1, -1, -1, dtype=np.int64)
         row_codes = np.zeros(len(steps), dtype=np.int64)
         for j in range(E):
             row_codes += weight[j] * steps[:, j]
-        codes, first, self.pattern_of = np.unique(
-            row_codes, return_index=True, return_inverse=True
-        )
-        self.patterns = steps[first]
-        self.digits = digits
+        order = np.argsort(row_codes)
+        self.patterns = steps[order]
+        self.digits = digits[order]
         P = len(self.patterns)
         z = self.patterns == 0
         self.zero_mask = np.zeros(P, dtype=np.uint64)
         for j in range(E):
             self.zero_mask |= z[:, j].astype(np.uint64) << np.uint64(j)
-        self.zero_count = _popcount(self.zero_mask)
         # violation counts depend on a pattern only through its zero mask
         self.zero_groups, self.group_of = np.unique(self.zero_mask, return_inverse=True)
         self.num_edges = E
-        self.orbit_reps, self.orbit_of = self._orbits(codes, weight)
+        # pattern index of the numbering in each row of the site-0 digit table
+        pattern_at = np.empty(P, dtype=np.int64)
+        pattern_at[order] = np.arange(P)
+        self.orbit_reps, self.orbit_of = self._orbits(pattern_at)
         self.epr = np.zeros(P)
         self.epr_exact = np.zeros(P, dtype=bool)
 
-    def _orbits(self, codes, weight):
-        """Lattice-symmetry orbits of the step patterns, given their sorted
-        base-3 codes and the per-edge code weights.
+    def _orbits(self, pattern_at):
+        """Lattice-symmetry orbits of the step patterns.
 
-        A symmetry g moves edge (a, b) onto (g[a], g[b]); the step it carries
-        keeps its value when that edge keeps the lexicographic orientation and
-        becomes (3 - s) % 3 when it flips.  An image pattern is found by
-        searchsorted on its code.  Each pattern's canonical representative is
-        the smallest index in its orbit, a running minimum over the
-        symmetries, so no per-symmetry image table is ever stored.
+        A symmetry g moves numbering x to the numbering that carries x[i] at
+        site g[i]; less its value at site 0 (mod 3), that is a row of the
+        site-0 digit table whose base-3 digits are its row index, and its
+        pattern is the image of x's.  Images under a generating set of the
+        symmetries join the patterns into connected components, the orbits,
+        and each orbit's representative is its smallest pattern index.
 
         Returns (orbit_reps, orbit_of): the representative pattern of each
         orbit in ascending order, and the orbit index of every pattern.
         """
-        edge_at = {(int(a), int(b)): j for j, (a, b) in enumerate(self.edge_idx)}
-        canon = np.arange(len(self.patterns))
-        for g in lattice_symmetry_permutations(self.spec):
-            image = np.zeros(len(codes), dtype=np.int64)
-            for j, (a, b) in enumerate(self.edge_idx):
-                ga, gb = int(g[a]), int(g[b])
-                w = weight[edge_at[(min(ga, gb), max(ga, gb))]]
-                step_value = np.array([0, 1, 2] if ga < gb else [0, 2, 1], dtype=np.int64)
-                image += w * step_value[self.patterns[:, j]]
-            np.minimum(canon, np.searchsorted(codes, image), out=canon)
+        P, N = self.digits.shape
+        place = 3 ** np.arange(N - 1, -1, -1, dtype=np.int64)
+        images = [np.arange(P)]  # the identity: every pattern is in its own orbit
+        for g in _generators(lattice_symmetry_permutations(self.spec)):
+            origin = self.digits[:, np.argsort(g)[0]]  # value moved onto site 0
+            row = np.zeros(P, dtype=np.int64)
+            for i in range(N):
+                row += place[g[i]] * ((self.digits[:, i] - origin) % 3)
+            images.append(pattern_at[row])
+        canon = _components(P, np.tile(images[0], len(images)), np.concatenate(images))
         return np.unique(canon, return_inverse=True)
 
     def broadcast(self, rep_values):
@@ -808,38 +865,83 @@ class NumberingTable:
         return np.asarray(rep_values)[self.orbit_of]
 
     def demands_for_pattern(self, p):
-        out = []
-        for j in range(self.num_edges):
-            s = int(self.patterns[p, j])
-            a, b = int(self.edge_idx[j, 0]), int(self.edge_idx[j, 1])
-            if s == 1:
-                out.append(((a, 2), (b, 1)))
-            elif s == 2:
-                out.append(((b, 2), (a, 1)))
-        return out
+        return _pattern_demands(self.edge_idx, self.patterns[p])
 
     def solve_all(self):
-        """Pairing minima of every pattern: one solve per orbit representative."""
-        results = [epr_min_energy(self.demands_for_pattern(p)) for p in self.orbit_reps]
-        self.epr = self.broadcast([r.value for r in results])
-        self.epr_exact = self.broadcast([r.exact for r in results])
+        """Pairing minima of every pattern, through its orbit representative.
+
+        The slot components of all representatives are labeled at once.  A
+        component is keyed by its step pattern restricted to its own edges,
+        and each distinct key is solved by one epr_min_energy call, in the
+        order a loop over the representatives would first meet it, so the
+        shared component caches fill as they would in that loop.  Each
+        representative then adds its components' values one at a time from 0,
+        ordered as epr_min_energy orders them (most slots first, then kind,
+        then first demand edge), so every value is bit-identical to solving
+        the representative on its own."""
+        reps = self.patterns[self.orbit_reps]
+        R, E = reps.shape
+        # demand d joins slot (tail, 2) to slot (head, 1); slot (x, port) of
+        # representative r is node r*2N + 2x + port - 1
+        r, j = np.nonzero(reps)
+        fwd = reps[r, j] == 1
+        a, b = self.edge_idx[j, 0], self.edge_idx[j, 1]
+        base = r * (2 * self.spec.num_sites)
+        tail = base + 2 * np.where(fwd, a, b) + 1
+        head = base + 2 * np.where(fwd, b, a)
+        label = _components(R * 2 * self.spec.num_sites, tail, head)[tail]
+        # components, each with its representative, first demand edge and key
+        _, first, comp = np.unique(label, return_index=True, return_inverse=True)
+        comp_rep, comp_edge = r[first], j[first]
+        weight = 3 ** np.arange(E - 1, -1, -1, dtype=np.int64)
+        key = np.zeros(len(first), dtype=np.int64)
+        np.add.at(key, comp, weight[j] * reps[r, j])
+        # one epr_min_energy call per distinct key, in the order of first meeting
+        met = np.lexsort((comp_edge, comp_rep))
+        keys, first_met, inverse = np.unique(key[met], return_index=True, return_inverse=True)
+        key_of = np.empty(len(key), dtype=np.int64)
+        key_of[met] = inverse
+        solved = [None] * len(keys)
+        for k in np.argsort(first_met):
+            steps = (keys[k] // weight) % 3
+            (solved[k],) = epr_min_energy(_pattern_demands(self.edge_idx, steps)).components
+        kind_rank = {kind: i for i, kind in enumerate(sorted({c.kind for c in solved}))}
+        value = np.array([c.value for c in solved])[key_of]
+        exact = np.array([c.exact for c in solved], dtype=bool)[key_of]
+        slots = np.array([c.num_slots for c in solved], dtype=np.int64)[key_of]
+        kind = np.array([kind_rank[c.kind] for c in solved], dtype=np.int64)[key_of]
+        # each representative's sum, one component at a time
+        order = np.lexsort((comp_edge, kind, -slots, comp_rep))
+        rep_sorted, value = comp_rep[order], value[order]
+        position = np.arange(len(order)) - np.searchsorted(rep_sorted, rep_sorted)
+        total = np.zeros(R)
+        for k in range(int(position.max(initial=-1)) + 1):
+            at = position == k
+            total[rep_sorted[at]] += value[at]
+        rep_exact = np.ones(R, dtype=bool)
+        rep_exact[comp_rep[~exact]] = False
+        self.epr = self.broadcast(total)
+        self.epr_exact = self.broadcast(rep_exact)
 
 
 class ColoringTable:
     """Distinct same-color edge masks over all colorings of a small lattice,
-    with one representative coloring per mask and mask-level geometry flags."""
+    with one representative coloring per mask and mask-level geometry flags.
+
+    A global shift of the colors keeps every mask, so the masks are read off
+    the 3^(N-1) colorings with site 0 fixed to 0; each mask's representative
+    is the first such coloring in lexicographic order, which is also its first
+    coloring over all 3^N."""
 
     def __init__(self, spec):
+        digits = _site0_digits(spec, "coloring")
         N = spec.num_sites
-        if 3**N > 600_000:
-            raise BudgetExceeded(f"coloring table infeasible for {N} sites")
         self.spec = spec
         self.edge_idx = edge_index_array(spec)
         E = len(self.edge_idx)
         if E > 62:
             raise BudgetExceeded(f"too many edges to pack masks ({E})")
-        digits = _digit_table(3**N, N)
-        mask = np.zeros(3**N, dtype=np.uint64)
+        mask = np.zeros(len(digits), dtype=np.uint64)
         for j in range(E):
             same = digits[:, self.edge_idx[j, 0]] == digits[:, self.edge_idx[j, 1]]
             mask |= same.astype(np.uint64) << np.uint64(j)
@@ -896,12 +998,13 @@ def _tables(spec):
     return nt, ColoringTable(spec)
 
 
-def _violations_for_mask(mask, nt):
-    """Tile-rule violation count per step pattern, straight from the identity
-    viol = 2*|mask & zero| + E - |mask| - |zero|."""
-    inter = _popcount(np.bitwise_and(nt.zero_mask, np.uint64(mask)))
-    mask_count = int(_popcount(np.array([mask], dtype=np.uint64))[0])
-    return 2 * inter + nt.num_edges - mask_count - nt.zero_count
+def _violations(mask, nt):
+    """Tile-rule violation count per step pattern under one same-color mask,
+    from the identity viol = 2*|mask & zero| + E - |mask| - |zero| taken once
+    per zero-mask group."""
+    mask = np.uint64(mask)
+    per_group = 2 * _popcount(nt.zero_groups & mask) - _popcount(nt.zero_groups)
+    return (per_group + (nt.num_edges - _popcount(mask)))[nt.group_of]
 
 
 def _group_minima(nt, extra):
@@ -1093,8 +1196,8 @@ def ground_energy_search(spec, plug=None):
                 _popcount(np.array([ct.masks[i] & ct.masks[j]], dtype=np.uint64))[0]
             )
             base = float(loop_cost[i] + loop_cost[j] + inter)
-            v1 = 8.0 * _violations_for_mask(int(ct.masks[i]), nt) + nt.epr
-            v2 = 8.0 * _violations_for_mask(int(ct.masks[j]), nt) + nt.epr
+            v1 = 8.0 * _violations(ct.masks[i], nt) + nt.epr
+            v2 = 8.0 * _violations(ct.masks[j], nt) + nt.epr
             # seed: the classical argmin pair is achievable, and any pair whose
             # classical part exceeds seed_total - base can never win (embedded
             # parts are nonnegative), so the window below is complete
@@ -1180,9 +1283,7 @@ def ground_energy_search(spec, plug=None):
     else:
         c1 = ct.rep_coloring[i1]
         c2 = ct.rep_coloring[i2]
-        n1 = nt.digits[np.flatnonzero(nt.pattern_of == argn1[i1])[0]]
-        n2 = nt.digits[np.flatnonzero(nt.pattern_of == argn2[i2])[0]]
-        argmin = Tiling(spec, c1, n1, c2, n2)
+        argmin = Tiling(spec, c1, nt.digits[argn1[i1]], c2, nt.digits[argn2[i2]])
 
     stats = {
         "distinct_masks": M,
