@@ -387,61 +387,86 @@ class TwoBodyTerm:
     def pair_dim(self):
         return self.layout.pair_dim
 
-    def estimated_nnz(self):
-        if self._matrix is not None:
-            return self._matrix.nnz
-        b = self.blocks
-        inner = self.layout.inner_dim
-        counts = np.array([len(v[2]) for v in b.variants])
-        return int((counts[b.sig] + inner * inner).sum())
-
     def matrix(self, max_nnz=MAX_MATRIX_NNZ):
-        if self._matrix is not None:
-            return self._matrix
-        est = self.estimated_nnz()
-        if est > max_nnz:
-            raise MemoryError(
-                f"materializing this term needs ~{est} nonzeros (cap {max_nnz}); "
-                "use the block structure instead"
-            )
-        self._matrix = self._materialize()
+        """The explicit sparse matrix in canonical CSR form (sorted indices,
+        duplicates summed, zeros dropped).  Raises MemoryError, before any
+        array of the term's size exists, if it has more than max_nnz entries."""
+        if self._matrix is None:
+            self._matrix = self._materialize(max_nnz)
         return self._matrix
 
-    def _materialize(self):
+    def _materialize(self, max_nnz):
         b = self.blocks
         layout = self.layout
         inner = layout.inner_dim
+        nn = inner * inner
         site = layout.site_dim
-        tile_dim = layout.tile_dim
-        # block-local index (au * inner + av) -> global offset once U, V known
-        local = np.arange(inner * inner, dtype=np.int64)
-        spread = (local // inner) * site + local % inner
-        rows, cols, vals = [], [], []
-        diag = spread
-        for U in range(tile_dim):
-            for V in range(tile_dim):
-                off = U * inner * site + V * inner
-                s = float(b.scalar[U, V])
-                if s != 0.0:
-                    rows.append(off + diag)
-                    cols.append(off + diag)
-                    vals.append(np.full(inner * inner, s))
-                vr, vc, vv = b.variants[b.sig[U, V]]
-                if len(vv):
-                    rows.append(off + spread[vr])
-                    cols.append(off + spread[vc])
-                    vals.append(vv)
-        dtype = np.result_type(*[v.dtype for v in vals]) if vals else np.float64
-        m = scipy.sparse.coo_matrix(
-            (
-                np.concatenate(vals).astype(dtype),
-                (np.concatenate(rows), np.concatenate(cols)),
-            ),
-            shape=(layout.pair_dim, layout.pair_dim),
-        ).tocsr()
-        m.sum_duplicates()
-        m.eliminate_zeros()
+        pair_dim = layout.pair_dim
+        # blocks of one (scalar, variant) type hold the same inner operator
+        types, type_of = np.unique(
+            np.stack([b.scalar.ravel(), b.sig.ravel()], axis=1), axis=0, return_inverse=True
+        )
+        local = _type_blocks(b, types, nn)
+        row_nnz = np.diff(local.indptr)
+        type_nnz = row_nnz.reshape(len(types), nn).sum(axis=1)
+        nnz = int(np.bincount(type_of.ravel(), minlength=len(types)) @ type_nnz)
+        if nnz > max_nnz:
+            raise MemoryError(
+                f"materializing this term needs {nnz} nonzeros (cap {max_nnz}); "
+                "use the block structure instead"
+            )
+        idx = scipy.sparse.get_index_dtype(maxval=max(nnz, pair_dim, local.shape[0], local.nnz))
+        # global row (U, au, V, av) copies row au*inner + av of its block's
+        # type, and each entry keeps its column's offset from the row
+        spread = (np.arange(nn) // inner) * site + np.arange(nn) % inner
+        local_row = np.repeat(np.arange(local.shape[0]), row_nnz)
+        shift = (spread[local.indices % nn] - spread[local_row % nn]).astype(idx)
+        au = np.arange(inner, dtype=idx)
+        type_row = (
+            type_of.astype(idx).reshape(layout.tile_dim, 1, layout.tile_dim, 1) * nn
+            + au[:, None, None] * inner
+            + au
+        ).ravel()
+        counts = row_nnz.astype(idx)[type_row]
+        indptr = np.zeros(pair_dim + 1, dtype=idx)
+        np.cumsum(counts, out=indptr[1:])
+        # where each global entry sits in the stacked type blocks
+        entry = np.repeat(local.indptr.astype(idx)[type_row] - indptr[:-1], counts)
+        entry += np.arange(nnz, dtype=idx)
+        indices = np.repeat(np.arange(pair_dim, dtype=idx), counts)
+        indices += shift[entry]
+        m = scipy.sparse.csr_matrix(
+            (local.data[entry], indices, indptr), shape=(pair_dim, pair_dim)
+        )
+        m.has_canonical_format = True
         return m
+
+
+def _type_blocks(b, types, nn):
+    """The inner operator of every block type, as one block-diagonal canonical
+    CSR with type t in rows and columns t*nn .. (t+1)*nn.
+
+    Each type lists its scalar diagonal, then its variant entries, and the
+    whole stack goes through one COO-to-CSR conversion, so duplicates are
+    summed in the order and the dtype that converting the full term's COO at
+    once would use."""
+    diag = np.arange(nn, dtype=np.int64)
+    rows, cols, vals = [], [], []
+    for t, (s, sig) in enumerate(types):
+        vr, vc, vv = b.variants[int(sig)]
+        if s != 0.0:
+            rows.append(t * nn + diag)
+            cols.append(t * nn + diag)
+            vals.append(np.full(nn, s))
+        rows.append(t * nn + vr)
+        cols.append(t * nn + vc)
+        vals.append(vv)
+    size = len(types) * nn
+    m = scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(size, size)
+    ).tocsr()
+    m.eliminate_zeros()
+    return m
 
 
 def _coefficients(coefficient_overrides):
@@ -539,11 +564,20 @@ def _check_via_blocks(term):
 
 def check_term_symmetries(term):
     """Verify Hermiticity, positive semidefiniteness, and symmetry under
-    exchanging the two sites; returns a report, never raises."""
-    if term.blocks is not None and term.pair_dim > MAX_DENSE_PAIR_DIM:
+    exchanging the two sites; returns a report.
+
+    A term with a block structure is checked block by block once it is larger
+    than MAX_DENSE_PAIR_DIM.  A matrix-only term that large raises ValueError
+    before anything is allocated, since its check needs the dense matrix."""
+    if term.pair_dim <= MAX_DENSE_PAIR_DIM:
+        herm, lo, swap = _check_via_matrix(term)
+    elif term.blocks is not None:
         herm, lo, swap = _check_via_blocks(term)
     else:
-        herm, lo, swap = _check_via_matrix(term)
+        raise ValueError(
+            f"a matrix-only term of pair dimension {term.pair_dim} is above the "
+            f"dense check's cap {MAX_DENSE_PAIR_DIM}"
+        )
     return SymmetryReport(
         hermitian=herm <= HERMITICITY_TOL,
         psd=lo >= -PSD_TOL,
@@ -558,30 +592,42 @@ def tile_diagonality_check(term):
     """True iff no matrix element connects basis states whose tile digits
     differ, on either site."""
     try:
-        M = term.matrix().tocoo()
+        M = term.matrix().tocsr()
     except MemoryError:
         # built block-diagonally over tiles, so the property holds structurally
         return True
     inner = term.layout.inner_dim
     site = term.layout.site_dim
-    r, c = M.row, M.col
-    ru, rv = r // site, r % site
-    cu, cv = c // site, c % site
-    return bool(((ru // inner == cu // inner) & (rv // inner == cv // inner)).all())
+    tile_dim = term.layout.tile_dim
+
+    def tiles(i):
+        return (i // site // inner) * tile_dim + i % site // inner
+
+    rows = tiles(np.arange(M.shape[0]))
+    return bool((np.repeat(rows, np.diff(M.indptr)) == tiles(M.indices)).all())
 
 
 def term_hash(term):
-    """sha256 of the canonically ordered sparse entries; all values are dyadic
-    rationals so the digest is bit-stable across platforms."""
-    M = term.matrix().tocoo()
-    M.sum_duplicates()
-    M.eliminate_zeros()
-    order = np.lexsort((M.col, M.row))
+    """sha256 of the term's canonical sparse entries.
+
+    The digest covers the dimension and the entry count, then every entry of
+    the canonical form (duplicates summed, zeros dropped) in row-major order:
+    the rows as int64, the columns as int64, the real parts as float64 and,
+    for a complex term only, the imaginary parts as float64.  The toy plugs'
+    terms hold only dyadic rationals, so their digests are bit-stable across
+    platforms."""
+    M = term.matrix().tocsr()
+    if not M.has_canonical_format or not M.data.all():
+        M = M.copy()
+        M.sum_duplicates()
+        M.eliminate_zeros()
     h = hashlib.sha256()
     h.update(f"dim={M.shape[0]};nnz={M.nnz};".encode())
-    h.update(M.row[order].astype(np.int64).tobytes())
-    h.update(M.col[order].astype(np.int64).tobytes())
-    h.update(np.ascontiguousarray(M.data[order]).astype(np.float64).tobytes())
+    h.update(np.repeat(np.arange(M.shape[0], dtype=np.int64), np.diff(M.indptr)))
+    h.update(M.indices.astype(np.int64))
+    h.update(np.ascontiguousarray(M.data.real, dtype=np.float64))
+    if np.iscomplexobj(M.data):
+        h.update(np.ascontiguousarray(M.data.imag, dtype=np.float64))
     return h.hexdigest()
 
 

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 import scipy.io
@@ -54,6 +57,60 @@ def naive_embed(small, positions, dims):
                 sc = sc * dims[p] + dc[p]
             out[r, c] = small[sr, sc]
     return out
+
+
+def reference_band(term, U):
+    """Rows U*inner*site .. (U+1)*inner*site of the term (tile U on the first
+    site), built block by block as COO and converted to canonical CSR: the
+    original construction, kept as the oracle of the vectorized one and
+    restricted to one band of rows to bound its memory.  Also returns whether
+    some row's entries come out of order before sorting."""
+    b = term.blocks
+    layout = term.layout
+    inner = layout.inner_dim
+    site = layout.site_dim
+    local = np.arange(inner * inner, dtype=np.int64)
+    spread = (local // inner) * site + local % inner
+    rows, cols, vals = [], [], []
+    for V in range(layout.tile_dim):
+        off = V * inner
+        s = float(b.scalar[U, V])
+        if s != 0.0:
+            rows.append(off + spread)
+            cols.append(off + spread)
+            vals.append(np.full(inner * inner, s))
+        vr, vc, vv = b.variants[b.sig[U, V]]
+        if len(vv):
+            rows.append(off + spread[vr])
+            cols.append(off + spread[vc])
+            vals.append(vv)
+    r = np.concatenate(rows)
+    c = np.concatenate(cols) + U * inner * site
+    order = np.argsort(r, kind="stable")
+    unsorted = bool(((r[order][1:] == r[order][:-1]) & (c[order][1:] < c[order][:-1])).any())
+    m = scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (r, c)), shape=(inner * site, layout.pair_dim)
+    ).tocsr()
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    return m, unsorted
+
+
+def sparse_complex_plug(seed):
+    """A d=2 plug of two random rank-one projectors on 2-sparse complex
+    vectors, with non-dyadic entries off the diagonal."""
+    rng = np.random.default_rng(seed)
+
+    def term():
+        h = np.zeros((4, 4), dtype=complex)
+        for _ in range(2):
+            v = np.zeros(4, dtype=complex)
+            at = rng.choice(4, 2, replace=False)
+            v[at] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            h += np.outer(v, v.conj())
+        return h
+
+    return TranslationPlug(2, term(), term(), name=f"sparse_complex_{seed}")
 
 
 def proj(dim, i):
@@ -388,6 +445,104 @@ class TestFullTerm:
             build_single_copy_term({"pairng": 3.0})
 
 
+def _reference_cases():
+    plugs = toy_plugs()
+    cases = [
+        pytest.param(lambda name=name: build_site_term(plugs[name]), id=name) for name in plugs
+    ]
+    for key in sorted(DEFAULT_COEFFICIENTS):
+        for value in (0.0, DEFAULT_COEFFICIENTS[key] + 1):
+            cases.append(
+                pytest.param(
+                    lambda key=key, value=value: build_site_term(plugs["zero"], {key: value}),
+                    id=f"zero-{key}={value:g}",
+                )
+            )
+    cases.append(pytest.param(build_single_copy_term, id="single_copy"))
+    cases.append(
+        pytest.param(lambda: build_site_term(sparse_complex_plug(11)), id="sparse_complex")
+    )
+    return cases
+
+
+class TestCanonicalBuild:
+    @pytest.mark.parametrize("make_term", _reference_cases())
+    def test_matches_the_block_by_block_build(self, make_term):
+        term = make_term()
+        M = term.matrix()
+        assert isinstance(M, scipy.sparse.csr_matrix)
+        fresh = scipy.sparse.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape)
+        assert M.has_canonical_format and fresh.has_canonical_format and M.data.all()
+        band = term.layout.inner_dim * term.site_dim
+        disorder = set()
+        for U in range(term.layout.tile_dim):
+            ref, unsorted = reference_band(term, U)
+            disorder.add(unsorted)
+            lo, hi = M.indptr[U * band], M.indptr[(U + 1) * band]
+            pairs = (
+                (M.indptr[U * band : (U + 1) * band + 1] - lo, ref.indptr),
+                (M.indices[lo:hi], ref.indices),
+                (M.data[lo:hi], ref.data),
+            )
+            for got, want in pairs:
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+        # converting the whole COO at once sorts every row as soon as one is
+        # out of order, a band only its own rows: the same when all bands agree
+        assert len(disorder) == 1
+
+    def test_exact_size_check_runs_before_allocating(self):
+        term = build_site_term(toy_plugs()["zero"])
+        nnz = 2_799_360
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match=f"{nnz} nonzeros"):
+                term.matrix(max_nnz=nnz - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert term.matrix(max_nnz=nnz).nnz == nnz
+
+    def test_materialize_and_hash_peak_memory(self):
+        # the matrix itself keeps 38 MiB (int32 indices, float64 data)
+        term = build_site_term(toy_plugs()["zero"])
+        tracemalloc.start()
+        try:
+            assert term_hash(term) == GOLDEN_D1_HASH
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
+
+    def test_hash_canonicalizes_a_given_matrix(self):
+        sc = build_single_copy_term()
+        M = sc.matrix().tocoo()
+        rng = np.random.default_rng(4)
+        # split every value in two exact halves, add explicit zeros, shuffle
+        zeros = rng.choice(M.shape[0], 50)
+        rows = np.concatenate([M.row, M.row, zeros])
+        cols = np.concatenate([M.col, M.col, zeros[::-1]])
+        vals = np.concatenate([M.data / 2, M.data / 2, np.zeros(50)])
+        order = rng.permutation(len(vals))
+        messy = scipy.sparse.coo_matrix((vals[order], (rows[order], cols[order])), shape=M.shape)
+        given = TwoBodyTerm(sc.layout, sc.coefficients, matrix=messy)
+        assert term_hash(given) == term_hash(sc)
+
+    def test_conjugate_plugs_hash_differently(self):
+        # nonzero real parts: with 0.5j and -0.5j the two terms would also
+        # differ in the signs of zero real parts, which the hash sees
+        h = np.eye(4, dtype=complex)
+        h[1, 2] = 0.25 + 0.5j
+        h[2, 1] = np.conj(h[1, 2])
+        digests = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            for m in (h, h.conj()):
+                digests.append(term_hash(build_site_term(TranslationPlug(2, m, np.zeros((4, 4))))))
+        assert digests[0] != digests[1]
+
+
 class TestNegativeControls:
     def test_asymmetric_matrix_fails_swap(self):
         lay = FactorLayout(("embedded",), (2,), 0)
@@ -405,6 +560,27 @@ class TestNegativeControls:
         M[4 * 36 + 0, 0 * 36 + 0] = 0.5
         term = TwoBodyTerm(sc.layout, sc.coefficients, matrix=M.tocsr())
         assert not tile_diagonality_check(term)
+
+    def test_second_site_tile_flip_detected(self):
+        sc = build_single_copy_term()
+        M = sc.matrix().tolil(copy=True)
+        # connect v-site tile 0 to v-site tile 1 (v_state 0 vs 4), u fixed
+        M[0, 4] = 0.5
+        M[4, 0] = 0.5
+        term = TwoBodyTerm(sc.layout, sc.coefficients, matrix=M.tocsr())
+        assert not tile_diagonality_check(term)
+
+    def test_large_matrix_only_term_is_refused_before_allocating(self):
+        big = scipy.sparse.csr_matrix((1296**2, 1296**2))
+        term = TwoBodyTerm(two_copy_layout(1), DEFAULT_COEFFICIENTS, matrix=big)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="matrix-only"):
+                check_term_symmetries(term)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_zero_matrix_is_tile_diagonal(self):
         lay = single_copy_layout()
