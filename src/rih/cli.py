@@ -8,11 +8,11 @@ import json
 import sys
 
 from rih import solver
-from rih.hamiltonian import toy_plugs
 from rih.instance import (
     TrialBudgetError,
     f_search,
     reduction,
+    resolve_plug,
     verify_claims,
 )
 from rih.lattice import LatticeSpec
@@ -39,15 +39,6 @@ KNOWN_ERRORS = (
 def _emit(obj):
     json.dump(obj, sys.stdout, indent=1)
     sys.stdout.write("\n")
-
-
-def _resolve_plug_arg(name):
-    if name in (None, "zero"):
-        return None
-    catalog = toy_plugs()
-    if name not in catalog:
-        raise ValueError(f"unknown plug {name!r}; choose from {sorted(catalog)}")
-    return catalog[name]
 
 
 def _cmd_encode(args):
@@ -89,7 +80,7 @@ def _cmd_verify(args):
 
 def _cmd_solve(args):
     spec = LatticeSpec(args.r, args.n, args.boundary)
-    report = solver.ground_energy_search(spec, _resolve_plug_arg(args.plug))
+    report = solver.ground_energy_search(spec, resolve_plug(args.plug))
     _emit(report.to_json_dict())
     return 0
 
@@ -106,7 +97,7 @@ def _cmd_witness(args):
         },
     }
     if args.plug is not None:
-        se = solver.tile_sector_energy(w, _resolve_plug_arg(args.plug))
+        se = solver.tile_sector_energy(w, resolve_plug(args.plug))
         out["sector"] = se.to_json_dict()
     _emit(out)
     return 0

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from rih.hamiltonian import build_site_term, term_hash, toy_plugs
 from rih.lattice import LatticeSpec
+from rih.solver import SolverConvergenceError
 
 MR_ROUNDS = 64  # composite escape probability below 4^-64
 DEFAULT_TRIAL_BUDGET = 200_000
@@ -150,6 +151,35 @@ class DecisionSpec:
 
     def g_of(self, n):
         return poly_eval(self.g_coeffs, n)
+
+    def decide(self, report):
+        """Resolve the promise problem for a certified search report of this
+        configuration: ground energy at most p(n), or at least p(n) + 1/q(n),
+        each within 1e-9.  Sets report.thresholds and report.decision and
+        returns the report."""
+        if (report.spec.r, report.plug_name) != (self.r, self.plug):
+            raise ValueError(
+                f"report is for r={report.spec.r}, plug {report.plug_name!r}; "
+                f"this configuration is r={self.r}, plug {self.plug!r}"
+            )
+        if not report.certified:
+            raise SolverConvergenceError("search result is not certified; cannot decide")
+        n = report.spec.n
+        low = self.p_of(n)
+        qn = self.q_of(n)
+        if qn <= 0:
+            raise ValueError("q(n) must be positive")
+        high = low + 1.0 / qn
+        e0 = report.minimum
+        if e0 <= low + 1e-9:
+            decision = "low"
+        elif e0 >= high - 1e-9:
+            decision = "high"
+        else:
+            decision = "promise-violation"
+        report.thresholds = {"p_of_n": low, "p_plus_inv_q": high}
+        report.decision = decision
+        return report
 
     def completeness_bound(self, n):
         """Satisfiable-side energy target: the witness value plus the

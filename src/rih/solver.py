@@ -47,6 +47,12 @@ branching component gets a certified lower bound and is flagged inexact, and a
 search whose table holds such a bound is reported uncertified.  No lattice the
 numbering table accepts comes near the cap: its largest component has 9 slots
 on the 3x3 lattices and 12 on ring 12.
+
+Three process caches hold computed values, and each is a pure function of its
+input, so no result depends on what ran earlier in the process:
+lattice.edge_index_array (edge table per lattice), _pairing_minimum (pairing
+minimum per slot count and demand edge tuple) and _tables (the solved
+numbering and coloring tables per lattice).
 """
 
 from __future__ import annotations
@@ -62,7 +68,6 @@ import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from rih.hamiltonian import EPR_HALF_PROJECTOR, dense_entries, embed_operator
-from rih.instance import poly_eval
 from rih.lattice import LatticeSpec, edge_index_array, lattice_symmetry_permutations
 from rih.tiling import (
     EprDemandGraph,
@@ -159,17 +164,21 @@ def _pairing_sparse(local_edges, k):
     return m
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=None)
+def _pairing_minimum(k, edges):
+    """Exact minimum of the pairing sum on k slots with these demand edges.
+    A pure function of its arguments, so its cache never makes a value
+    depend on what ran earlier in the process."""
+    return _min_eigenvalue_coo(*_pairing_entries(edges, k), 2**k)
+
+
 def _chain_energy(k, closed):
     """Exact minimum of the pairing sum along a path (k slots, k-1 demands) or
-    cycle (k demands); solved once per shape and reused everywhere."""
-    local = [(i, i + 1) for i in range(k - 1)]
+    cycle (k demands), in sequential slot order."""
+    edges = tuple((i, i + 1) for i in range(k - 1))
     if closed:
-        local.append((k - 1, 0))
-    return _min_eigenvalue_coo(*_pairing_entries(local, k), 2**k)
-
-
-_STRUCTURE_CACHE = {}
+        edges += ((k - 1, 0),)
+    return _pairing_minimum(k, edges)
 
 
 def _canonical_component_key(k, local_edges):
@@ -281,19 +290,14 @@ class EprEnergy:
 def _normalize_demands(g):
     if isinstance(g, EprDemandGraph):
         return [((d.tail.site, d.tail.port), (d.head.site, d.head.port)) for d in g.demands]
-    out = []
-    for a, b in g:
-        ka = (a.site, a.port) if hasattr(a, "site") else tuple(a)
-        kb = (b.site, b.port) if hasattr(b, "site") else tuple(b)
-        out.append((ka, kb))
-    return out
+    return [(tuple(a), tuple(b)) for a, b in g]
 
 
 def _solve_component(k, local_edges):
     m = len(local_edges)
     if m == 1:
         return ComponentResult(k, 1, "isolated-demand", 0.0, True)
-    # the cap is checked ahead of both caches, so the answer never depends on
+    # the cap is checked ahead of the cache, so the answer never depends on
     # what a wider cap cached earlier in the process
     if k > EXACT_PAIRING_CAP:
         return ComponentResult(k, m, "bound", _component_bound(k, local_edges), False)
@@ -305,24 +309,20 @@ def _solve_component(k, local_edges):
         closed = m == k
         kind = "cycle" if closed else "path"
         return ComponentResult(k, m, kind, _chain_energy(k, closed), True)
-    key = _canonical_component_key(k, local_edges)
-    cached = _STRUCTURE_CACHE.get(key)
-    if cached is not None:
-        return ComponentResult(k, m, cached[1], cached[0], True)
-    val = _min_eigenvalue_coo(*_pairing_entries(local_edges, k), 2**k)
     kind = "dense" if 2**k <= DENSE_CUTOFF else "lanczos"
-    _STRUCTURE_CACHE[key] = (val, kind)
-    return ComponentResult(k, m, kind, val, True)
+    value = _pairing_minimum(*_canonical_component_key(k, local_edges))
+    return ComponentResult(k, m, kind, value, True)
 
 
 def epr_min_energy(g):
     """Minimum total pairing penalty for a demand graph.
 
     Connected slot components are independent.  Components of up to
-    EXACT_PAIRING_CAP slots are solved exactly: paths and cycles from a cache
-    per shape, other components by diagonalization (dense up to DENSE_CUTOFF,
-    Lanczos above).  A larger component of any shape gets a certified lower
-    bound (kind "bound") and is flagged inexact.
+    EXACT_PAIRING_CAP slots are solved exactly by diagonalization (dense up to
+    DENSE_CUTOFF, Lanczos above): paths and cycles in sequential slot order,
+    other components in the labeling of their canonical key.  A larger
+    component of any shape gets a certified lower bound (kind "bound") and is
+    flagged inexact.
     """
     demands = _normalize_demands(g)
     if not demands:
@@ -721,15 +721,7 @@ def sector_full_oracle(t, plug):
 
 
 def _popcount(arr):
-    arr = np.asarray(arr, dtype=np.uint64)
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(arr).astype(np.int64)
-    out = np.zeros(arr.shape, dtype=np.int64)
-    x = arr.copy()
-    while x.any():
-        out += (x & 1).astype(np.int64)
-        x >>= np.uint64(1)
-    return out
+    return np.bitwise_count(np.asarray(arr, dtype=np.uint64)).astype(np.int64)
 
 
 TABLE_ROW_CAP = 200_000  # rows of a numbering or coloring table: N <= 12 sites
@@ -872,9 +864,7 @@ class NumberingTable:
 
         The slot components of all representatives are labeled at once.  A
         component is keyed by its step pattern restricted to its own edges,
-        and each distinct key is solved by one epr_min_energy call, in the
-        order a loop over the representatives would first meet it, so the
-        shared component caches fill as they would in that loop.  Each
+        and each distinct key is solved by one epr_min_energy call.  Each
         representative then adds its components' values one at a time from 0,
         ordered as epr_min_energy orders them (most slots first, then kind,
         then first demand edge), so every value is bit-identical to solving
@@ -896,15 +886,12 @@ class NumberingTable:
         weight = 3 ** np.arange(E - 1, -1, -1, dtype=np.int64)
         key = np.zeros(len(first), dtype=np.int64)
         np.add.at(key, comp, weight[j] * reps[r, j])
-        # one epr_min_energy call per distinct key, in the order of first meeting
-        met = np.lexsort((comp_edge, comp_rep))
-        keys, first_met, inverse = np.unique(key[met], return_index=True, return_inverse=True)
-        key_of = np.empty(len(key), dtype=np.int64)
-        key_of[met] = inverse
-        solved = [None] * len(keys)
-        for k in np.argsort(first_met):
-            steps = (keys[k] // weight) % 3
-            (solved[k],) = epr_min_energy(_pattern_demands(self.edge_idx, steps)).components
+        # one epr_min_energy call per distinct key
+        keys, key_of = np.unique(key, return_inverse=True)
+        solved = [
+            epr_min_energy(_pattern_demands(self.edge_idx, (code // weight) % 3)).components[0]
+            for code in keys
+        ]
         kind_rank = {kind: i for i, kind in enumerate(sorted({c.kind for c in solved}))}
         value = np.array([c.value for c in solved])[key_of]
         exact = np.array([c.exact for c in solved], dtype=bool)[key_of]
@@ -1146,15 +1133,15 @@ def ground_energy_search(spec, plug=None):
     nt, ct = _tables(spec)
     E = nt.num_edges
     plug_name = "zero" if plug is None else plug.name
-    separable = plug is None or (
-        not np.count_nonzero(plug.horizontal) or not np.count_nonzero(plug.vertical)
-    )
+    horizontal = plug is not None and bool(np.count_nonzero(plug.horizontal))
+    vertical = plug is not None and bool(np.count_nonzero(plug.vertical))
+    separable = not (horizontal and vertical)
 
     # per-copy, per-mask minima over numberings, with each copy's one-copy
     # embedded minima folded in (the whole embedded part when separable)
     M = len(ct.masks)
     loop_cost = 2.0 * (E - ct.same_count)
-    if plug is None:
+    if not (horizontal or vertical):
         q1, argn1 = q2, argn2 = _q_sweep(ct.masks, nt)
     else:
         # like the pairing minima, one-copy embedded minima are invariant
@@ -1163,9 +1150,9 @@ def ground_energy_search(spec, plug=None):
         ev = np.zeros(len(nt.patterns))
         zero_steps = np.zeros(E, dtype=np.int8)
         reps = nt.patterns[nt.orbit_reps]
-        if np.count_nonzero(plug.horizontal):
+        if horizontal:
             eh = nt.broadcast([embedded_step_energy(spec, s, zero_steps, plug) for s in reps])
-        if np.count_nonzero(plug.vertical):
+        if vertical:
             ev = nt.broadcast([embedded_step_energy(spec, zero_steps, s, plug) for s in reps])
         q1, argn1 = _q_sweep(ct.masks, nt, eh)
         q2, argn2 = _q_sweep(ct.masks, nt, ev)
@@ -1291,7 +1278,6 @@ def ground_energy_search(spec, plug=None):
         "sectors_total": int(9 ** spec.num_sites) if spec.num_sites < 20 else None,
         "mask_pairs_swept": M * M,
         "embedded_refinements": refinements,
-        "structure_cache_size": len(_STRUCTURE_CACHE),
         "elapsed_seconds": round(time.perf_counter() - t0, 3),
     }
     return EnergyReport(
@@ -1330,28 +1316,3 @@ def single_copy_floor_check(spec):
     energy = 2.0 * (E - ct.same_count) + q
     worst = float((energy - floor).min())
     return bool(worst > -1e-9), worst
-
-
-def decide(spec, plug, p_coeffs, q_coeffs, report=None):
-    """Resolve the promise problem: ground energy at most p(n), or at least
-    p(n) + 1/q(n).  Coefficients are lowest power first."""
-    if report is None:
-        report = ground_energy_search(spec, plug)
-    if not report.certified:
-        raise SolverConvergenceError("search result is not certified; cannot decide")
-    n = spec.n
-    low = poly_eval(p_coeffs, n)
-    qn = poly_eval(q_coeffs, n)
-    if qn <= 0:
-        raise ValueError("q(n) must be positive")
-    high = low + 1.0 / qn
-    e0 = report.minimum
-    if e0 <= low + 1e-9:
-        decision = "low"
-    elif e0 >= high - 1e-9:
-        decision = "high"
-    else:
-        decision = "promise-violation"
-    report.thresholds = {"p_of_n": low, "p_plus_inv_q": high}
-    report.decision = decision
-    return report

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from rih import solver
 from rih.cli import main
 from rih.instance import reduction
 from rih.lattice import LatticeSpec
@@ -54,6 +55,23 @@ class TestSolveWitness:
         assert out["certified"] is True
         assert out["minimum"] == pytest.approx(36.0, abs=1e-9)
         assert out["argmin"] is not None
+
+    def test_solve_report_does_not_depend_on_earlier_solves(self, capsys):
+        # solving the open 3x3 and ring 7 first leaves the torus report as a
+        # fresh process gives it, timing aside
+        def solve_torus():
+            out = run_json(capsys, "solve", "--r", "2", "--n", "3")
+            del out["stats"]["elapsed_seconds"]
+            return json.dumps(out)
+
+        solver._tables.cache_clear()
+        solver._pairing_minimum.cache_clear()
+        fresh = solve_torus()
+        solver._tables.cache_clear()
+        solver._pairing_minimum.cache_clear()
+        run_json(capsys, "solve", "--r", "2", "--n", "3", "--boundary", "open")
+        run_json(capsys, "solve", "--r", "1", "--n", "7")
+        assert solve_torus() == fresh
 
     def test_threads_flag_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

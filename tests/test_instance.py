@@ -14,6 +14,9 @@ from rih.instance import (
     resolve_plug,
 )
 from rih.lattice import LatticeSpec
+from rih.solver import SolverConvergenceError, ground_energy_search
+
+TORUS = LatticeSpec(2, 3, "periodic")
 
 
 def slow_is_prime(m):
@@ -116,6 +119,44 @@ class TestDecisionSpec:
     def test_json_round_trip(self):
         ds = DecisionSpec(r=3, plug="afm", p_coeffs=(1, 2), q_coeffs=(1,), g_coeffs=(0, 5))
         assert DecisionSpec.from_json_dict(ds.to_json_dict()) == ds
+
+
+class TestDecide:
+    @staticmethod
+    def decide(p_coeffs, q_coeffs, report=None, r=2, plug="zero"):
+        ds = DecisionSpec(r=r, plug=plug, p_coeffs=p_coeffs, q_coeffs=q_coeffs)
+        return ds.decide(ground_energy_search(TORUS, None) if report is None else report)
+
+    def test_low_side(self):
+        rep = self.decide([36.0], [1.0])
+        assert rep.decision == "low"
+        assert rep.thresholds == {"p_of_n": 36.0, "p_plus_inv_q": 37.0}
+
+    def test_high_side(self):
+        rep = self.decide([35.0], [1.0])
+        assert rep.decision == "high"
+
+    def test_promise_violation(self):
+        rep = self.decide([35.5], [1.0])
+        assert rep.decision == "promise-violation"
+
+    def test_uncertified_search_refuses_to_decide(self):
+        rep = ground_energy_search(TORUS, None)
+        rep.certified = False
+        with pytest.raises(SolverConvergenceError):
+            self.decide([36.0], [1.0], report=rep)
+
+    def test_nonpositive_tolerance_polynomial_rejected(self):
+        # (0.0,) is refused at construction, so q(n) = -1 stands in
+        with pytest.raises(ValueError, match="q\\(n\\) must be positive"):
+            self.decide([36.0], [-1.0])
+
+    @pytest.mark.parametrize("r,plug", [(3, "zero"), (2, "afm")])
+    def test_report_of_another_configuration_rejected(self, r, plug):
+        rep = ground_energy_search(TORUS, None)
+        with pytest.raises(ValueError, match="configuration"):
+            self.decide([36.0], [1.0], report=rep, r=r, plug=plug)
+        assert rep.decision is None and rep.thresholds is None
 
 
 class TestReduction:
