@@ -42,11 +42,16 @@ masks, and the per-copy number minimization is a vectorized sweep:
 
 The joint embedded refinement of a non-separable plug stays per pattern.
 
-Pairing components are solved exactly up to EXACT_PAIRING_CAP slots.  A larger
-branching component gets a certified lower bound and is flagged inexact, and a
-search whose table holds such a bound is reported uncertified.  No lattice the
-numbering table accepts comes near the cap: its largest component has 9 slots
-on the 3x3 lattices and 12 on ring 12.
+Every demand joins a port-2 slot to a port-1 slot, so rotating each port-2
+slot by pi about Y turns a pairing penalty 8(I - P_Phi+) into 6 + 8 S_a.S_b:
+a pairing component is a Heisenberg antiferromagnet, and its minimum lies in
+the sector of floor(k/2) up spins on its k slots, of dimension C(k, floor(k/2))
+instead of 2^k.  Components are solved there exactly up to EXACT_PAIRING_CAP
+slots, whatever their shape.  A larger component of any shape gets the
+certified cherry bound and is flagged inexact, and a search whose table holds
+such a bound is reported uncertified.  No lattice the numbering table accepts
+comes near the cap: its largest component has 9 slots on the 3x3 lattices and
+12 on ring 12.
 
 Three process caches hold computed values, and each is a pure function of its
 input, so no result depends on what ran earlier in the process:
@@ -80,7 +85,7 @@ from rih.tiling import (
 PAIR_PENALTY = 16 * EPR_HALF_PROJECTOR  # integer-entried, one per demand
 
 DEFAULT_TOL = 1e-10
-DENSE_CUTOFF = 2**8  # dense eigvalsh up to here, eigsh above: the measured crossover
+DENSE_CUTOFF = 2**7  # dense eigvalsh up to here, eigsh above: the measured crossover
 EXACT_PAIRING_CAP = 18  # slots of the largest pairing component solved exactly
 DIAG_CAP = 2**18  # largest embedded component or sector oracle diagonalized
 SWEEP_BLOCK = 2**14  # elements per block of the mask-sweep kernels
@@ -133,18 +138,6 @@ def min_eigenvalue(op):
     return float(vals[0])
 
 
-def _pairing_entries(local_edges, k):
-    """COO entries of the summed pairing penalties on k qubit slots."""
-    e = dense_entries(PAIR_PENALTY)
-    rows, cols, vals = [], [], []
-    for a, b in local_edges:
-        r, c, v = embed_operator(e, (a, b), (2,) * k)
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-
-
 def _min_eigenvalue_coo(rows, cols, vals, dim):
     """Smallest eigenvalue of the dim x dim operator with these COO entries
     (duplicates summed).  Built dense up to DENSE_CUTOFF and as CSR above, so
@@ -158,7 +151,12 @@ def _min_eigenvalue_coo(rows, cols, vals, dim):
 
 
 def _pairing_sparse(local_edges, k):
-    r, c, v = _pairing_entries(local_edges, k)
+    """The summed pairing penalties on the full 2^k space of k qubit slots,
+    one embedded PAIR_PENALTY per demand: the build of the independent
+    oracles."""
+    e = dense_entries(PAIR_PENALTY)
+    parts = [embed_operator(e, (a, b), (2,) * k) for a, b in local_edges]
+    r, c, v = (np.concatenate(x) for x in zip(*parts))
     m = scipy.sparse.coo_matrix((v, (r, c)), shape=(2**k, 2**k)).tocsr()
     m.sum_duplicates()
     return m
@@ -166,19 +164,25 @@ def _pairing_sparse(local_edges, k):
 
 @functools.lru_cache(maxsize=None)
 def _pairing_minimum(k, edges):
-    """Exact minimum of the pairing sum on k slots with these demand edges.
-    A pure function of its arguments, so its cache never makes a value
-    depend on what ran earlier in the process."""
-    return _min_eigenvalue_coo(*_pairing_entries(edges, k), 2**k)
-
-
-def _chain_energy(k, closed):
-    """Exact minimum of the pairing sum along a path (k slots, k-1 demands) or
-    cycle (k demands), in sequential slot order."""
-    edges = tuple((i, i + 1) for i in range(k - 1))
-    if closed:
-        edges += ((k - 1, 0),)
-    return _pairing_minimum(k, edges)
+    """Exact minimum of the pairing sum on k slots with these demand edges,
+    built in the sector of floor(k/2) up spins, which the SU(2)-invariant
+    rotated sum's ground multiplet meets (see the module docstring).  A
+    demand (a, b) adds 8 on the diagonal where the two spins agree, 4 where
+    they differ, and 4 between the two states that swap them.  A pure
+    function of its arguments, so its cache never makes a value depend on
+    what ran earlier in the process."""
+    states = np.arange(2**k, dtype=np.int64)
+    states = states[np.bitwise_count(states) == k // 2]
+    every = np.arange(len(states))
+    rows, cols, vals = [], [], []
+    for a, b in edges:
+        differ = ((states >> a) ^ (states >> b)) & 1 == 1
+        src = np.flatnonzero(differ)
+        rows += [every, src]
+        cols += [every, np.searchsorted(states, states[src] ^ ((1 << a) | (1 << b)))]
+        vals += [np.where(differ, 4.0, 8.0), np.full(len(src), 4.0)]
+    entries = (np.concatenate(x) for x in (rows, cols, vals))
+    return _min_eigenvalue_coo(*entries, len(states))
 
 
 def _canonical_component_key(k, local_edges):
@@ -216,43 +220,18 @@ def _canonical_component_key(k, local_edges):
     return (k, best)
 
 
-def _component_bound(k, local_edges):
-    """Certified lower bound by partitioning demands into edge-disjoint pieces
-    and summing exact piece minima (the sum of the pieces' ground energies
-    never exceeds the whole, the summands being positive semidefinite)."""
-    m = len(local_edges)
-    cherry = 4.0 * (m // 2)
+def _component_bound(local_edges):
+    """Certified lower bound of a connected component: the cherry term.
 
-    adj = {}
-    for i, (a, b) in enumerate(local_edges):
-        adj.setdefault(a, []).append((i, b))
-        adj.setdefault(b, []).append((i, a))
-    unused = set(range(m))
-    greedy = 0.0
-    for start in range(m):
-        if start not in unused:
-            continue
-        unused.discard(start)
-        a, b = local_edges[start]
-        chain = [start]
-        ends = [a, b]
-        seen = {a, b}
-        for side in (0, 1):
-            while len(chain) < 6:
-                tip = ends[side]
-                nxt = None
-                for i, w in sorted(adj.get(tip, [])):
-                    if i in unused and w not in seen:
-                        nxt = (i, w)
-                        break
-                if nxt is None:
-                    break
-                unused.discard(nxt[0])
-                chain.append(nxt[0])
-                seen.add(nxt[1])
-                ends[side] = nxt[1]
-        greedy += _chain_energy(len(chain) + 1, False)
-    return max(cherry, greedy)
+    A connected graph with m edges splits into m // 2 edge-disjoint cherries
+    (paths of two edges) and at most one lone edge (Kotzig's theorem, with a
+    pendant edge added when m is odd).  A cherry's minimum is 4 and every
+    summand is positive semidefinite, so 4 * (m // 2) never exceeds the
+    component's minimum.  Repeated demands count once: the split needs a
+    simple graph, and dropping a copy, itself semidefinite, only lowers the
+    minimum."""
+    m = len({frozenset(e) for e in local_edges})
+    return 4.0 * (m // 2)
 
 
 @dataclass(frozen=True)
@@ -288,9 +267,17 @@ class EprEnergy:
 
 
 def _normalize_demands(g):
+    """The demands as pairs of (site, port) slots.  Each must join a port-2
+    slot to a port-1 slot: a pairing component is then bipartite with the
+    ports as its sides, which the sector build of _pairing_minimum needs."""
     if isinstance(g, EprDemandGraph):
-        return [((d.tail.site, d.tail.port), (d.head.site, d.head.port)) for d in g.demands]
-    return [(tuple(a), tuple(b)) for a, b in g]
+        demands = [((d.tail.site, d.tail.port), (d.head.site, d.head.port)) for d in g.demands]
+    else:
+        demands = [(tuple(a), tuple(b)) for a, b in g]
+    for a, b in demands:
+        if {a[1], b[1]} != {1, 2}:
+            raise ValueError(f"demand {a}-{b} does not join a port-2 slot to a port-1 slot")
+    return demands
 
 
 def _solve_component(k, local_edges):
@@ -300,29 +287,21 @@ def _solve_component(k, local_edges):
     # the cap is checked ahead of the cache, so the answer never depends on
     # what a wider cap cached earlier in the process
     if k > EXACT_PAIRING_CAP:
-        return ComponentResult(k, m, "bound", _component_bound(k, local_edges), False)
-    degs = np.zeros(k, dtype=int)
-    for a, b in local_edges:
-        degs[a] += 1
-        degs[b] += 1
-    if degs.max() <= 2:
-        closed = m == k
-        kind = "cycle" if closed else "path"
-        return ComponentResult(k, m, kind, _chain_energy(k, closed), True)
-    kind = "dense" if 2**k <= DENSE_CUTOFF else "lanczos"
+        return ComponentResult(k, m, "bound", _component_bound(local_edges), False)
     value = _pairing_minimum(*_canonical_component_key(k, local_edges))
-    return ComponentResult(k, m, kind, value, True)
+    return ComponentResult(k, m, "exact", value, True)
 
 
 def epr_min_energy(g):
     """Minimum total pairing penalty for a demand graph.
 
-    Connected slot components are independent.  Components of up to
-    EXACT_PAIRING_CAP slots are solved exactly by diagonalization (dense up to
-    DENSE_CUTOFF, Lanczos above): paths and cycles in sequential slot order,
-    other components in the labeling of their canonical key.  A larger
-    component of any shape gets a certified lower bound (kind "bound") and is
-    flagged inexact.
+    Connected slot components are independent.  A lone demand costs nothing
+    (kind "isolated-demand").  Any other component of k <= EXACT_PAIRING_CAP
+    slots is diagonalized (kind "exact") in the sector of floor(k/2) up
+    spins, of dimension C(k, floor(k/2)) rather than 2^k, in the labeling of
+    its canonical key.  A larger component gets the certified cherry bound
+    (kind "bound") and is flagged inexact.  Components are listed and summed
+    most slots first.
     """
     demands = _normalize_demands(g)
     if not demands:
@@ -351,7 +330,7 @@ def epr_min_energy(g):
         index = {s: i for i, s in enumerate(slots)}
         local = [(index[a], index[b]) for a, b in pairs]
         results.append(_solve_component(len(slots), local))
-    results.sort(key=lambda c: (-c.num_slots, c.kind))
+    results.sort(key=lambda c: -c.num_slots)
     return EprEnergy(
         value=float(sum(c.value for c in results)),
         exact=all(c.exact for c in results),
@@ -372,34 +351,6 @@ def _active_terms(steps1, steps2, plug):
         for steps, mat in ((steps1, plug.horizontal), (steps2, plug.vertical))
         if np.count_nonzero(mat) and np.count_nonzero(steps)
     ]
-
-
-def _embedded_entries(spec, steps1, steps2, plug):
-    """COO entries of the embedded operator on the d^N space for the given
-    per-edge step patterns (1 = forward, 2 = reverse, 0 = inactive)."""
-    d = plug.d
-    N = spec.num_sites
-    dims = (d,) * N
-    ei = edge_index_array(spec)
-    rows, cols, vals = [], [], []
-    for steps, mat in _active_terms(steps1, steps2, plug):
-        e = dense_entries(mat)
-        for j in range(len(ei)):
-            a, b = int(ei[j, 0]), int(ei[j, 1])
-            s = int(steps[j])
-            if s == 1:
-                pos = (a, b)
-            elif s == 2:
-                pos = (b, a)  # reversed orientation = swap-conjugated term
-            else:
-                continue
-            r, c, v = embed_operator(e, pos, dims)
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-    if not rows:
-        return None
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
 def _plug_is_diagonal(terms):
@@ -866,8 +817,8 @@ class NumberingTable:
         component is keyed by its step pattern restricted to its own edges,
         and each distinct key is solved by one epr_min_energy call.  Each
         representative then adds its components' values one at a time from 0,
-        ordered as epr_min_energy orders them (most slots first, then kind,
-        then first demand edge), so every value is bit-identical to solving
+        ordered as epr_min_energy orders them (most slots first, then first
+        demand edge), so every value is bit-identical to solving
         the representative on its own."""
         reps = self.patterns[self.orbit_reps]
         R, E = reps.shape
@@ -892,13 +843,11 @@ class NumberingTable:
             epr_min_energy(_pattern_demands(self.edge_idx, (code // weight) % 3)).components[0]
             for code in keys
         ]
-        kind_rank = {kind: i for i, kind in enumerate(sorted({c.kind for c in solved}))}
         value = np.array([c.value for c in solved])[key_of]
         exact = np.array([c.exact for c in solved], dtype=bool)[key_of]
         slots = np.array([c.num_slots for c in solved], dtype=np.int64)[key_of]
-        kind = np.array([kind_rank[c.kind] for c in solved], dtype=np.int64)[key_of]
         # each representative's sum, one component at a time
-        order = np.lexsort((comp_edge, kind, -slots, comp_rep))
+        order = np.lexsort((comp_edge, -slots, comp_rep))
         rep_sorted, value = comp_rep[order], value[order]
         position = np.arange(len(order)) - np.searchsorted(rep_sorted, rep_sorted)
         total = np.zeros(R)

@@ -14,6 +14,8 @@ from rih.hamiltonian import (
     EPR_HALF_PROJECTOR,
     TranslationPlug,
     build_single_copy_term,
+    dense_entries,
+    embed_operator,
     toy_plugs,
 )
 from rih.lattice import LatticeSpec, edge_index_array, lattice_symmetry_permutations
@@ -65,7 +67,7 @@ class TestMinEigenvalue:
         # two penalties sharing one slot cannot both reach zero; the floor is
         # a quarter of the single-penalty weight
         t0 = time.time()
-        val = solver._chain_energy(3, False)
+        val = solver._pairing_minimum(*_chain(3, False))
         assert val / 16 == pytest.approx(0.25, abs=1e-12)
         assert time.time() - t0 < 1.0
 
@@ -80,29 +82,76 @@ class TestMinEigenvalue:
         )
 
 
+def _chain(k, closed):
+    """(k, edges) of a path of k slots or, closed, a cycle of k slots, in
+    sequential slot order."""
+    edges = tuple((i, i + 1) for i in range(k - 1))
+    return k, edges + ((k - 1, 0),) if closed else edges
+
+
+@st.composite
+def bipartite_components(draw):
+    """(k, edges) of a connected demand graph on k <= 12 slots whose two
+    sides are the ports: a random spanning tree that joins each slot to an
+    earlier one on the other side, plus extra demands that may repeat."""
+    k = draw(st.integers(2, 12))
+    side = [0, 1] + draw(st.lists(st.integers(0, 1), min_size=k - 2, max_size=k - 2))
+    edges = [
+        (draw(st.sampled_from([u for u in range(v) if side[u] != side[v]])), v)
+        for v in range(1, k)
+    ]
+    across = [(a, b) for a in range(k) for b in range(k) if side[a] < side[b]]
+    edges += draw(st.lists(st.sampled_from(across), max_size=k))
+    return k, tuple(draw(st.permutations(edges)))
+
+
 class TestChainEnergies:
     def test_single_demand_is_free(self):
-        assert solver._chain_energy(2, False) == pytest.approx(0.0, abs=1e-12)
-
-    def test_triangle_cycle(self):
-        assert solver._chain_energy(3, True) == pytest.approx(8.0, abs=1e-9)
+        assert solver._pairing_minimum(*_chain(2, False)) == pytest.approx(0.0, abs=1e-12)
 
     def test_paths_monotone_in_length(self):
-        vals = [solver._chain_energy(k, False) for k in range(2, 9)]
+        vals = [solver._pairing_minimum(*_chain(k, False)) for k in range(2, 9)]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
     def test_cycle_dominates_path(self):
         # dropping one summand can only lower the minimum
-        for k in (3, 4, 5, 6):
-            assert solver._chain_energy(k, True) >= solver._chain_energy(k, False) - 1e-9
+        for k in (4, 6):
+            assert solver._pairing_minimum(*_chain(k, True)) >= (
+                solver._pairing_minimum(*_chain(k, False)) - 1e-9
+            )
 
     @pytest.mark.parametrize("k,closed", [(4, False), (5, False), (4, True), (6, True)])
     def test_cache_matches_direct_build(self, k, closed):
-        local = [(i, i + 1) for i in range(k - 1)]
-        if closed:
-            local.append((k - 1, 0))
+        _, local = _chain(k, closed)
         direct = np.linalg.eigvalsh(solver._pairing_sparse(local, k).toarray()).min()
-        assert solver._chain_energy(k, closed) == pytest.approx(direct, abs=1e-10)
+        assert solver._pairing_minimum(k, local) == pytest.approx(direct, abs=1e-10)
+
+
+class TestPairingMinimum:
+    @settings(max_examples=20, deadline=None)
+    @given(bipartite_components())
+    def test_sector_build_matches_the_full_space(self, component):
+        k, edges = component
+        direct = np.linalg.eigvalsh(solver._pairing_sparse(edges, k).toarray()).min()
+        assert abs(solver._pairing_minimum(k, edges) - direct) <= 1e-10
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_paths_and_even_cycles_get_one_key(self, closed):
+        # every relabeling and orientation of a chain meets one cache entry
+        rng = np.random.default_rng(7)
+        for k in range(4 if closed else 3, 19, 2 if closed else 1):
+            _, edges = _chain(k, closed)
+            keys = set()
+            for _ in range(50):
+                relabel = rng.permutation(k)
+                flips = rng.integers(0, 2, len(edges))
+                moved = [
+                    (relabel[b], relabel[a]) if flip else (relabel[a], relabel[b])
+                    for (a, b), flip in zip(edges, flips)
+                ]
+                moved = [moved[i] for i in rng.permutation(len(moved))]
+                keys.add(solver._canonical_component_key(k, moved))
+            assert len(keys) == 1, k
 
 
 class TestEprMinEnergy:
@@ -118,7 +167,7 @@ class TestEprMinEnergy:
         r = solver.epr_min_energy(epr_demand_graph(t, 1))
         assert r.value == pytest.approx(4.0, abs=1e-10)
         (comp,) = r.components
-        assert comp.kind == "path" and comp.num_slots == 3
+        assert comp.kind == "exact" and comp.num_slots == 3
 
     def test_empty(self):
         r = solver.epr_min_energy([])
@@ -136,6 +185,22 @@ class TestEprMinEnergy:
         va = solver.epr_min_energy(a).value
         vb = solver.epr_min_energy(b).value
         assert solver.epr_min_energy(a + b).value == pytest.approx(va + vb, abs=1e-9)
+
+    @pytest.mark.parametrize("demand", [((0, 2), (1, 2)), ((0, 1), (1, 1)), ((0, 2), (1, 0))])
+    def test_demand_off_the_two_ports_is_refused(self, demand):
+        # the sector build holds only when each demand joins port 2 to port 1
+        with pytest.raises(ValueError, match="port-2 slot to a port-1 slot"):
+            solver.epr_min_energy([((5, 2), (6, 1)), demand])
+
+    def test_repeated_demands_count_once_in_the_bound(self, monkeypatch):
+        # ten copies of one demand share a zero mode, so they must not count
+        # as five cherries
+        g = [((0, 2), (1, 1))] * 10 + [((2, 2), (1, 1))]
+        exact = solver.epr_min_energy(g)
+        monkeypatch.setattr(solver, "EXACT_PAIRING_CAP", 2)
+        bound = solver.epr_min_energy(g)
+        assert not bound.exact
+        assert bound.value == 4.0 <= exact.value + 1e-9
 
     def test_oversized_component_reports_certified_bound(self, monkeypatch):
         # 11 slots; a cap below that size forces the bound tier
@@ -156,7 +221,7 @@ class TestEprMinEnergy:
         g = epr_demand_graph(t, 1)
         exact = solver.epr_min_energy(g)
         (comp,) = exact.components
-        assert (comp.num_slots, comp.kind, comp.exact) == (9, "path", True)
+        assert (comp.num_slots, comp.kind, comp.exact) == (9, "exact", True)
         monkeypatch.setattr(solver, "EXACT_PAIRING_CAP", 8)
         bound = solver.epr_min_energy(g)
         (comp,) = bound.components
@@ -164,13 +229,13 @@ class TestEprMinEnergy:
         assert not bound.exact
         assert bound.value <= exact.value + 1e-9
 
-    @pytest.mark.parametrize("k,kind", [(5, "dense"), (8, "dense"), (9, "lanczos"), (10, "lanczos")])
-    def test_component_kind_names_the_method_used(self, k, kind):
-        # a star of k-1 demands into one slot branches, so it is neither path
-        # nor cycle; the label follows the dense cutoff (2**8), not a slot tier
+    @pytest.mark.parametrize("k", [5, 8, 9, 10])
+    def test_star_is_exact(self, k):
+        # a star of k-1 demands into one slot branches; it is solved like any
+        # other component, on either side of the dense cutoff
         g = [((i, 2), (99, 1)) for i in range(k - 1)]
         (comp,) = solver.epr_min_energy(g).components
-        assert (comp.num_slots, comp.kind, comp.exact) == (k, kind, True)
+        assert (comp.num_slots, comp.kind, comp.exact) == (k, "exact", True)
         local = [(i, k - 1) for i in range(k - 1)]
         direct = np.linalg.eigvalsh(solver._pairing_sparse(local, k).toarray()).min()
         assert comp.value == pytest.approx(direct, abs=1e-9)
@@ -209,6 +274,36 @@ class TestEprMinEnergy:
             assert full.value >= prefix.value - 1e-8
 
 
+def _embedded_entries(spec, steps1, steps2, plug):
+    """COO entries of the embedded operator on the d^N space for the given
+    per-edge step patterns (1 = forward, 2 = reverse, 0 = inactive), one
+    embedded term per active edge: the reference build for the solver's
+    classical sweep."""
+    d = plug.d
+    N = spec.num_sites
+    dims = (d,) * N
+    ei = edge_index_array(spec)
+    rows, cols, vals = [], [], []
+    for steps, mat in solver._active_terms(steps1, steps2, plug):
+        e = dense_entries(mat)
+        for j in range(len(ei)):
+            a, b = int(ei[j, 0]), int(ei[j, 1])
+            s = int(steps[j])
+            if s == 1:
+                pos = (a, b)
+            elif s == 2:
+                pos = (b, a)  # reversed orientation = swap-conjugated term
+            else:
+                continue
+            r, c, v = embed_operator(e, pos, dims)
+            rows.append(r)
+            cols.append(c)
+            vals.append(v)
+    if not rows:
+        return None
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
 class TestEmbedded:
     def test_witness_with_alternating_plug(self):
         w = striped_witness(TORUS)
@@ -231,7 +326,7 @@ class TestEmbedded:
         s1 = np.array([1, 2, 1], dtype=np.int8)
         s2 = np.zeros(3, dtype=np.int8)
         fast = solver.embedded_step_energy(RING, s1, s2, plug)
-        r, c, v = solver._embedded_entries(RING, s1, s2, plug)
+        r, c, v = _embedded_entries(RING, s1, s2, plug)
         dim = plug.d ** RING.num_sites
         dense = np.zeros((dim, dim))
         np.add.at(dense, (r, c), v)
@@ -724,6 +819,18 @@ class TestReducedTables:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "spec,solves",
+        [(TORUS, 50), (OPEN3, 27), (LatticeSpec(1, 12), 10)],
+        ids=["torus3x3", "open3x3", "ring12"],
+    )
+    def test_each_component_class_is_solved_once(self, spec, solves):
+        # paths and cycles go through the canonical key like every other
+        # shape, so the table fills one cache entry per key
+        solver._pairing_minimum.cache_clear()
+        solver.NumberingTable(spec).solve_all()
+        assert solver._pairing_minimum.cache_info().currsize == solves
 
     def test_ring_twelve_is_the_largest_accepted(self):
         digits = solver._site0_digits(LatticeSpec(1, 12), "numbering")
