@@ -32,7 +32,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse
 
 from rih.lattice import edges
@@ -696,4 +695,6 @@ def export_matrix_market(term, path, spec=None):
     else:
         M = global_hamiltonian(spec, term)
         comment += f"\nsummed over nearest-neighbor pairs of {spec.to_json_dict()}"
+    import scipy.io  # only export needs it, so `import rih` does not load it
+
     scipy.io.mmwrite(path, M, comment=comment)

@@ -3,6 +3,11 @@
 The side length carries the input string in its binary layout: n = 3p where
 p is a prime whose most significant third of bits spells the input.  The
 two-body interaction never changes with the input; only the lattice grows.
+
+Primality is Miller-Rabin with random bases drawn from a seeded stream; below
+PSI_12 the twelve-prime base set proves the answer, and the stream is still
+advanced exactly as the random-base test would advance it, so every search
+draws the same candidates.
 """
 
 from __future__ import annotations
@@ -18,14 +23,38 @@ MR_ROUNDS = 64  # composite escape probability below 4^-64
 DEFAULT_TRIAL_BUDGET = 200_000
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Smallest strong pseudoprime to all twelve _SMALL_PRIMES bases
+# (= 399165290221 * 798330580441): Jiang & Deng, Math. Comp. 83 (2014);
+# Sorenson & Webster, Math. Comp. 86 (2017).  Every odd m < PSI_12 that
+# passes those twelve strong tests is prime.
+PSI_12 = 318665857834031151167461
 
 
 class TrialBudgetError(RuntimeError):
     """The randomized prime search ran out of attempts."""
 
 
+def _strong_probable_prime(m, a, d, s):
+    """Strong test of odd m - 1 = d * 2^s to base a; False means a witnesses
+    that m is composite."""
+    x = pow(a, d, m)
+    if x == 1 or x == m - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % m
+        if x == m - 1:
+            return True
+    return False
+
+
 def is_probable_prime(m, rounds=MR_ROUNDS, rng=None):
-    """Miller-Rabin with independent uniform bases."""
+    """Miller-Rabin with independent uniform bases.
+
+    Below PSI_12 the twelve _SMALL_PRIMES bases decide primality outright.  A
+    prime passes every random round, so on that path the `rounds` bases are
+    drawn from `rng` but not tested: the result and the state `rng` is left
+    in are those of the plain random-base test for every input.
+    """
     if m < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -35,16 +64,12 @@ def is_probable_prime(m, rounds=MR_ROUNDS, rng=None):
     s = (d & -d).bit_length() - 1
     d >>= s
     rng = rng if rng is not None else random.Random(0x5EED)
+    if m < PSI_12 and all(_strong_probable_prime(m, a, d, s) for a in _SMALL_PRIMES):
+        for _ in range(rounds):
+            rng.randrange(2, m - 1)
+        return True
     for _ in range(rounds):
-        a = rng.randrange(2, m - 1)
-        x = pow(a, d, m)
-        if x == 1 or x == m - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
+        if not _strong_probable_prime(m, rng.randrange(2, m - 1), d, s):
             return False
     return True
 

@@ -336,8 +336,7 @@ def epr_demand_graph(t, copy):
     g = EprDemandGraph(copy=copy)
     spec = t.spec
     c, m = t.colors(copy), t.numbers(copy)
-    for u, v in edges(spec):
-        iu, iv = spec.site_index(u), spec.site_index(v)
+    for (u, v), (iu, iv) in zip(edges(spec), edge_index_array(spec).tolist()):
         step = (int(m[iv]) - int(m[iu])) % 3
         if step == 0:
             if c[iu] == c[iv]:
@@ -409,7 +408,7 @@ def h1lb_bound(t, copy):
     form 2 n^r r - sum n_u + 4 sum floor(n_u/3).
     """
     deg = _same_color_degrees(t, copy)
-    E = len(edges(t.spec))
+    E = len(edge_index_array(t.spec))
     return 2 * E - int(deg.sum()) + 4 * int((deg // 3).sum())
 
 

@@ -1,9 +1,14 @@
 """End-to-end runs of the command-line entry point, in process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rih
 from rih import solver
 from rih.cli import main
 from rih.instance import reduction
@@ -22,6 +27,18 @@ def run_json(capsys, *argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0, out
     return json.loads(out)
+
+
+def test_import_leaves_scipy_io_unloaded():
+    # scipy.io is imported by export_matrix_market alone, not by `import rih.cli`
+    src = str(Path(rih.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, rih.cli; print('scipy.io' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestEncodeReduce:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from rih.hamiltonian import term_hash
 from rih.instance import (
+    PSI_12,
     DecisionSpec,
     InstanceEncoding,
     TrialBudgetError,
@@ -28,6 +30,85 @@ def slow_is_prime(m):
             return False
         k += 1
     return True
+
+
+def reference_is_probable_prime(m, rounds=64, rng=None):
+    """Miller-Rabin with `rounds` uniform random bases and no proof path."""
+    if m < 2:
+        return False
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if m % q == 0:
+            return m == q
+    d = m - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    rng = rng if rng is not None else random.Random(0x5EED)
+    for _ in range(rounds):
+        a = rng.randrange(2, m - 1)
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _seeded_odd(count, seed):
+    g = random.Random(seed)
+    return [g.getrandbits(g.randint(2, 90)) | 1 for _ in range(count)]
+
+
+# Carmichael numbers, the smallest strong pseudoprimes to the first one, four
+# and nine prime bases, and to all twelve (PSI_12), then seeded odd m of 2-90 bits
+STREAM_CASES = (
+    [561, 1105, 1729, 6601, 8911, 2821, 2047, 3215031751, 3825123056546413051, PSI_12]
+    + _seeded_odd(2000, 11)
+    + [m + 2 for m in _seeded_odd(100, 12)]
+)
+
+
+class TestPrimalityStream:
+    @pytest.mark.parametrize("rounds", [0, 1, 64])
+    def test_matches_reference_in_result_and_rng_state(self, rounds):
+        for m in STREAM_CASES:
+            a, b = random.Random(m), random.Random(m)
+            got = is_probable_prime(m, rounds, a)
+            assert got == reference_is_probable_prime(m, rounds, b), m
+            assert a.getstate() == b.getstate(), m
+
+    def test_psi12_is_the_first_twelve_base_pseudoprime(self):
+        assert PSI_12 == 399165290221 * 798330580441
+        assert not is_probable_prime(PSI_12, rng=random.Random(0))
+        assert not reference_is_probable_prime(PSI_12, rng=random.Random(0))
+
+    def test_default_rng_gives_reference_result(self):
+        for m in STREAM_CASES[:60]:
+            assert is_probable_prime(m) == reference_is_probable_prime(m), m
+
+    def test_c11_encodings_pinned(self):
+        # the (x, p) pairs of acceptance criterion c11; digest taken before the
+        # twelve-base proof path was added
+        rng = random.Random(20260822)
+        check_rng = random.Random(777)
+        h = hashlib.sha256()
+        for i in range(1000):
+            bits = rng.randint(1, 16)
+            x = "1" + "".join(rng.choice("01") for _ in range(bits - 1))
+            p = f_search(x, seed=i).p
+            assert is_probable_prime(p, rounds=64, rng=check_rng)
+            h.update(f"{x},{p}\n".encode())
+        assert h.hexdigest() == (
+            "16befaa1630a7d298ebe73f22ea6e18cc198eb4d62d45a968cf2fea8ed66cfc1"
+        )
+        # each prime check drew its 64 bases from the shared stream
+        assert check_rng.random() == 0.9819423731861668
+
+    def test_f_search_101_pinned(self):
+        assert f_search("101", seed=0).p == 331
 
 
 class TestPrimality:

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -127,12 +128,21 @@ class TestChainEnergies:
         assert solver._pairing_minimum(k, local) == pytest.approx(direct, abs=1e-10)
 
 
+def _full_space_minimum(edges, k):
+    """Minimum of the 2^k pairing build: dense up to 2^10, ARPACK above."""
+    m = solver._pairing_sparse(edges, k)
+    if k <= 10:
+        return np.linalg.eigvalsh(m.toarray()).min()
+    v0 = np.random.default_rng(k).standard_normal(2**k)
+    return scipy.sparse.linalg.eigsh(m, k=1, which="SA", v0=v0, return_eigenvectors=False)[0]
+
+
 class TestPairingMinimum:
     @settings(max_examples=20, deadline=None)
     @given(bipartite_components())
     def test_sector_build_matches_the_full_space(self, component):
         k, edges = component
-        direct = np.linalg.eigvalsh(solver._pairing_sparse(edges, k).toarray()).min()
+        direct = _full_space_minimum(edges, k)
         assert abs(solver._pairing_minimum(k, edges) - direct) <= 1e-10
 
     @pytest.mark.parametrize("closed", [False, True])

@@ -14,6 +14,8 @@ from rih.lattice import (
 from rih.tiling import (
     RULE_DIFF_COLOR_DIFF_NUMBER,
     RULE_SAME_COLOR_SAME_NUMBER,
+    Demand,
+    EprDemandGraph,
     Slot,
     Tiling,
     classical_energy,
@@ -225,7 +227,49 @@ class TestClassify:
                 assert fg.uniformly_directed == f.uniformly_directed
 
 
+def reference_demand_graph(t, copy):
+    """The demand graph built literally: two site_index lookups per edge."""
+    g = EprDemandGraph(copy=copy)
+    spec = t.spec
+    c, m = t.colors(copy), t.numbers(copy)
+    for u, v in edges(spec):
+        iu, iv = spec.site_index(u), spec.site_index(v)
+        step = (int(m[iv]) - int(m[iu])) % 3
+        if step == 0:
+            if c[iu] == c[iv]:
+                g.rule_conflicts.append((u, v))
+            continue
+        tail, head = (iu, iv) if step == 1 else (iv, iu)
+        g.demands.append(
+            Demand(tail=Slot(tail, copy, 2), head=Slot(head, copy, 1), edge=(u, v))
+        )
+    return g
+
+
+DEMAND_SPECS = [
+    LatticeSpec(2, 3),
+    LatticeSpec(2, 3, OPEN),
+    LatticeSpec(1, 5),
+    LatticeSpec(1, 7),
+    LatticeSpec(1, 6, OPEN),
+]
+
+
 class TestDemandGraph:
+    @pytest.mark.parametrize("spec", DEMAND_SPECS, ids=str)
+    def test_matches_literal_construction(self, spec):
+        rng = np.random.default_rng(spec.num_sites)
+        for _ in range(40):
+            t = random_tiling(spec, rng)
+            for copy in (1, 2):
+                got, want = epr_demand_graph(t, copy), reference_demand_graph(t, copy)
+                assert got.demands == want.demands
+                assert got.rule_conflicts == want.rule_conflicts
+                assert all(type(d.tail.site) is int for d in got.demands)
+            deg = [same_color_degree(t, 1, u) for u in spec.sites()]
+            want_bound = 2 * len(edges(spec)) - sum(deg) + 4 * sum(n // 3 for n in deg)
+            assert h1lb_bound(t, 1) == want_bound
+
     def test_ring_cycle_demands(self):
         # numbers 0,1,2 around a 3-ring: three demands, every slot used once
         spec = LatticeSpec(1, 3)
