@@ -158,8 +158,30 @@ def _index_rules(rs):
     return pos, allowed_h, allowed_v
 
 
+def _row_count(n, allowed_h, wrap):
+    """How many rows _valid_rows yields, counted without building one: the
+    sum of A^(n-1) over the allowed-successor matrix A, or with wrap the
+    trace of A^n.  Each product saturates at ROW_CAP + 1, so the int64
+    entries stay far below overflow and the count is exact up to the cap
+    (a saturated entry times a nonzero one saturates either way)."""
+    cap = ROW_CAP + 1
+    step = allowed_h.astype(np.int64)
+    power = np.eye(len(step), dtype=np.int64)
+    e = n if wrap else n - 1
+    while e:
+        if e & 1:
+            power = np.minimum(power @ step, cap)
+        step = np.minimum(step @ step, cap)
+        e >>= 1
+    return min(int(np.trace(power) if wrap else power.sum()), cap)
+
+
 def _valid_rows(n, k, allowed_h, wrap):
-    """Depth-first generation of horizontally consistent rows, in lex order."""
+    """Depth-first generation of horizontally consistent rows, in lex order.
+    The rows are counted first, so an oversized row space fails before any
+    row is built."""
+    if _row_count(n, allowed_h, wrap) > ROW_CAP:
+        raise RuleSetError("row space exceeds the enumeration cap")
     succ = [np.flatnonzero(allowed_h[a]).tolist() for a in range(k)]
     rows = []
     stack = [(t,) for t in reversed(range(k))]
@@ -168,8 +190,6 @@ def _valid_rows(n, k, allowed_h, wrap):
         if len(prefix) == n:
             if not wrap or allowed_h[prefix[-1], prefix[0]]:
                 rows.append(prefix)
-                if len(rows) > ROW_CAP:
-                    raise RuleSetError("row space exceeds the enumeration cap")
             continue
         for t in reversed(succ[prefix[-1]]):
             stack.append(prefix + (t,))

@@ -16,9 +16,11 @@ branching site by site:
   * color-only costs (different-color penalties, both-copies-same coupling)
     depend only on the two masks;
   * a step pattern's pairing minimum and one-copy embedded minimum are the
-    same for every image of the pattern under the lattice symmetries, so each
-    is solved once per symmetry orbit (150 orbits for the 6,561 patterns of
-    the 3x3 torus) and broadcast to the orbit's members.
+    same for every image of the pattern under the lattice symmetries, and a
+    color mask's minimum over the patterns is the same for every image of
+    the mask, so each is solved once per symmetry orbit (150 orbits for the
+    6,561 patterns and 75 for the 2,914 masks of the 3x3 torus) and
+    broadcast to the orbit's members.
 
 A global shift of a copy's numbers or colors changes neither its step
 pattern nor its same-color mask, so the numbering and coloring tables are
@@ -33,8 +35,9 @@ masks, and the per-copy number minimization is a vectorized sweep:
 
   * a violation count depends on a step pattern only through its zero mask,
     so patterns group by zero mask (2,914 groups for 6,561 patterns on the
-    3x3 torus) and the per-mask minima are one min-plus product of the masks
-    against the groups, through an AND-popcount kernel taken in blocks;
+    3x3 torus) and the per-mask minima are one min-plus product of the mask
+    orbits' representatives against the groups, through an AND-popcount
+    kernel taken in blocks;
   * a mask pair's value values1[i] + values2[j] + |m_i & m_j| is bounded
     below by values1[i] + values2[j], so the pair sweep evaluates only the
     pairs whose bound reaches the pair of row minima (4 of 8.5M on the 3x3
@@ -383,7 +386,7 @@ def _embedded_diag_dp(spec, costs, d):
     m = N // n  # sites per layer; lex order keeps layers contiguous
     S = d**m
     if S > 4096 or S * S * n > 2 * 10**8:
-        raise ValueError(f"layer state space {S} too large for the classical sweep")
+        raise BudgetExceeded(f"layer state space {S} too large for the classical sweep")
     idx = np.arange(S, dtype=np.int64)
     digits = np.empty((S, m), dtype=np.int64)
     for k in range(m - 1, -1, -1):
@@ -483,7 +486,7 @@ def embedded_step_energy(spec, steps1, steps2, plug):
         k = len(comp_sites)
         dim = d**k
         if dim > DIAG_CAP:
-            raise ValueError(f"embedded component dimension {dim} exceeds cap {DIAG_CAP}")
+            raise BudgetExceeded(f"embedded component dimension {dim} exceeds cap {DIAG_CAP}")
         dims = (d,) * k
         rows, cols, vals = [], [], []
         for j in sites_edges:
@@ -585,7 +588,7 @@ def sector_qubit_oracle(t, copy):
     N = t.spec.num_sites
     k = 2 * N
     if 2**k > DIAG_CAP:
-        raise ValueError(f"qubit space 2^{k} exceeds cap {DIAG_CAP}")
+        raise BudgetExceeded(f"qubit space 2^{k} exceeds cap {DIAG_CAP}")
     g = epr_demand_graph(t, copy)
     # slot (site, port) -> qubit index: in-port then out-port per site
     local = [
@@ -619,7 +622,7 @@ def sector_full_oracle(t, plug):
     dims = per_site * N
     dim = math.prod(dims)  # Python ints: numpy's int64 product wraps past 2**63
     if dim > DIAG_CAP:
-        raise ValueError(f"sector space {dim} exceeds cap {DIAG_CAP}")
+        raise BudgetExceeded(f"sector space {dim} exceeds cap {DIAG_CAP}")
 
     def pos(site, factor):
         return 5 * site + factor
@@ -725,6 +728,19 @@ def _generators(perms):
     return gens
 
 
+def _orbit_labels(n, images):
+    """Orbits of the items 0..n-1 under a generating set of the lattice
+    symmetries, given each generator's image of every item.  The images join
+    the items into connected components, the orbits, and each orbit's
+    representative is its smallest item.
+
+    Returns (orbit_reps, orbit_of): the representative of each orbit in
+    ascending order, and the orbit index of every item."""
+    items = np.arange(n)  # the identity keeps a fixed item in its own orbit
+    canon = _components(n, np.tile(items, len(images) + 1), np.concatenate([items, *images]))
+    return np.unique(canon, return_inverse=True)
+
+
 def _pattern_demands(edge_idx, steps):
     """Pairing demands of a step pattern, in edge order: a forward step on
     edge (a, b) asks slot (a, 2) to pair with (b, 1), a reverse one (b, 2)
@@ -770,6 +786,11 @@ class NumberingTable:
             self.zero_mask |= z[:, j].astype(np.uint64) << np.uint64(j)
         # violation counts depend on a pattern only through its zero mask
         self.zero_groups, self.group_of = np.unique(self.zero_mask, return_inverse=True)
+        # the patterns by group, then by index, and where each group starts
+        self.group_order = np.argsort(self.group_of, kind="stable")
+        self.group_starts = np.searchsorted(
+            self.group_of[self.group_order], np.arange(len(self.zero_groups))
+        )
         self.num_edges = E
         # pattern index of the numbering in each row of the site-0 digit table
         pattern_at = np.empty(P, dtype=np.int64)
@@ -784,24 +805,19 @@ class NumberingTable:
         A symmetry g moves numbering x to the numbering that carries x[i] at
         site g[i]; less its value at site 0 (mod 3), that is a row of the
         site-0 digit table whose base-3 digits are its row index, and its
-        pattern is the image of x's.  Images under a generating set of the
-        symmetries join the patterns into connected components, the orbits,
-        and each orbit's representative is its smallest pattern index.
-
-        Returns (orbit_reps, orbit_of): the representative pattern of each
-        orbit in ascending order, and the orbit index of every pattern.
+        pattern is the image of x's.  _orbit_labels joins the patterns into
+        orbits by their images under a generating set of the symmetries.
         """
         P, N = self.digits.shape
         place = 3 ** np.arange(N - 1, -1, -1, dtype=np.int64)
-        images = [np.arange(P)]  # the identity: every pattern is in its own orbit
+        images = []
         for g in _generators(lattice_symmetry_permutations(self.spec)):
             origin = self.digits[:, np.argsort(g)[0]]  # value moved onto site 0
             row = np.zeros(P, dtype=np.int64)
             for i in range(N):
                 row += place[g[i]] * ((self.digits[:, i] - origin) % 3)
             images.append(pattern_at[row])
-        canon = _components(P, np.tile(images[0], len(images)), np.concatenate(images))
-        return np.unique(canon, return_inverse=True)
+        return _orbit_labels(P, images)
 
     def broadcast(self, rep_values):
         """Spread per-orbit values (in orbit_reps order) over every pattern."""
@@ -862,12 +878,15 @@ class NumberingTable:
 
 class ColoringTable:
     """Distinct same-color edge masks over all colorings of a small lattice,
-    with one representative coloring per mask and mask-level geometry flags.
+    with one representative coloring per mask, mask-level geometry flags and
+    the lattice-symmetry orbits of the masks.
 
     A global shift of the colors keeps every mask, so the masks are read off
     the 3^(N-1) colorings with site 0 fixed to 0; each mask's representative
     is the first such coloring in lexicographic order, which is also its first
-    coloring over all 3^N."""
+    coloring over all 3^N.  A symmetry permutes the edges, so it maps masks to
+    masks: orbit_reps and orbit_of group the masks as NumberingTable groups
+    the patterns (75 orbits for the 2,914 masks of the 3x3 torus)."""
 
     def __init__(self, spec):
         digits = _site0_digits(spec, "coloring")
@@ -894,6 +913,23 @@ class ColoringTable:
         self.same_degree = deg
         self.looped = (deg == 2).all(axis=1)
         self.has_turn = self._turn_flags()
+        self.orbit_reps, self.orbit_of = self._orbits()
+
+    def _orbits(self):
+        """Lattice-symmetry orbits of the masks.  A symmetry g carries edge
+        (a, b) to edge (g[a], g[b]), so it moves a mask's bits along that edge
+        permutation; the moved mask is another mask of the table, found by
+        searchsorted on the sorted masks."""
+        edge_at = {(int(a), int(b)): j for j, (a, b) in enumerate(self.edge_idx)}
+        images = []
+        for g in _generators(lattice_symmetry_permutations(self.spec)):
+            moved = np.zeros_like(self.masks)
+            for j, (a, b) in enumerate(self.edge_idx):
+                ga, gb = int(g[a]), int(g[b])
+                bit = (self.masks >> np.uint64(j)) & np.uint64(1)
+                moved |= bit << np.uint64(edge_at[min(ga, gb), max(ga, gb)])
+            images.append(np.searchsorted(self.masks, moved))
+        return _orbit_labels(len(self.masks), images)
 
     def _turn_flags(self):
         spec = self.spec
@@ -946,55 +982,65 @@ def _violations(mask, nt):
 def _group_minima(nt, extra):
     """For each violation count v and zero-mask group z, the smallest
     8.0*v + epr (+ extra) over the group's patterns, with the smallest pattern
-    index attaining it.  Both tables have shape (E + 1, Z); each value is
-    computed as 8.0*v + epr (+ extra), so it is bit-identical to summing a
-    pattern's terms on its own."""
+    index attaining it; extra holds one value per pattern orbit.  Both tables
+    are flat, indexed v*Z + z; each value is computed as 8.0*v + epr
+    (+ extra), so it is bit-identical to summing a pattern's terms on its
+    own."""
     E, Z = nt.num_edges, len(nt.zero_groups)
-    order = np.argsort(nt.group_of, kind="stable")  # by group, then pattern index
+    order, starts = nt.group_order, nt.group_starts
     group_sorted = nt.group_of[order]
-    starts = np.searchsorted(group_sorted, np.arange(Z))
     sizes = np.diff(np.append(starts, len(order)))
+    epr = nt.epr[order]
+    extra = None if extra is None else nt.broadcast(extra)[order]
     value = np.empty((E + 1, Z))
     arg = np.empty((E + 1, Z), dtype=np.int32)
     for v in range(E + 1):
-        vals = 8.0 * v + nt.epr
+        vals = 8.0 * v + epr
         if extra is not None:
             vals = vals + extra
-        vals = vals[order]
         value[v] = np.minimum.reduceat(vals, starts)
         hit = np.flatnonzero(vals == np.repeat(value[v], sizes))
         arg[v] = order[hit[np.searchsorted(group_sorted[hit], np.arange(Z))]]
-    return value, arg
+    return value.ravel(), arg.ravel()
 
 
-def _q_sweep(masks, nt, extra=None):
+def _table_rows(masks, nt):
+    """The row kernel: for each mask and each zero-mask group z, the flat
+    index viol*Z + z into the _group_minima tables, with
+    viol = 2*|m & z| + (E - |z|) - |m|.  Shape (len(masks), Z)."""
+    E, Z = nt.num_edges, len(nt.zero_groups)
+    idx = _popcount(masks[:, None] & nt.zero_groups) * (2 * Z)
+    idx += (E - _popcount(nt.zero_groups)) * Z + np.arange(Z)
+    idx -= _popcount(masks)[:, None] * Z
+    return idx
+
+
+def _q_sweep(nt, ct, extra=None):
     """Per mask, the min over step patterns of 8*violations + pairing
-    (+ extra per pattern), with the smallest pattern index attaining it.
+    (+ extra), and a function giving, for one mask index, the smallest
+    pattern index attaining it.
 
-    Computed for every mask at once as a min-plus product of the masks
-    against the zero-mask groups, taken in blocks of about SWEEP_BLOCK
-    elements.  Returns (q, argmin) arrays."""
+    extra holds one value per pattern orbit, in orbit_reps order, and is
+    broadcast inside, so like the pairing minima it is invariant under the
+    lattice symmetries.  A symmetry maps masks to masks and zero groups to
+    zero groups and keeps every violation count, so a mask's candidate values
+    are those of its orbit's representative: the row kernel runs over the
+    representatives only, in blocks of about SWEEP_BLOCK elements, and q is
+    broadcast to the other masks bit for bit.  The argmin is a per-row
+    quantity, so the same row kernel computes it only for the masks read."""
     value, arg = _group_minima(nt, extra)
-    value, arg = value.ravel(), arg.ravel()
-    E, Z, M = nt.num_edges, len(nt.zero_groups), len(masks)
-    # flat table index (viol, z) = viol*Z + z with
-    # viol = 2*|m & z| + (E - |z|) - |m|
-    col = (E - _popcount(nt.zero_groups)) * Z + np.arange(Z)
-    row = _popcount(masks) * Z
-    q = np.empty(M)
-    argmin = np.empty(M, dtype=np.int64)
-    step = max(1, SWEEP_BLOCK // Z)
-    for s in range(0, M, step):
-        idx = _popcount(masks[s : s + step, None] & nt.zero_groups) * (2 * Z)
-        idx += col
-        idx -= row[s : s + step, None]
+    reps = ct.masks[ct.orbit_reps]
+    q = np.empty(len(reps))
+    step = max(1, SWEEP_BLOCK // len(nt.zero_groups))
+    for s in range(0, len(reps), step):
+        q[s : s + step] = value[_table_rows(reps[s : s + step], nt)].min(axis=1)
+
+    def argmin(i):
+        idx = _table_rows(ct.masks[i : i + 1], nt)
         vals = value[idx]
-        best = vals.min(axis=1)
-        q[s : s + step] = best
-        argmin[s : s + step] = np.where(vals == best[:, None], arg[idx], len(nt.patterns)).min(
-            axis=1
-        )
-    return q, argmin
+        return int(np.where(vals == vals.min(), arg[idx], len(nt.patterns)).min())
+
+    return q[ct.orbit_of], argmin
 
 
 @dataclass
@@ -1091,26 +1137,26 @@ def ground_energy_search(spec, plug=None):
     M = len(ct.masks)
     loop_cost = 2.0 * (E - ct.same_count)
     if not (horizontal or vertical):
-        q1, argn1 = q2, argn2 = _q_sweep(ct.masks, nt)
+        q1, argn1 = q2, argn2 = _q_sweep(nt, ct)
     else:
         # like the pairing minima, one-copy embedded minima are invariant
         # under the lattice symmetries: solve one pattern per orbit
-        eh = np.zeros(len(nt.patterns))
-        ev = np.zeros(len(nt.patterns))
         zero_steps = np.zeros(E, dtype=np.int8)
         reps = nt.patterns[nt.orbit_reps]
+        eh = ev = None
         if horizontal:
-            eh = nt.broadcast([embedded_step_energy(spec, s, zero_steps, plug) for s in reps])
+            eh = [embedded_step_energy(spec, s, zero_steps, plug) for s in reps]
         if vertical:
-            ev = nt.broadcast([embedded_step_energy(spec, zero_steps, s, plug) for s in reps])
-        q1, argn1 = _q_sweep(ct.masks, nt, eh)
-        q2, argn2 = _q_sweep(ct.masks, nt, ev)
+            ev = [embedded_step_energy(spec, zero_steps, s, plug) for s in reps]
+        q1, argn1 = _q_sweep(nt, ct, eh)
+        q2, argn2 = _q_sweep(nt, ct, ev)
 
     values1 = loop_cost + q1
     values2 = loop_cost + q2
     best, (i1, i2) = _pair_sweep(values1, values2, ct.masks)
 
     refinements = 0
+    numbering = None  # the argmin's pattern pair, once the refinement sets it
     if not separable:
         # the separable sweep gives a certified lower bound per pair; refine
         # every pair whose bound undercuts the incumbent with joint embedded
@@ -1175,8 +1221,7 @@ def ground_energy_search(spec, plug=None):
         else:
             argmin_override = None
             if inc_state is not None:
-                i1, i2, p_a, p_b = inc_state
-                argn1[i1], argn2[i2] = p_a, p_b
+                i1, i2, *numbering = inc_state
     else:
         argmin_override = None
 
@@ -1217,9 +1262,10 @@ def ground_energy_search(spec, plug=None):
     if argmin_override is not None:
         argmin = argmin_override
     else:
+        p1, p2 = numbering or (argn1(i1), argn2(i2))
         c1 = ct.rep_coloring[i1]
         c2 = ct.rep_coloring[i2]
-        argmin = Tiling(spec, c1, nt.digits[argn1[i1]], c2, nt.digits[argn2[i2]])
+        argmin = Tiling(spec, c1, nt.digits[p1], c2, nt.digits[p2])
 
     stats = {
         "distinct_masks": M,
@@ -1244,10 +1290,10 @@ def single_copy_minimum(spec):
     """min over one copy's sectors of tile + color + pairing energy; the
     reduced quantity the full-space oracle can check independently."""
     nt, ct = _tables(spec)
-    q, argn = _q_sweep(ct.masks, nt)
+    q, argn = _q_sweep(nt, ct)
     tot = 2.0 * (nt.num_edges - ct.same_count) + q
     i = int(np.argmin(tot))
-    return float(tot[i]), (i, int(argn[i]))
+    return float(tot[i]), (i, argn(i))
 
 
 def single_copy_floor_check(spec):
@@ -1259,7 +1305,7 @@ def single_copy_floor_check(spec):
     E = nt.num_edges
     if not nt.epr_exact.all():
         return False, -np.inf
-    q, _ = _q_sweep(ct.masks, nt)
+    q, _ = _q_sweep(nt, ct)
     deg = ct.same_degree.astype(int)
     floor = 2 * E - deg.sum(axis=1) + 4 * (deg // 3).sum(axis=1)
     energy = 2.0 * (E - ct.same_count) + q

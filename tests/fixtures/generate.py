@@ -1,17 +1,29 @@
-"""Regenerate the frozen sector fixtures.
+"""Regenerate the frozen fixtures.
 
-Each fixture is a concrete tiling plus plug name with its expected sector
-total.  Expectations were produced by the direct-diagonalization oracles, so
-the decomposition tests compare against an independent computation path.
+Each sector fixture is a concrete tiling plus plug name with its expected
+sector total.  Expectations were produced by the direct-diagonalization
+oracles, so the decomposition tests compare against an independent
+computation path.
 
-Run from the repository root:  python3 tests/fixtures/generate.py
+The solve reports pin the `rih solve` JSON, less its elapsed time, of the
+lattices the exhaustive search accepts.  They are a record of known-good
+output: regenerate them only with a change that means to alter a minimum,
+a category figure or an argmin, and say so where the change is described.
+
+Run from the repository root:
+    python3 tests/fixtures/generate.py                  # sector fixtures
+    python3 tests/fixtures/generate.py solve-reports    # solve reports
 """
 
+import contextlib
+import io
 import json
 import pathlib
+import sys
 
 import numpy as np
 
+from rih.cli import main as cli_main
 from rih.lattice import LatticeSpec
 from rih.tiling import Tiling, striped_witness
 from rih.hamiltonian import toy_plugs
@@ -73,5 +85,32 @@ def main():
     print(f"wrote {len(fixtures)} fixtures to {out}")
 
 
+SOLVE_CASES = (
+    [["--r", "2", "--n", "3", "--plug", p] for p in ("zero", "afm", "frustration_free")]
+    + [["--r", "2", "--n", "3", "--boundary", "open", "--plug", p] for p in ("zero", "afm")]
+    + [["--r", "1", "--n", str(n)] for n in (5, 7, 9, 10, 11, 12)]
+    + [["--r", "1", "--n", str(n), "--boundary", "open"] for n in (4, 6)]
+)
+
+
+def solve_report(args):
+    """The `rih solve` JSON for these arguments, less its elapsed time."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(["solve", *args])
+    if code != 0:
+        raise SystemExit(f"rih solve {' '.join(args)} exited {code}")
+    report = json.loads(out.getvalue())
+    del report["stats"]["elapsed_seconds"]
+    return report
+
+
+def solve_reports():
+    cases = [{"args": args, "report": solve_report(args)} for args in SOLVE_CASES]
+    out = HERE / "solve_reports.json"
+    out.write_text(json.dumps({"schema": "solve-reports/1", "cases": cases}, indent=1) + "\n")
+    print(f"wrote {len(cases)} solve reports to {out}")
+
+
 if __name__ == "__main__":
-    main()
+    solve_reports() if sys.argv[1:] == ["solve-reports"] else main()

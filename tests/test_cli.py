@@ -17,6 +17,11 @@ from rih.rules import frame_configuration, open_bc_frame_ruleset
 from rih.tiling import striped_witness
 
 
+SOLVE_REPORTS = json.loads(
+    (Path(__file__).parent / "fixtures" / "solve_reports.json").read_text()
+)["cases"]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -103,6 +108,25 @@ class TestSolveWitness:
             main([command, "--r", "2", "--n", "3", "--cap", cap])
         assert exc.value.code == 2
         assert "--cap" in capsys.readouterr().err
+
+    def test_witness_beyond_the_classical_sweep_fails_cleanly(self, capsys):
+        # the frustration_free plug's 2^12 layer states on the 12x12 torus
+        # exceed the embedded sweep's budget: a typed error, exit 2
+        code, out, err = run(
+            capsys, "witness", "--r", "2", "--n", "12", "--plug", "frustration_free"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: layer state space") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "case", SOLVE_REPORTS, ids=[" ".join(c["args"]) for c in SOLVE_REPORTS]
+    )
+    def test_solve_report_is_pinned(self, capsys, case):
+        # every minimum, certified flag, category figure and argmin of the
+        # accepted lattices, as tests/fixtures/solve_reports.json records them
+        out = run_json(capsys, "solve", *case["args"])
+        del out["stats"]["elapsed_seconds"]
+        assert json.dumps(out, indent=1) == json.dumps(case["report"], indent=1)
 
     def test_witness_energies_and_flags(self, capsys):
         out = run_json(capsys, "witness", "--r", "2", "--n", "3")

@@ -1,9 +1,12 @@
 import itertools
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rih import rules
 from rih.rules import (
     BLANK,
     BOTTOM_BC,
@@ -177,6 +180,40 @@ class TestEnumerateValid:
         assert got == expected
         for g in enumerate_valid(rs, n):
             assert check_tiling(rs, g) == []
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        allowed=st.lists(st.booleans(), min_size=9, max_size=9),
+        wrap=st.booleans(),
+        n=st.integers(1, 6),
+    )
+    def test_row_count_is_the_number_of_rows_built(self, allowed, wrap, n):
+        allowed_h = np.array(allowed).reshape(3, 3)
+        rows = rules._valid_rows(n, 3, allowed_h, wrap)
+        assert rules._row_count(n, allowed_h, wrap) == len(rows)
+
+    @pytest.mark.parametrize("cap,fails", [(16, False), (15, True)])
+    def test_row_cap_is_exact(self, monkeypatch, cap, fails):
+        # FREE2 has 2^4 = 16 rows of side 4
+        monkeypatch.setattr(rules, "ROW_CAP", cap)
+        if fails:
+            with pytest.raises(RuleSetError, match="enumeration cap"):
+                enumerate_valid(FREE2, 4)
+        else:
+            assert enumerate_valid(FREE2, 4).valid_rows == 16
+
+    def test_oversized_row_space_fails_before_allocating(self):
+        # 64^12 rows, far past ROW_CAP: counted, never generated
+        rs = TileRuleSet(tuple(f"t{i}" for i in range(64)), frozenset(), frozenset())
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuleSetError, match="enumeration cap"):
+                enumerate_valid(rs, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def all_offsets():

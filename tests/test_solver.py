@@ -330,6 +330,21 @@ class TestEmbedded:
     def test_no_plug_contributes_nothing(self):
         assert solver.embedded_2d_energy(striped_witness(TORUS), None) == 0.0
 
+    def test_oversized_components_are_rejected(self):
+        # a non-diagonal plug along all 19 edges of ring 19 joins one
+        # component of dimension 2^19 > DIAG_CAP; a diagonal one on the 12x12
+        # torus has 2^12 layer states, too many for the classical sweep
+        rng = np.random.default_rng(3)
+        plug = TranslationPlug(2, _random_psd(rng, 2, False), np.zeros((4, 4)), name="h")
+        ring = LatticeSpec(1, 19)
+        ones, zeros = np.ones(19, dtype=np.int8), np.zeros(19, dtype=np.int8)
+        with pytest.raises(solver.BudgetExceeded, match="exceeds cap"):
+            solver.embedded_step_energy(ring, ones, zeros, plug)
+        with pytest.raises(solver.BudgetExceeded, match="layer state space"):
+            solver.embedded_2d_energy(
+                striped_witness(LatticeSpec(2, 12)), toy_plugs()["frustration_free"]
+            )
+
     def test_diagonal_fast_path_matches_dense(self):
         # same operator assembled entrywise and minimized densely
         plug = toy_plugs()["afm"]
@@ -464,11 +479,11 @@ class TestOracleAgreement:
         # 2^20 qubit states on ring 10; (2^4)^16 sector states on the 4x4
         # torus, a product that wraps to 0 in int64
         ring = LatticeSpec(1, 10)
-        with pytest.raises(ValueError, match="exceeds cap"):
+        with pytest.raises(solver.BudgetExceeded, match="exceeds cap"):
             solver.sector_qubit_oracle(Tiling(ring, np.zeros(10, int), np.arange(10) % 3), 1)
         spec = LatticeSpec(2, 4)
         t = Tiling(spec, *(np.arange(16) % 3 for _ in range(4)))
-        with pytest.raises(ValueError, match="exceeds cap"):
+        with pytest.raises(solver.BudgetExceeded, match="exceeds cap"):
             solver.sector_full_oracle(t, None)
 
     def test_full_space_ring_matches_sector_sweep(self):
@@ -848,13 +863,11 @@ class TestReducedTables:
 
 
 def _one_copy_extra(spec, nt, plug):
-    """Horizontal one-copy embedded minima per pattern, as the search folds
-    them into the first copy's sweep."""
+    """Horizontal one-copy embedded minima per pattern orbit, as the search
+    folds them into the first copy's sweep."""
     zero = np.zeros(nt.num_edges, dtype=np.int8)
     reps = nt.patterns[nt.orbit_reps]
-    return nt.broadcast(
-        [solver.embedded_step_energy(spec, s, zero, plug) for s in reps]
-    )
+    return np.array([solver.embedded_step_energy(spec, s, zero, plug) for s in reps])
 
 
 def _sweep_extra(spec, nt, kind):
@@ -868,8 +881,8 @@ def _sweep_extra(spec, nt, kind):
             2, _random_psd(rng, 2, True), _random_psd(rng, 2, True), name="complex"
         )
         return _one_copy_extra(spec, nt, plug)
-    # arbitrary floats, constant on each orbit like every embedded extra
-    return nt.broadcast(3 * rng.random(len(nt.orbit_reps)))
+    # arbitrary floats, one per orbit like every embedded extra
+    return 3 * rng.random(len(nt.orbit_reps))
 
 
 def _violations_for_mask(mask, nt):
@@ -881,14 +894,15 @@ def _violations_for_mask(mask, nt):
 
 
 def _q_loop(masks, nt, extra=None):
-    """The per-mask reference for _q_sweep: mask by mask, the np.argmin over
-    patterns of 8*violations + pairing (+ extra) and its value."""
+    """The per-mask reference for _q_sweep, over every mask: mask by mask, the
+    np.argmin over patterns of 8*violations + pairing (+ extra, one value per
+    pattern orbit) and its value."""
     q = np.empty(len(masks))
     argmin = np.empty(len(masks), dtype=np.int64)
     for i, m in enumerate(masks):
         vals = 8.0 * _violations_for_mask(int(m), nt) + nt.epr
         if extra is not None:
-            vals = vals + extra
+            vals = vals + nt.broadcast(extra)
         argmin[i] = np.argmin(vals)
         q[i] = vals[argmin[i]]
     return q, argmin
@@ -940,19 +954,21 @@ def sweep_extra():
 class TestMaskSweep:
     @pytest.mark.parametrize("spec,kind", SWEEP_CASES, ids=SWEEP_IDS)
     def test_q_all_matches_the_per_mask_loop(self, sweep_extra, spec, kind):
+        # q from the orbit representatives, broadcast, and the row argmin of
+        # every mask agree bit for bit with the loop over all masks
         nt, ct = solver._tables(spec)
         extra = sweep_extra(spec, nt, kind)
-        q, argmin = solver._q_sweep(ct.masks, nt, extra)
+        q, argmin = solver._q_sweep(nt, ct, extra)
         want_q, want_argmin = _q_loop(ct.masks, nt, extra)
         assert q.tobytes() == want_q.tobytes()
-        assert (argmin == want_argmin).all()
+        assert [argmin(i) for i in range(len(ct.masks))] == want_argmin.tolist()
 
     @pytest.mark.parametrize("spec,kind", SWEEP_CASES, ids=SWEEP_IDS)
     def test_pair_sweep_matches_brute_force(self, sweep_extra, spec, kind):
         nt, ct = solver._tables(spec)
         loop_cost = 2.0 * (nt.num_edges - ct.same_count)
-        q1, _ = solver._q_sweep(ct.masks, nt, sweep_extra(spec, nt, kind))
-        q2, _ = solver._q_sweep(ct.masks, nt)
+        q1, _ = solver._q_sweep(nt, ct, sweep_extra(spec, nt, kind))
+        q2, _ = solver._q_sweep(nt, ct)
         values1, values2 = loop_cost + q1, loop_cost + q2
         every = np.ones(len(ct.masks), dtype=bool)
         straight = ct.looped & ~ct.has_turn
@@ -970,7 +986,7 @@ class TestMaskSweep:
 
     def test_pairs_below_lists_every_pair_under_the_limit(self):
         nt, ct = solver._tables(LatticeSpec(1, 7))
-        q, _ = solver._q_sweep(ct.masks, nt)
+        q, _ = solver._q_sweep(nt, ct)
         values = 2.0 * (nt.num_edges - ct.same_count) + q
         full = values[:, None] + values + solver._popcount(ct.masks[:, None] & ct.masks)
         limit = full.min() + 3.0
@@ -991,6 +1007,75 @@ class TestMaskSweep:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
+
+    def test_warm_search_sweeps_one_mask_per_orbit(self, monkeypatch):
+        # the sweep hands the row kernel the 75 orbit representatives of the
+        # torus's 2,914 masks, never all of them
+        for plug in (None, toy_plugs()["afm"]):
+            solver.ground_energy_search(TORUS, plug)
+        rows, sweeps = [], []
+        kernel, sweep = solver._table_rows, solver._q_sweep
+
+        def counted_kernel(masks, nt):
+            rows.append(len(masks))
+            return kernel(masks, nt)
+
+        def counted_sweep(*args):
+            start = len(rows)
+            out = sweep(*args)
+            sweeps.append(sum(rows[start:]))
+            return out
+
+        monkeypatch.setattr(solver, "_table_rows", counted_kernel)
+        monkeypatch.setattr(solver, "_q_sweep", counted_sweep)
+        for plug in (None, toy_plugs()["afm"]):
+            solver.ground_energy_search(TORUS, plug)
+        assert sweeps == [75, 75, 75]
+        # outside the sweeps, one row per argmin read: two per search
+        assert sum(rows) - sum(sweeps) == 4
+
+
+def _mask_image(ct, g):
+    """The index of each mask's image under the site permutation g."""
+    edge_at = {(int(a), int(b)): j for j, (a, b) in enumerate(ct.edge_idx)}
+    moved = np.zeros_like(ct.masks)
+    for j, (a, b) in enumerate(ct.edge_idx):
+        k = edge_at[min(g[a], g[b]), max(g[a], g[b])]
+        moved |= ((ct.masks >> np.uint64(j)) & np.uint64(1)) << np.uint64(k)
+    image = np.searchsorted(ct.masks, moved)
+    assert (ct.masks[image] == moved).all()
+    return image
+
+
+MASK_ORBITS = [(TORUS, 75), (OPEN3, 212), (LatticeSpec(1, 11), 125)]
+
+
+class TestMaskOrbits:
+    @pytest.mark.parametrize("spec,orbits", MASK_ORBITS, ids=["torus3x3", "open3x3", "ring11"])
+    def test_orbit_count_matches_the_brute_force_enumeration(self, spec, orbits):
+        # the images under all symmetries, not just the generators, are
+        # exactly the orbit, so the smallest image labels it
+        ct = solver.ColoringTable(spec)
+        canon = np.arange(len(ct.masks))
+        for g in lattice_symmetry_permutations(spec):
+            np.minimum(canon, _mask_image(ct, g), out=canon)
+        assert len(np.unique(canon)) == orbits
+        assert len(ct.orbit_reps) == orbits
+        assert (ct.orbit_reps[ct.orbit_of] == canon).all()
+
+    @pytest.mark.parametrize("spec", [TORUS, OPEN3, LatticeSpec(1, 7)])
+    def test_orbit_of_is_invariant_under_every_symmetry(self, spec):
+        ct = solver.ColoringTable(spec)
+        for g in lattice_symmetry_permutations(spec):
+            assert (ct.orbit_of[_mask_image(ct, g)] == ct.orbit_of).all()
+
+    @pytest.mark.parametrize("spec", [TORUS, OPEN3, LatticeSpec(1, 7)])
+    def test_each_representative_is_its_orbits_smallest_index(self, spec):
+        ct = solver.ColoringTable(spec)
+        M = len(ct.masks)
+        assert (np.diff(ct.orbit_reps) > 0).all()
+        assert (ct.orbit_of[ct.orbit_reps] == np.arange(len(ct.orbit_reps))).all()
+        assert (ct.orbit_reps[ct.orbit_of] <= np.arange(M)).all()
 
 
 class TestTurnAlternatives:
