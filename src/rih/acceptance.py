@@ -64,11 +64,10 @@ GOLDEN_TERM_HASH = "b2547d31b7ae05807d4aeca9a371687ac0b292abfa9975397a39179228c5
 class AcceptanceContext:
     """Shared caches plus the knobs a run can turn."""
 
-    def __init__(self, coefficient_overrides=None, fixtures_path=None):
+    def __init__(self, coefficient_overrides=None):
         self.coefficient_overrides = (
             dict(coefficient_overrides) if coefficient_overrides else None
         )
-        self.fixtures_path = fixtures_path
         self._memo = {}
 
     def memo(self, key, factory):
@@ -89,12 +88,7 @@ class AcceptanceContext:
 
     def fixtures(self):
         def load():
-            if self.fixtures_path is not None:
-                text = open(self.fixtures_path).read()
-            else:
-                text = (
-                    resources.files("rih") / "data" / "sector_fixtures.json"
-                ).read_text()
+            text = (resources.files("rih") / "data" / "sector_fixtures.json").read_text()
             return json.loads(text)["fixtures"]
 
         return self.memo("fixtures", load)
@@ -529,17 +523,14 @@ CRITERIA = (
 )
 
 
-def run_criteria(profile="full", coefficient_overrides=None, fixtures_path=None):
+def run_criteria(profile="full", coefficient_overrides=None):
     """Execute the suite and return a JSON-ready report."""
     if profile not in ("fast", "full"):
         raise ValueError(f"unknown profile {profile!r}")
     chosen = [
         c for c in CRITERIA if profile == "full" or "fast" in c.tags
     ]
-    ctx = AcceptanceContext(
-        coefficient_overrides=coefficient_overrides,
-        fixtures_path=fixtures_path,
-    )
+    ctx = AcceptanceContext(coefficient_overrides=coefficient_overrides)
 
     def run_one(c):
         t0 = perf_counter()

@@ -59,6 +59,7 @@ HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-9
 MAX_DENSE_PAIR_DIM = 8192  # direct-matrix checks above this would be wasteful
 MAX_MATRIX_NNZ = 50_000_000
+GLOBAL_DIM_CAP = 2**26  # largest many-site space global_hamiltonian or global_matvec builds
 
 
 def tile_pair_is_illegal(c_left, n_left, c_right, n_right):
@@ -195,6 +196,10 @@ def swap_permutation(m):
     return (idx % m) * m + idx // m
 
 
+class BudgetExceeded(RuntimeError):
+    """A size cap refused an input before anything was allocated."""
+
+
 class PlugValidationError(ValueError):
     pass
 
@@ -219,12 +224,10 @@ class TranslationPlug:
 
     horizontal applies along copy-1 number steps, vertical along copy-2 steps.
     Both act on (left embedded factor, right embedded factor) and must be
-    Hermitian and positive semidefinite.  min_size_hint is a report-only field
-    for plugs whose promised spectral behavior only kicks in above some system
-    size; nothing in the assembly depends on it.
+    Hermitian and positive semidefinite.
     """
 
-    def __init__(self, d, horizontal, vertical, name="custom", min_size_hint=None):
+    def __init__(self, d, horizontal, vertical, name="custom"):
         if not isinstance(d, int) or d < 1:
             raise PlugValidationError(f"embedded dimension must be a positive integer, got {d!r}")
         if d > 4:
@@ -233,7 +236,6 @@ class TranslationPlug:
         self.horizontal = _check_hermitian_psd("horizontal term", horizontal, d)
         self.vertical = _check_hermitian_psd("vertical term", vertical, d)
         self.name = name
-        self.min_size_hint = min_size_hint
 
     def __repr__(self):
         return f"TranslationPlug(name={self.name!r}, d={self.d})"
@@ -630,13 +632,13 @@ def term_hash(term):
     return h.hexdigest()
 
 
-def global_hamiltonian(spec, term, cap_dim=2**26):
+def global_hamiltonian(spec, term):
     """Explicit sparse sum of the term over all nearest-neighbor pairs."""
     s = term.site_dim
     N = spec.num_sites
     D = s**N
-    if D > cap_dim:
-        raise ValueError(f"global dimension {D} exceeds cap {cap_dim}")
+    if D > GLOBAL_DIM_CAP:
+        raise BudgetExceeded(f"global dimension {D} exceeds cap {GLOBAL_DIM_CAP}")
     M = term.matrix().tocoo()
     dims = (s,) * N
     rows, cols, vals = [], [], []
@@ -654,7 +656,7 @@ def global_hamiltonian(spec, term, cap_dim=2**26):
     return H
 
 
-def global_matvec(spec, term, state, cap_dim=2**26):
+def global_matvec(spec, term, state):
     """Apply the summed Hamiltonian to a state without materializing it.
 
     Edges are processed in their canonical order, so the reduction is
@@ -663,8 +665,8 @@ def global_matvec(spec, term, state, cap_dim=2**26):
     s = term.site_dim
     N = spec.num_sites
     D = s**N
-    if D > cap_dim:
-        raise ValueError(f"global dimension {D} exceeds cap {cap_dim}")
+    if D > GLOBAL_DIM_CAP:
+        raise BudgetExceeded(f"global dimension {D} exceeds cap {GLOBAL_DIM_CAP}")
     state = np.asarray(state)
     if state.shape != (D,):
         raise ValueError(f"state must have shape ({D},), got {state.shape}")

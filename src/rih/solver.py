@@ -23,21 +23,24 @@ branching site by site:
     broadcast to the orbit's members.
 
 A global shift of a copy's numbers or colors changes neither its step
-pattern nor its same-color mask, so the numbering and coloring tables are
-built from the 3^(N-1) numberings and colorings with site 0 fixed to 0, one
-numbering per step pattern.  The orbit representatives' pairing minima are
-sums over slot components, and the same component recurs across many
-representatives, so each distinct component is solved once (108 solves for
-the 2,806 orbits of ring 11, 303 for the 150 of the 3x3 torus).
+pattern nor its same-color mask, so both tables come from one enumeration of
+the 3^(N-1) assignments with site 0 fixed to 0, one numbering per step
+pattern.  A row's zero-step edges are its equal-value edges, so its zero mask
+read as a numbering is its same-color mask read as a coloring: the coloring
+table's masks, representatives and mask orbits are read off the numbering
+table's zero-mask groups and pattern orbits.  The orbit representatives'
+pairing minima are sums over slot components, and the same component recurs
+across many representatives, so each distinct component is solved once (108
+solves for the 2,806 orbits of ring 11, 303 for the 150 of the 3x3 torus).
 
 So sectors group by (mask1, mask2, steps1, steps2), copies decouple given the
 masks, and the per-copy number minimization is a vectorized sweep:
 
   * a violation count depends on a step pattern only through its zero mask,
     so patterns group by zero mask (2,914 groups for 6,561 patterns on the
-    3x3 torus) and the per-mask minima are one min-plus product of the mask
-    orbits' representatives against the groups, through an AND-popcount
-    kernel taken in blocks;
+    3x3 torus, the 2,914 color masks) and the per-mask minima are one
+    min-plus product of the mask orbits' representatives against the
+    groups, through an AND-popcount kernel taken in blocks;
   * a mask pair's value values1[i] + values2[j] + |m_i & m_j| is bounded
     below by values1[i] + values2[j], so the pair sweep evaluates only the
     pairs whose bound reaches the pair of row minima (4 of 8.5M on the 3x3
@@ -75,7 +78,7 @@ import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
-from rih.hamiltonian import EPR_HALF_PROJECTOR, dense_entries, embed_operator
+from rih.hamiltonian import EPR_HALF_PROJECTOR, BudgetExceeded, dense_entries, embed_operator
 from rih.lattice import LatticeSpec, edge_index_array, lattice_symmetry_permutations
 from rih.tiling import (
     EprDemandGraph,
@@ -96,10 +99,6 @@ REPORT_SCHEMA = "energy-report/1"
 
 
 class SolverConvergenceError(RuntimeError):
-    pass
-
-
-class BudgetExceeded(RuntimeError):
     pass
 
 
@@ -678,10 +677,10 @@ def _popcount(arr):
     return np.bitwise_count(np.asarray(arr, dtype=np.uint64)).astype(np.int64)
 
 
-TABLE_ROW_CAP = 200_000  # rows of a numbering or coloring table: N <= 12 sites
+TABLE_ROW_CAP = 200_000  # rows of the site-0 tables: N <= 12 sites, so E <= 24
 
 
-def _site0_digits(spec, table):
+def _site0_digits(spec):
     """(3^(N-1), N) base-3 assignments of 0, 1, 2 to the sites with site 0
     fixed to 0, in lexicographic order (site 1 most significant).
 
@@ -692,7 +691,7 @@ def _site0_digits(spec, table):
     N = spec.num_sites
     count = 3 ** (N - 1)
     if count > TABLE_ROW_CAP:
-        raise BudgetExceeded(f"{table} table infeasible for {N} sites")
+        raise BudgetExceeded(f"numbering table infeasible for {N} sites")
     idx = np.arange(count, dtype=np.int64)
     out = np.zeros((count, N), dtype=np.int8)
     for k in range(N - 1, 0, -1):
@@ -728,19 +727,6 @@ def _generators(perms):
     return gens
 
 
-def _orbit_labels(n, images):
-    """Orbits of the items 0..n-1 under a generating set of the lattice
-    symmetries, given each generator's image of every item.  The images join
-    the items into connected components, the orbits, and each orbit's
-    representative is its smallest item.
-
-    Returns (orbit_reps, orbit_of): the representative of each orbit in
-    ascending order, and the orbit index of every item."""
-    items = np.arange(n)  # the identity keeps a fixed item in its own orbit
-    canon = _components(n, np.tile(items, len(images) + 1), np.concatenate([items, *images]))
-    return np.unique(canon, return_inverse=True)
-
-
 def _pattern_demands(edge_idx, steps):
     """Pairing demands of a step pattern, in edge order: a forward step on
     edge (a, b) asks slot (a, 2) to pair with (b, 1), a reverse one (b, 2)
@@ -754,18 +740,22 @@ def _pattern_demands(edge_idx, steps):
 
 class NumberingTable:
     """Per-edge step patterns and exact pairing minima for every numbering of
-    a small lattice.
+    a small lattice, with the patterns grouped by zero mask.
 
     A connected lattice gives each step pattern from exactly three numberings,
     a global shift apart, so the table is built from the 3^(N-1) numberings
     with site 0 fixed to 0: patterns[p] is the pattern of digits[p], in
     ascending order of their base-3 codes (first edge most significant).
-    Pairing energies depend only on the step pattern and are invariant under
-    the lattice symmetries, so they are solved once per symmetry orbit of
-    patterns and broadcast to the orbit's members."""
+    A pattern's zero mask marks the edges whose ends carry equal digits, so
+    it is also the same-color mask of its digits read as a coloring: the
+    distinct zero masks, zero_groups, are every same-color mask, and
+    group_rep holds the pattern whose digits come first in lexicographic
+    order in each group.  Pairing energies depend only on the step pattern
+    and are invariant under the lattice symmetries, so they are solved once
+    per symmetry orbit of patterns and broadcast to the orbit's members."""
 
     def __init__(self, spec):
-        digits = _site0_digits(spec, "numbering")
+        digits = _site0_digits(spec)
         self.spec = spec
         self.edge_idx = edge_index_array(spec)
         E = len(self.edge_idx)
@@ -780,44 +770,55 @@ class NumberingTable:
         self.patterns = steps[order]
         self.digits = digits[order]
         P = len(self.patterns)
-        z = self.patterns == 0
-        self.zero_mask = np.zeros(P, dtype=np.uint64)
-        for j in range(E):
-            self.zero_mask |= z[:, j].astype(np.uint64) << np.uint64(j)
-        # violation counts depend on a pattern only through its zero mask
-        self.zero_groups, self.group_of = np.unique(self.zero_mask, return_inverse=True)
-        # the patterns by group, then by index, and where each group starts
-        self.group_order = np.argsort(self.group_of, kind="stable")
-        self.group_starts = np.searchsorted(
-            self.group_of[self.group_order], np.arange(len(self.zero_groups))
-        )
         self.num_edges = E
         # pattern index of the numbering in each row of the site-0 digit table
         pattern_at = np.empty(P, dtype=np.int64)
         pattern_at[order] = np.arange(P)
         self.orbit_reps, self.orbit_of = self._orbits(pattern_at)
+        # the rows are in lexicographic order, so one np.unique over their
+        # zero masks gives the groups, each group's first row and every row's
+        # group; violation counts depend on a pattern only through its group
+        row_mask = np.zeros(P, dtype=np.uint64)
+        for j in range(E):
+            row_mask |= (steps[:, j] == 0).astype(np.uint64) << np.uint64(j)
+        self.zero_groups, first, row_group = np.unique(
+            row_mask, return_index=True, return_inverse=True
+        )
+        self.zero_mask = row_mask[order]
+        self.group_of = row_group[order]
+        self.group_rep = pattern_at[first]
+        # the patterns by group, then by index, and where each group starts
+        self.group_order = np.argsort(self.group_of, kind="stable")
+        self.group_starts = np.searchsorted(
+            self.group_of[self.group_order], np.arange(len(self.zero_groups))
+        )
         self.epr = np.zeros(P)
         self.epr_exact = np.zeros(P, dtype=bool)
 
     def _orbits(self, pattern_at):
-        """Lattice-symmetry orbits of the step patterns.
+        """Lattice-symmetry orbits of the step patterns: (orbit_reps,
+        orbit_of), each orbit's smallest pattern index in ascending order and
+        the orbit index of every pattern.
 
         A symmetry g moves numbering x to the numbering that carries x[i] at
         site g[i]; less its value at site 0 (mod 3), that is a row of the
         site-0 digit table whose base-3 digits are its row index, and its
-        pattern is the image of x's.  _orbit_labels joins the patterns into
-        orbits by their images under a generating set of the symmetries.
+        pattern is the image of x's.  The images under a generating set of
+        the symmetries join the patterns into connected components, the
+        orbits; the identity keeps a fixed pattern in its own orbit.
         """
         P, N = self.digits.shape
         place = 3 ** np.arange(N - 1, -1, -1, dtype=np.int64)
-        images = []
+        items = np.arange(P)
+        images = [items]
         for g in _generators(lattice_symmetry_permutations(self.spec)):
             origin = self.digits[:, np.argsort(g)[0]]  # value moved onto site 0
             row = np.zeros(P, dtype=np.int64)
             for i in range(N):
                 row += place[g[i]] * ((self.digits[:, i] - origin) % 3)
             images.append(pattern_at[row])
-        return _orbit_labels(P, images)
+        canon = _components(P, np.tile(items, len(images)), np.concatenate(images))
+        return np.unique(canon, return_inverse=True)
 
     def broadcast(self, rep_values):
         """Spread per-orbit values (in orbit_reps order) over every pattern."""
@@ -877,141 +878,108 @@ class NumberingTable:
 
 
 class ColoringTable:
-    """Distinct same-color edge masks over all colorings of a small lattice,
-    with one representative coloring per mask, mask-level geometry flags and
-    the lattice-symmetry orbits of the masks.
+    """The distinct same-color edge masks of a small lattice, with one
+    representative coloring per mask, mask-level geometry flags and the
+    lattice-symmetry orbits of the masks, all read off a NumberingTable.
 
-    A global shift of the colors keeps every mask, so the masks are read off
-    the 3^(N-1) colorings with site 0 fixed to 0; each mask's representative
-    is the first such coloring in lexicographic order, which is also its first
-    coloring over all 3^N.  A symmetry permutes the edges, so it maps masks to
-    masks: orbit_reps and orbit_of group the masks as NumberingTable groups
-    the patterns (75 orbits for the 2,914 masks of the 3x3 torus)."""
+    A global shift of the colors keeps every mask, and a coloring's mask is
+    the zero mask of the numbering with the same digits, so the masks are the
+    numbering table's zero groups (2,914 on the 3x3 torus).  Each mask's
+    representative is its group's first site-0 row in lexicographic order,
+    which is also its first coloring over all 3^N.  A symmetry carries a
+    pattern to a pattern and the pattern's zero mask to the image mask, and
+    every mask is some pattern's zero mask, so the mask orbits are the
+    pattern orbits read through group_of: orbit_reps and orbit_of group the
+    masks as NumberingTable groups the patterns (75 orbits on the 3x3
+    torus)."""
 
-    def __init__(self, spec):
-        digits = _site0_digits(spec, "coloring")
-        N = spec.num_sites
-        self.spec = spec
-        self.edge_idx = edge_index_array(spec)
-        E = len(self.edge_idx)
-        if E > 62:
-            raise BudgetExceeded(f"too many edges to pack masks ({E})")
-        mask = np.zeros(len(digits), dtype=np.uint64)
-        for j in range(E):
-            same = digits[:, self.edge_idx[j, 0]] == digits[:, self.edge_idx[j, 1]]
-            mask |= same.astype(np.uint64) << np.uint64(j)
-        self.masks, first = np.unique(mask, return_index=True)
-        self.rep_coloring = digits[first]  # one concrete coloring per mask
+    def __init__(self, nt):
+        self.spec = nt.spec
+        self.edge_idx = nt.edge_idx
+        self.num_edges = nt.num_edges
+        self.masks = nt.zero_groups
+        self.rep_coloring = nt.digits[nt.group_rep]
         self.same_count = _popcount(self.masks)
-        self.num_edges = E
-        M = len(self.masks)
-        deg = np.zeros((M, N), dtype=np.int8)
-        for j in range(E):
+        deg = np.zeros((len(self.masks), self.spec.num_sites), dtype=np.int8)
+        for j, (a, b) in enumerate(self.edge_idx):
             hit = ((self.masks >> np.uint64(j)) & np.uint64(1)).astype(bool)
-            deg[hit, self.edge_idx[j, 0]] += 1
-            deg[hit, self.edge_idx[j, 1]] += 1
+            deg[hit, a] += 1
+            deg[hit, b] += 1
         self.same_degree = deg
         self.looped = (deg == 2).all(axis=1)
         self.has_turn = self._turn_flags()
-        self.orbit_reps, self.orbit_of = self._orbits()
-
-    def _orbits(self):
-        """Lattice-symmetry orbits of the masks.  A symmetry g carries edge
-        (a, b) to edge (g[a], g[b]), so it moves a mask's bits along that edge
-        permutation; the moved mask is another mask of the table, found by
-        searchsorted on the sorted masks."""
-        edge_at = {(int(a), int(b)): j for j, (a, b) in enumerate(self.edge_idx)}
-        images = []
-        for g in _generators(lattice_symmetry_permutations(self.spec)):
-            moved = np.zeros_like(self.masks)
-            for j, (a, b) in enumerate(self.edge_idx):
-                ga, gb = int(g[a]), int(g[b])
-                bit = (self.masks >> np.uint64(j)) & np.uint64(1)
-                moved |= bit << np.uint64(edge_at[min(ga, gb), max(ga, gb)])
-            images.append(np.searchsorted(self.masks, moved))
-        return _orbit_labels(len(self.masks), images)
+        # each pattern joins its own mask to its orbit representative's
+        group_of = nt.group_of
+        canon = _components(len(self.masks), group_of, group_of[nt.orbit_reps[nt.orbit_of]])
+        self.orbit_reps, self.orbit_of = np.unique(canon, return_inverse=True)
 
     def _turn_flags(self):
-        spec = self.spec
-        sites = spec.sites()
-        # for every site, pairs of incident edges that bend (endpoints differ
-        # in two coordinates); a mask has a turn iff it contains such a pair
-        bend_pairs = []
-        incident = {i: [] for i in range(spec.num_sites)}
-        for j, (a, b) in enumerate(self.edge_idx):
-            incident[int(a)].append(j)
-            incident[int(b)].append(j)
-        for i in range(spec.num_sites):
-            u = sites[i]
-            js = incident[i]
-            for x in range(len(js)):
-                for y in range(x + 1, len(js)):
-                    ja, jb = js[x], js[y]
-                    other_a = set(map(int, self.edge_idx[ja])) - {i}
-                    other_b = set(map(int, self.edge_idx[jb])) - {i}
-                    pa = sites[other_a.pop()]
-                    pb = sites[other_b.pop()]
-                    diff = sum(1 for k in range(spec.r) if pa[k] != pb[k])
-                    if diff == 2:
-                        bend_pairs.append((ja, jb))
+        """Whether each mask holds two edges that meet at a site along
+        different axes.  With n >= 3 two edges at a site along one axis run
+        straight through it, so these are exactly the same-color turns."""
+        ei, n = self.edge_idx, self.spec.n
+        place = n ** np.arange(self.spec.r - 1, -1, -1)
+        coords = ei[:, :, None] // place % n  # (E, 2 ends, r)
+        axis = np.argmax(coords[:, 0] != coords[:, 1], axis=1)
+        meet = (ei[:, None, :, None] == ei[None, :, None, :]).any(axis=(2, 3))
         flags = np.zeros(len(self.masks), dtype=bool)
-        for ja, jb in bend_pairs:
-            both = np.uint64((1 << ja) | (1 << jb))
+        for ja, jb in zip(*np.nonzero(np.triu(meet & (axis[:, None] != axis), 1))):
+            both = np.uint64((1 << int(ja)) | (1 << int(jb)))
             flags |= (self.masks & both) == both
         return flags
 
 
 @functools.lru_cache(maxsize=None)
 def _tables(spec):
-    """The solved numbering table and the coloring table, built once per
-    lattice and shared by every later search in the process."""
+    """The solved numbering table and the coloring table read off it, built
+    once per lattice from one enumeration of the site-0 rows and shared by
+    every later search in the process."""
     nt = NumberingTable(spec)
     nt.solve_all()
-    return nt, ColoringTable(spec)
+    return nt, ColoringTable(nt)
 
 
-def _violations(mask, nt):
-    """Tile-rule violation count per step pattern under one same-color mask,
-    from the identity viol = 2*|mask & zero| + E - |mask| - |zero| taken once
-    per zero-mask group."""
-    mask = np.uint64(mask)
-    per_group = 2 * _popcount(nt.zero_groups & mask) - _popcount(nt.zero_groups)
-    return (per_group + (nt.num_edges - _popcount(mask)))[nt.group_of]
+def _violations(i, nt, ct):
+    """Tile-rule violation count per step pattern under mask i of ct, from
+    the identity viol = 2*|mask & zero| + E - |mask| - |zero| taken once per
+    zero-mask group.  The groups are ct's masks, so both popcounts are read
+    from ct.same_count."""
+    per_group = 2 * _popcount(ct.masks & ct.masks[i]) - ct.same_count
+    return (per_group + (ct.num_edges - ct.same_count[i]))[nt.group_of]
+
+
+def _pattern_costs(i, nt, ct, extra=None):
+    """8*violations + pairing (+ extra, one value per pattern) of every step
+    pattern under mask i of ct, summed in that order."""
+    cost = 8.0 * _violations(i, nt, ct) + nt.epr
+    return cost if extra is None else cost + extra
 
 
 def _group_minima(nt, extra):
     """For each violation count v and zero-mask group z, the smallest
-    8.0*v + epr (+ extra) over the group's patterns, with the smallest pattern
-    index attaining it; extra holds one value per pattern orbit.  Both tables
-    are flat, indexed v*Z + z; each value is computed as 8.0*v + epr
-    (+ extra), so it is bit-identical to summing a pattern's terms on its
-    own."""
-    E, Z = nt.num_edges, len(nt.zero_groups)
-    order, starts = nt.group_order, nt.group_starts
-    group_sorted = nt.group_of[order]
-    sizes = np.diff(np.append(starts, len(order)))
-    epr = nt.epr[order]
-    extra = None if extra is None else nt.broadcast(extra)[order]
-    value = np.empty((E + 1, Z))
-    arg = np.empty((E + 1, Z), dtype=np.int32)
-    for v in range(E + 1):
+    8.0*v + epr (+ extra) over the group's patterns; extra holds one value
+    per pattern.  The table is flat, indexed v*Z + z; each value is computed
+    as _pattern_costs computes it, so it is bit-identical to a pattern's own
+    cost."""
+    epr = nt.epr[nt.group_order]
+    extra = None if extra is None else extra[nt.group_order]
+    value = np.empty((nt.num_edges + 1, len(nt.zero_groups)))
+    for v in range(nt.num_edges + 1):
         vals = 8.0 * v + epr
         if extra is not None:
             vals = vals + extra
-        value[v] = np.minimum.reduceat(vals, starts)
-        hit = np.flatnonzero(vals == np.repeat(value[v], sizes))
-        arg[v] = order[hit[np.searchsorted(group_sorted[hit], np.arange(Z))]]
-    return value.ravel(), arg.ravel()
+        value[v] = np.minimum.reduceat(vals, nt.group_starts)
+    return value.ravel()
 
 
-def _table_rows(masks, nt):
-    """The row kernel: for each mask and each zero-mask group z, the flat
-    index viol*Z + z into the _group_minima tables, with
-    viol = 2*|m & z| + (E - |z|) - |m|.  Shape (len(masks), Z)."""
-    E, Z = nt.num_edges, len(nt.zero_groups)
-    idx = _popcount(masks[:, None] & nt.zero_groups) * (2 * Z)
-    idx += (E - _popcount(nt.zero_groups)) * Z + np.arange(Z)
-    idx -= _popcount(masks)[:, None] * Z
+def _table_rows(rows, ct):
+    """The row kernel: for each mask index in rows and each mask z, which is
+    a zero-mask group, the flat index viol*M + z into the _group_minima
+    table, with viol = 2*|m & z| + (E - |z|) - |m|.  Shape (len(rows), M)."""
+    E, M = ct.num_edges, len(ct.masks)
+    idx = _popcount(ct.masks[rows, None] & ct.masks) * (2 * M)
+    idx += (E - ct.same_count) * M + np.arange(M)
+    idx -= ct.same_count[rows, None] * M
     return idx
 
 
@@ -1026,19 +994,18 @@ def _q_sweep(nt, ct, extra=None):
     zero groups and keeps every violation count, so a mask's candidate values
     are those of its orbit's representative: the row kernel runs over the
     representatives only, in blocks of about SWEEP_BLOCK elements, and q is
-    broadcast to the other masks bit for bit.  The argmin is a per-row
-    quantity, so the same row kernel computes it only for the masks read."""
-    value, arg = _group_minima(nt, extra)
-    reps = ct.masks[ct.orbit_reps]
+    broadcast to the other masks bit for bit.  The argmin is the np.argmin of
+    one mask's _pattern_costs, computed only for the masks read."""
+    extra = None if extra is None else nt.broadcast(extra)
+    value = _group_minima(nt, extra)
+    reps = ct.orbit_reps
     q = np.empty(len(reps))
-    step = max(1, SWEEP_BLOCK // len(nt.zero_groups))
+    step = max(1, SWEEP_BLOCK // len(ct.masks))
     for s in range(0, len(reps), step):
-        q[s : s + step] = value[_table_rows(reps[s : s + step], nt)].min(axis=1)
+        q[s : s + step] = value[_table_rows(reps[s : s + step], ct)].min(axis=1)
 
     def argmin(i):
-        idx = _table_rows(ct.masks[i : i + 1], nt)
-        vals = value[idx]
-        return int(np.where(vals == vals.min(), arg[idx], len(nt.patterns)).min())
+        return int(np.argmin(_pattern_costs(i, nt, ct, extra)))
 
     return q[ct.orbit_of], argmin
 
@@ -1174,12 +1141,9 @@ def ground_energy_search(spec, plug=None):
         def joint_best(i, j, budget_val):
             """Exact min over numbering pairs in mask pair (i, j) not exceeding
             budget_val, with the achieving numbering pair, or None."""
-            inter = int(
-                _popcount(np.array([ct.masks[i] & ct.masks[j]], dtype=np.uint64))[0]
-            )
+            inter = int(np.bitwise_count(ct.masks[i] & ct.masks[j]))
             base = float(loop_cost[i] + loop_cost[j] + inter)
-            v1 = 8.0 * _violations(ct.masks[i], nt) + nt.epr
-            v2 = 8.0 * _violations(ct.masks[j], nt) + nt.epr
+            v1, v2 = _pattern_costs(i, nt, ct), _pattern_costs(j, nt, ct)
             # seed: the classical argmin pair is achievable, and any pair whose
             # classical part exceeds seed_total - base can never win (embedded
             # parts are nonnegative), so the window below is complete

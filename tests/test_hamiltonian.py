@@ -10,6 +10,7 @@ from rih.hamiltonian import (
     DEFAULT_COEFFICIENTS,
     EPR_HALF_PROJECTOR,
     ILLEGAL_TILE_PAIRS,
+    BudgetExceeded,
     FactorLayout,
     PlugValidationError,
     TranslationPlug,
@@ -166,10 +167,6 @@ class TestPlugValidation:
         assert p.d == 1
         q = TranslationPlug(2, np.kron(np.eye(2), m), np.zeros((4, 4)))
         assert q.horizontal.dtype == np.complex128
-
-    def test_hint_is_carried(self):
-        p = TranslationPlug(1, [[0.0]], [[0.0]], min_size_hint=12)
-        assert p.min_size_hint == 12
 
 
 class TestToyPlugs:
@@ -622,12 +619,21 @@ class TestGlobalOperators:
         assert x @ global_matvec(spec, sc, x) >= 0.0
 
     def test_dimension_cap(self):
-        spec = LatticeSpec(2, 6)
+        # ring 6 of the single-copy term already spans 36^6 > 2^26 states; the
+        # cap is checked before anything of that size is allocated
         sc = build_single_copy_term()
-        with pytest.raises(ValueError):
-            global_matvec(spec, sc, np.zeros(4))
-        with pytest.raises(ValueError):
-            global_hamiltonian(spec, sc)
+        tracemalloc.start()
+        try:
+            for spec in (LatticeSpec(1, 6), LatticeSpec(2, 6)):
+                cap = f"global dimension {36**spec.num_sites} exceeds cap"
+                with pytest.raises(BudgetExceeded, match=cap):
+                    global_matvec(spec, sc, np.zeros(4))
+                with pytest.raises(BudgetExceeded, match=cap):
+                    global_hamiltonian(spec, sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_open_chain_differs_from_ring(self):
         ring = LatticeSpec(1, 3)

@@ -826,7 +826,7 @@ class TestReducedTables:
         # agree whatever the cache already holds
         nt = solver.NumberingTable(spec)
         nt.solve_all()
-        ct = solver.ColoringTable(spec)
+        ct = solver.ColoringTable(nt)
         want_nt, want_ct = _reference_tables(spec)
         for table, want in ((nt, want_nt), (ct, want_ct)):
             for name, ref in want.items():
@@ -834,12 +834,14 @@ class TestReducedTables:
                 assert (got.dtype, got.shape) == (ref.dtype, ref.shape), name
                 assert got.tobytes() == ref.tobytes(), name
 
-    @pytest.mark.parametrize("table", [solver.NumberingTable, solver.ColoringTable])
-    def test_oversized_table_fails_before_allocating(self, table):
+    @pytest.mark.parametrize(
+        "build", [solver.NumberingTable, solver._tables], ids=["NumberingTable", "tables"]
+    )
+    def test_oversized_table_fails_before_allocating(self, build):
         tracemalloc.start()
         try:
             with pytest.raises(solver.BudgetExceeded, match="13 sites"):
-                table(LatticeSpec(1, 13))
+                build(LatticeSpec(1, 13))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -858,8 +860,21 @@ class TestReducedTables:
         assert solver._pairing_minimum.cache_info().currsize == solves
 
     def test_ring_twelve_is_the_largest_accepted(self):
-        digits = solver._site0_digits(LatticeSpec(1, 12), "numbering")
+        digits = solver._site0_digits(LatticeSpec(1, 12))
         assert digits.shape == (3**11, 12) and not digits[:, 0].any()
+
+    def test_one_build_enumerates_the_rows_once(self, monkeypatch):
+        # the coloring table is read off the numbering table's rows
+        calls = []
+        site0_digits = solver._site0_digits
+
+        def counted(spec):
+            calls.append(spec)
+            return site0_digits(spec)
+
+        monkeypatch.setattr(solver, "_site0_digits", counted)
+        solver._tables.__wrapped__(LatticeSpec(1, 7))
+        assert calls == [LatticeSpec(1, 7)]
 
 
 def _one_copy_extra(spec, nt, plug):
@@ -981,8 +996,8 @@ class TestMaskSweep:
     @pytest.mark.parametrize("spec", [TORUS, LatticeSpec(1, 7)], ids=["torus3x3", "ring7"])
     def test_group_violations_match_the_per_pattern_count(self, spec):
         nt, ct = solver._tables(spec)
-        for m in ct.masks:
-            assert (solver._violations(m, nt) == _violations_for_mask(int(m), nt)).all()
+        for i, m in enumerate(ct.masks):
+            assert (solver._violations(i, nt, ct) == _violations_for_mask(int(m), nt)).all()
 
     def test_pairs_below_lists_every_pair_under_the_limit(self):
         nt, ct = solver._tables(LatticeSpec(1, 7))
@@ -1016,9 +1031,9 @@ class TestMaskSweep:
         rows, sweeps = [], []
         kernel, sweep = solver._table_rows, solver._q_sweep
 
-        def counted_kernel(masks, nt):
-            rows.append(len(masks))
-            return kernel(masks, nt)
+        def counted_kernel(reps, ct):
+            rows.append(len(reps))
+            return kernel(reps, ct)
 
         def counted_sweep(*args):
             start = len(rows)
@@ -1031,8 +1046,8 @@ class TestMaskSweep:
         for plug in (None, toy_plugs()["afm"]):
             solver.ground_energy_search(TORUS, plug)
         assert sweeps == [75, 75, 75]
-        # outside the sweeps, one row per argmin read: two per search
-        assert sum(rows) - sum(sweeps) == 4
+        # the argmin reads one mask's pattern costs, not the row kernel
+        assert sum(rows) == sum(sweeps)
 
 
 def _mask_image(ct, g):
@@ -1055,7 +1070,7 @@ class TestMaskOrbits:
     def test_orbit_count_matches_the_brute_force_enumeration(self, spec, orbits):
         # the images under all symmetries, not just the generators, are
         # exactly the orbit, so the smallest image labels it
-        ct = solver.ColoringTable(spec)
+        ct = solver.ColoringTable(solver.NumberingTable(spec))
         canon = np.arange(len(ct.masks))
         for g in lattice_symmetry_permutations(spec):
             np.minimum(canon, _mask_image(ct, g), out=canon)
@@ -1065,13 +1080,13 @@ class TestMaskOrbits:
 
     @pytest.mark.parametrize("spec", [TORUS, OPEN3, LatticeSpec(1, 7)])
     def test_orbit_of_is_invariant_under_every_symmetry(self, spec):
-        ct = solver.ColoringTable(spec)
+        ct = solver.ColoringTable(solver.NumberingTable(spec))
         for g in lattice_symmetry_permutations(spec):
             assert (ct.orbit_of[_mask_image(ct, g)] == ct.orbit_of).all()
 
     @pytest.mark.parametrize("spec", [TORUS, OPEN3, LatticeSpec(1, 7)])
     def test_each_representative_is_its_orbits_smallest_index(self, spec):
-        ct = solver.ColoringTable(spec)
+        ct = solver.ColoringTable(solver.NumberingTable(spec))
         M = len(ct.masks)
         assert (np.diff(ct.orbit_reps) > 0).all()
         assert (ct.orbit_of[ct.orbit_reps] == np.arange(len(ct.orbit_reps))).all()
