@@ -39,25 +39,28 @@ masks, and the per-copy number minimization is a vectorized sweep:
   * a violation count depends on a step pattern only through its zero mask,
     so patterns group by zero mask (2,914 groups for 6,561 patterns on the
     3x3 torus, the 2,914 color masks) and the per-mask minima are one
-    min-plus product of the mask orbits' representatives against the
-    groups, through an AND-popcount kernel taken in blocks;
+    min-plus product of the mask orbits' representatives against each
+    group's smallest pairing value, through one AND-popcount kernel taken
+    in blocks;
   * a mask pair's value values1[i] + values2[j] + |m_i & m_j| is bounded
     below by values1[i] + values2[j], so the pair sweep evaluates only the
     pairs whose bound reaches the pair of row minima (4 of 8.5M on the 3x3
     torus).
 
 The joint embedded refinement of a non-separable plug stays per pattern.
+The tile, loop and pairing weights are read from
+hamiltonian.DEFAULT_COEFFICIENTS, the weights the term is built with.
 
 Every demand joins a port-2 slot to a port-1 slot, so rotating each port-2
-slot by pi about Y turns a pairing penalty 8(I - P_Phi+) into 6 + 8 S_a.S_b:
-a pairing component is a Heisenberg antiferromagnet, and its minimum lies in
-the sector of floor(k/2) up spins on its k slots, of dimension C(k, floor(k/2))
-instead of 2^k.  Components are solved there exactly up to EXACT_PAIRING_CAP
-slots, whatever their shape.  A larger component of any shape gets the
-certified cherry bound and is flagged inexact, and a search whose table holds
-such a bound is reported uncertified.  No lattice the numbering table accepts
-comes near the cap: its largest component has 9 slots on the 3x3 lattices and
-12 on ring 12.
+slot by pi about Y turns a pairing penalty 8(I - P_Phi+), at pairing weight
+16, into 6 + 8 S_a.S_b: a pairing component is a Heisenberg antiferromagnet,
+and its minimum lies in the sector of floor(k/2) up spins on its k slots, of
+dimension C(k, floor(k/2)) instead of 2^k.  Components are solved there
+exactly up to EXACT_PAIRING_CAP slots, whatever their shape.  A larger
+component of any shape gets the certified cherry bound and is flagged
+inexact, and a search whose table holds such a bound is reported
+uncertified.  No lattice the numbering table accepts comes near the cap: its
+largest component has 9 slots on the 3x3 lattices and 12 on ring 12.
 
 Three process caches hold computed values, and each is a pure function of its
 input, so no result depends on what ran earlier in the process:
@@ -78,7 +81,13 @@ import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
-from rih.hamiltonian import EPR_HALF_PROJECTOR, BudgetExceeded, dense_entries, embed_operator
+from rih.hamiltonian import (
+    DEFAULT_COEFFICIENTS,
+    EPR_HALF_PROJECTOR,
+    BudgetExceeded,
+    dense_entries,
+    embed_operator,
+)
 from rih.lattice import LatticeSpec, edge_index_array, lattice_symmetry_permutations
 from rih.tiling import (
     EprDemandGraph,
@@ -88,7 +97,7 @@ from rih.tiling import (
     striped_witness,
 )
 
-PAIR_PENALTY = 16 * EPR_HALF_PROJECTOR  # integer-entried, one per demand
+PAIR_PENALTY = DEFAULT_COEFFICIENTS["pairing"] * EPR_HALF_PROJECTOR  # one per demand
 
 DEFAULT_TOL = 1e-10
 DENSE_CUTOFF = 2**7  # dense eigvalsh up to here, eigsh above: the measured crossover
@@ -168,11 +177,12 @@ def _pairing_sparse(local_edges, k):
 def _pairing_minimum(k, edges):
     """Exact minimum of the pairing sum on k slots with these demand edges,
     built in the sector of floor(k/2) up spins, which the SU(2)-invariant
-    rotated sum's ground multiplet meets (see the module docstring).  A
-    demand (a, b) adds 8 on the diagonal where the two spins agree, 4 where
-    they differ, and 4 between the two states that swap them.  A pure
-    function of its arguments, so its cache never makes a value depend on
-    what ran earlier in the process."""
+    rotated sum's ground multiplet meets (see the module docstring).  With
+    pairing weight w, a demand (a, b) adds w/2 on the diagonal where the two
+    spins agree, w/4 where they differ, and w/4 between the two states that
+    swap them.  A pure function of its arguments, so its cache never makes a
+    value depend on what ran earlier in the process."""
+    w = DEFAULT_COEFFICIENTS["pairing"]
     states = np.arange(2**k, dtype=np.int64)
     states = states[np.bitwise_count(states) == k // 2]
     every = np.arange(len(states))
@@ -182,7 +192,7 @@ def _pairing_minimum(k, edges):
         src = np.flatnonzero(differ)
         rows += [every, src]
         cols += [every, np.searchsorted(states, states[src] ^ ((1 << a) | (1 << b)))]
-        vals += [np.where(differ, 4.0, 8.0), np.full(len(src), 4.0)]
+        vals += [np.where(differ, w / 4, w / 2), np.full(len(src), w / 4)]
     entries = (np.concatenate(x) for x in (rows, cols, vals))
     return _min_eigenvalue_coo(*entries, len(states))
 
@@ -227,13 +237,13 @@ def _component_bound(local_edges):
 
     A connected graph with m edges splits into m // 2 edge-disjoint cherries
     (paths of two edges) and at most one lone edge (Kotzig's theorem, with a
-    pendant edge added when m is odd).  A cherry's minimum is 4 and every
-    summand is positive semidefinite, so 4 * (m // 2) never exceeds the
-    component's minimum.  Repeated demands count once: the split needs a
-    simple graph, and dropping a copy, itself semidefinite, only lowers the
-    minimum."""
+    pendant edge added when m is odd).  A cherry's minimum is a quarter of
+    the pairing weight, 4, and every summand is positive semidefinite, so
+    4 * (m // 2) never exceeds the component's minimum.  Repeated demands
+    count once: the split needs a simple graph, and dropping a copy, itself
+    semidefinite, only lowers the minimum."""
     m = len({frozenset(e) for e in local_edges})
-    return 4.0 * (m // 2)
+    return DEFAULT_COEFFICIENTS["pairing"] / 4 * (m // 2)
 
 
 @dataclass(frozen=True)
@@ -294,6 +304,29 @@ def _solve_component(k, local_edges):
     return ComponentResult(k, m, "exact", value, True)
 
 
+def _pair_groups(pairs):
+    """Connected groups of the graph whose edges are pairs, as lists of
+    indices into pairs: groups in the order of their first pair, and each
+    group's pairs in input order.  A dict union-find, which beats scipy's
+    connected_components by far on the few pairs of one demand graph."""
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(parent.setdefault(a, a)), find(parent.setdefault(b, b))
+        if ra != rb:
+            parent[ra] = rb
+    groups = {}
+    for k, (a, _) in enumerate(pairs):
+        groups.setdefault(find(a), []).append(k)
+    return list(groups.values())
+
+
 def epr_min_energy(g):
     """Minimum total pairing penalty for a demand graph.
 
@@ -308,26 +341,9 @@ def epr_min_energy(g):
     demands = _normalize_demands(g)
     if not demands:
         return EprEnergy(0.0, True, ())
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in demands:
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-    for a, b in demands:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups = {}
-    for a, b in demands:
-        groups.setdefault(find(a), []).append((a, b))
     results = []
-    for pairs in groups.values():
+    for group in _pair_groups(demands):
+        pairs = [demands[k] for k in group]
         slots = sorted({s for p in pairs for s in p})
         index = {s: i for i, s in enumerate(slots)}
         local = [(index[a], index[b]) for a, b in pairs]
@@ -436,28 +452,12 @@ def _embedded_diag_dp(spec, costs, d):
 
 
 def _embedded_components(spec, terms):
-    """Connected site groups of the edges where some active term acts."""
+    """Connected groups of the edges where some active term acts, as lists
+    of edge indices."""
     ei = edge_index_array(spec)
     active = [j for j in range(len(ei)) if any(int(steps[j]) for steps, _ in terms)]
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for j in active:
-        a, b = int(ei[j, 0]), int(ei[j, 1])
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups = {}
-    for j in active:
-        groups.setdefault(find(int(ei[j, 0])), []).append(j)
-    return groups
+    groups = _pair_groups([(int(ei[j, 0]), int(ei[j, 1])) for j in active])
+    return [[active[k] for k in group] for group in groups]
 
 
 def embedded_step_energy(spec, steps1, steps2, plug):
@@ -477,7 +477,7 @@ def embedded_step_energy(spec, steps1, steps2, plug):
     ei = edge_index_array(spec)
     entries = [(steps, dense_entries(mat)) for steps, mat in terms]
     total = 0.0
-    for sites_edges in _embedded_components(spec, terms).values():
+    for sites_edges in _embedded_components(spec, terms):
         comp_sites = sorted(
             {int(ei[j, 0]) for j in sites_edges} | {int(ei[j, 1]) for j in sites_edges}
         )
@@ -628,7 +628,7 @@ def sector_full_oracle(t, plug):
 
     ei = edge_index_array(spec)
     s1, s2 = _step_patterns(t)
-    e16 = dense_entries(PAIR_PENALTY)
+    pair_entries = dense_entries(PAIR_PENALTY)
     rows, cols, vals = [], [], []
     for j in range(len(ei)):
         a, b = int(ei[j, 0]), int(ei[j, 1])
@@ -639,7 +639,7 @@ def sector_full_oracle(t, plug):
                 p = (pos(b, qout), pos(a, qin))
             else:
                 continue
-            r, c, v = embed_operator(e16, p, dims)
+            r, c, v = embed_operator(pair_entries, p, dims)
             rows.append(r)
             cols.append(c)
             vals.append(v)
@@ -784,14 +784,8 @@ class NumberingTable:
         self.zero_groups, first, row_group = np.unique(
             row_mask, return_index=True, return_inverse=True
         )
-        self.zero_mask = row_mask[order]
         self.group_of = row_group[order]
         self.group_rep = pattern_at[first]
-        # the patterns by group, then by index, and where each group starts
-        self.group_order = np.argsort(self.group_of, kind="stable")
-        self.group_starts = np.searchsorted(
-            self.group_of[self.group_order], np.arange(len(self.zero_groups))
-        )
         self.epr = np.zeros(P)
         self.epr_exact = np.zeros(P, dtype=bool)
 
@@ -823,9 +817,6 @@ class NumberingTable:
     def broadcast(self, rep_values):
         """Spread per-orbit values (in orbit_reps order) over every pattern."""
         return np.asarray(rep_values)[self.orbit_of]
-
-    def demands_for_pattern(self, p):
-        return _pattern_demands(self.edge_idx, self.patterns[p])
 
     def solve_all(self):
         """Pairing minima of every pattern, through its orbit representative.
@@ -879,8 +870,9 @@ class NumberingTable:
 
 class ColoringTable:
     """The distinct same-color edge masks of a small lattice, with one
-    representative coloring per mask, mask-level geometry flags and the
-    lattice-symmetry orbits of the masks, all read off a NumberingTable.
+    representative coloring per mask, each mask's loop penalty, mask-level
+    geometry flags and the lattice-symmetry orbits of the masks, all read off
+    a NumberingTable.
 
     A global shift of the colors keeps every mask, and a coloring's mask is
     the zero mask of the numbering with the same digits, so the masks are the
@@ -900,6 +892,8 @@ class ColoringTable:
         self.masks = nt.zero_groups
         self.rep_coloring = nt.digits[nt.group_rep]
         self.same_count = _popcount(self.masks)
+        # the loop weight for each different-color edge
+        self.loop_cost = DEFAULT_COEFFICIENTS["loop"] * (self.num_edges - self.same_count)
         deg = np.zeros((len(self.masks), self.spec.num_sites), dtype=np.int8)
         for j, (a, b) in enumerate(self.edge_idx):
             hit = ((self.masks >> np.uint64(j)) & np.uint64(1)).astype(bool)
@@ -939,73 +933,48 @@ def _tables(spec):
     return nt, ColoringTable(nt)
 
 
-def _violations(i, nt, ct):
-    """Tile-rule violation count per step pattern under mask i of ct, from
-    the identity viol = 2*|mask & zero| + E - |mask| - |zero| taken once per
-    zero-mask group.  The groups are ct's masks, so both popcounts are read
-    from ct.same_count."""
-    per_group = 2 * _popcount(ct.masks & ct.masks[i]) - ct.same_count
-    return (per_group + (ct.num_edges - ct.same_count[i]))[nt.group_of]
+def _mask_violations(rows, ct):
+    """The row kernel: for each mask m indexed by rows and each mask z of ct,
+    tile * (2*|m & z| + E - |m| - |z|), the tile penalty under color mask m
+    of every step pattern whose zero mask is z.  Shape (len(rows), M)."""
+    viol = 2 * _popcount(ct.masks[rows, None] & ct.masks) - ct.same_count
+    viol += ct.num_edges - ct.same_count[rows, None]
+    return DEFAULT_COEFFICIENTS["tile"] * viol
 
 
-def _pattern_costs(i, nt, ct, extra=None):
-    """8*violations + pairing (+ extra, one value per pattern) of every step
-    pattern under mask i of ct, summed in that order."""
-    cost = 8.0 * _violations(i, nt, ct) + nt.epr
-    return cost if extra is None else cost + extra
-
-
-def _group_minima(nt, extra):
-    """For each violation count v and zero-mask group z, the smallest
-    8.0*v + epr (+ extra) over the group's patterns; extra holds one value
-    per pattern.  The table is flat, indexed v*Z + z; each value is computed
-    as _pattern_costs computes it, so it is bit-identical to a pattern's own
-    cost."""
-    epr = nt.epr[nt.group_order]
-    extra = None if extra is None else extra[nt.group_order]
-    value = np.empty((nt.num_edges + 1, len(nt.zero_groups)))
-    for v in range(nt.num_edges + 1):
-        vals = 8.0 * v + epr
-        if extra is not None:
-            vals = vals + extra
-        value[v] = np.minimum.reduceat(vals, nt.group_starts)
-    return value.ravel()
-
-
-def _table_rows(rows, ct):
-    """The row kernel: for each mask index in rows and each mask z, which is
-    a zero-mask group, the flat index viol*M + z into the _group_minima
-    table, with viol = 2*|m & z| + (E - |z|) - |m|.  Shape (len(rows), M)."""
-    E, M = ct.num_edges, len(ct.masks)
-    idx = _popcount(ct.masks[rows, None] & ct.masks) * (2 * M)
-    idx += (E - ct.same_count) * M + np.arange(M)
-    idx -= ct.same_count[rows, None] * M
-    return idx
+def _pattern_costs(i, nt, ct, base):
+    """tile*violations + base of every step pattern under mask i of ct; base
+    holds one value per pattern."""
+    return _mask_violations([i], ct)[0][nt.group_of] + base
 
 
 def _q_sweep(nt, ct, extra=None):
-    """Per mask, the min over step patterns of 8*violations + pairing
-    (+ extra), and a function giving, for one mask index, the smallest
-    pattern index attaining it.
+    """Per mask, the min over step patterns of tile*violations + (pairing +
+    extra), and a function giving, for one mask index, the smallest pattern
+    index attaining it.
 
     extra holds one value per pattern orbit, in orbit_reps order, and is
     broadcast inside, so like the pairing minima it is invariant under the
-    lattice symmetries.  A symmetry maps masks to masks and zero groups to
-    zero groups and keeps every violation count, so a mask's candidate values
-    are those of its orbit's representative: the row kernel runs over the
+    lattice symmetries.  A violation count depends on a pattern only through
+    its zero group, so q is one min-plus product of the kernel against each
+    group's smallest pairing + extra; rounding is monotone, so each q is
+    bit-identical to the smallest per-pattern cost.  A symmetry maps masks to
+    masks and zero groups to zero groups and keeps every violation count, so
+    a mask's q is its orbit representative's: the kernel runs over the
     representatives only, in blocks of about SWEEP_BLOCK elements, and q is
-    broadcast to the other masks bit for bit.  The argmin is the np.argmin of
-    one mask's _pattern_costs, computed only for the masks read."""
-    extra = None if extra is None else nt.broadcast(extra)
-    value = _group_minima(nt, extra)
+    broadcast to the other masks.  The argmin is the np.argmin of one mask's
+    _pattern_costs, computed only for the masks read."""
+    base = nt.epr if extra is None else nt.epr + nt.broadcast(extra)
+    group_min = np.full(len(ct.masks), np.inf)
+    np.minimum.at(group_min, nt.group_of, base)
     reps = ct.orbit_reps
     q = np.empty(len(reps))
     step = max(1, SWEEP_BLOCK // len(ct.masks))
     for s in range(0, len(reps), step):
-        q[s : s + step] = value[_table_rows(reps[s : s + step], ct)].min(axis=1)
+        q[s : s + step] = (_mask_violations(reps[s : s + step], ct) + group_min).min(axis=1)
 
     def argmin(i):
-        return int(np.argmin(_pattern_costs(i, nt, ct, extra)))
+        return int(np.argmin(_pattern_costs(i, nt, ct, base)))
 
     return q[ct.orbit_of], argmin
 
@@ -1102,7 +1071,6 @@ def ground_energy_search(spec, plug=None):
     # per-copy, per-mask minima over numberings, with each copy's one-copy
     # embedded minima folded in (the whole embedded part when separable)
     M = len(ct.masks)
-    loop_cost = 2.0 * (E - ct.same_count)
     if not (horizontal or vertical):
         q1, argn1 = q2, argn2 = _q_sweep(nt, ct)
     else:
@@ -1118,13 +1086,17 @@ def ground_energy_search(spec, plug=None):
         q1, argn1 = _q_sweep(nt, ct, eh)
         q2, argn2 = _q_sweep(nt, ct, ev)
 
-    values1 = loop_cost + q1
-    values2 = loop_cost + q2
+    values1 = ct.loop_cost + q1
+    values2 = ct.loop_cost + q2
     best, (i1, i2) = _pair_sweep(values1, values2, ct.masks)
 
+    def tiling(i, j, p1, p2):
+        return Tiling(spec, ct.rep_coloring[i], nt.digits[p1], ct.rep_coloring[j], nt.digits[p2])
+
     refinements = 0
-    numbering = None  # the argmin's pattern pair, once the refinement sets it
-    if not separable:
+    if separable:
+        argmin = tiling(i1, i2, argn1(i1), argn2(i2))
+    else:
         # the separable sweep gives a certified lower bound per pair; refine
         # every pair whose bound undercuts the incumbent with joint embedded
         # solves until none remains
@@ -1139,11 +1111,12 @@ def ground_energy_search(spec, plug=None):
             return emb_cache[key]
 
         def joint_best(i, j, budget_val):
-            """Exact min over numbering pairs in mask pair (i, j) not exceeding
-            budget_val, with the achieving numbering pair, or None."""
+            """Exact min over numbering pairs in mask pair (i, j), with the
+            achieving numbering pair; pairs above budget_val are skipped, so
+            the min is exact only where it is below budget_val."""
             inter = int(np.bitwise_count(ct.masks[i] & ct.masks[j]))
-            base = float(loop_cost[i] + loop_cost[j] + inter)
-            v1, v2 = _pattern_costs(i, nt, ct), _pattern_costs(j, nt, ct)
+            base = float(ct.loop_cost[i] + ct.loop_cost[j] + inter)
+            v1, v2 = _pattern_costs(i, nt, ct, nt.epr), _pattern_costs(j, nt, ct, nt.epr)
             # seed: the classical argmin pair is achievable, and any pair whose
             # classical part exceeds seed_total - base can never win (embedded
             # parts are nonnegative), so the window below is complete
@@ -1160,34 +1133,27 @@ def ground_energy_search(spec, plug=None):
                         out, arg = tot, (int(p1), int(p2))
             return out, arg
 
-        incumbent = np.inf
-        inc_state = None  # (i, j, p1, p2)
+        incumbent, argmin = np.inf, None
         if spec.n % 3 == 0 and spec.r >= 2:
-            w = striped_witness(spec)
-            wtot = tile_sector_energy(w, plug).total
-            if wtot < incumbent:
-                incumbent, inc_state = wtot, ("witness", w)
-        seed, seed_arg = joint_best(i1, i2, incumbent)
-        if seed < incumbent:
-            incumbent, inc_state = seed, (i1, i2, *seed_arg)
+            argmin = striped_witness(spec)
+            incumbent = tile_sector_energy(argmin, plug).total
+
+        def refine(i, j):
+            nonlocal incumbent, argmin
+            tot, (p1, p2) = joint_best(i, j, incumbent)
+            if tot < incumbent:
+                incumbent, argmin = tot, tiling(i, j, p1, p2)
+
+        # the seed pair first: listing the pairs below an infinite incumbent
+        # would list all M*M of them
+        refine(i1, i2)
         bounds, rows, cols = _pairs_below(values1, values2, ct.masks, incumbent)
         keep = (bounds < incumbent) & ((rows != i1) | (cols != i2))
-        order = zip(bounds[keep].tolist(), rows[keep].tolist(), cols[keep].tolist())
-        for bval, i, j in order:
+        for bval, i, j in zip(bounds[keep].tolist(), rows[keep].tolist(), cols[keep].tolist()):
             if bval >= incumbent:
                 break
-            tot, arg = joint_best(i, j, incumbent)
-            if tot < incumbent and arg is not None:
-                incumbent, inc_state = tot, (i, j, *arg)
+            refine(i, j)
         best = incumbent
-        if inc_state is not None and inc_state[0] == "witness":
-            argmin_override = inc_state[1]
-        else:
-            argmin_override = None
-            if inc_state is not None:
-                i1, i2, *numbering = inc_state
-    else:
-        argmin_override = None
 
     # category minima over pairs (flags apply per copy)
     L, T = ct.looped, ct.has_turn
@@ -1222,15 +1188,6 @@ def ground_energy_search(spec, plug=None):
     # the minimum is certified unless some pairing value is only a bound
     certified = bool(nt.epr_exact.all())
 
-    # reconstruct the argmin tiling
-    if argmin_override is not None:
-        argmin = argmin_override
-    else:
-        p1, p2 = numbering or (argn1(i1), argn2(i2))
-        c1 = ct.rep_coloring[i1]
-        c2 = ct.rep_coloring[i2]
-        argmin = Tiling(spec, c1, nt.digits[p1], c2, nt.digits[p2])
-
     stats = {
         "distinct_masks": M,
         "distinct_step_patterns": int(len(nt.patterns)),
@@ -1255,7 +1212,7 @@ def single_copy_minimum(spec):
     reduced quantity the full-space oracle can check independently."""
     nt, ct = _tables(spec)
     q, argn = _q_sweep(nt, ct)
-    tot = 2.0 * (nt.num_edges - ct.same_count) + q
+    tot = ct.loop_cost + q
     i = int(np.argmin(tot))
     return float(tot[i]), (i, argn(i))
 
@@ -1272,6 +1229,6 @@ def single_copy_floor_check(spec):
     q, _ = _q_sweep(nt, ct)
     deg = ct.same_degree.astype(int)
     floor = 2 * E - deg.sum(axis=1) + 4 * (deg // 3).sum(axis=1)
-    energy = 2.0 * (E - ct.same_count) + q
+    energy = ct.loop_cost + q
     worst = float((energy - floor).min())
     return bool(worst > -1e-9), worst

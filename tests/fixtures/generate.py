@@ -10,9 +10,16 @@ lattices the exhaustive search accepts.  They are a record of known-good
 output: regenerate them only with a change that means to alter a minimum,
 a category figure or an argmin, and say so where the change is described.
 
+The random-plug reports pin the ground_energy_search JSON, less its elapsed
+time, of seeded random PSD plugs that the command line cannot name: a
+complex plug on the horizontal term alone (the separable sweep) and a real
+plug on both terms (the joint refinement).  Each case stores its plug's
+matrices, so the pinned reports do not depend on how the plugs were drawn.
+
 Run from the repository root:
-    python3 tests/fixtures/generate.py                  # sector fixtures
-    python3 tests/fixtures/generate.py solve-reports    # solve reports
+    python3 tests/fixtures/generate.py                       # sector fixtures
+    python3 tests/fixtures/generate.py solve-reports         # solve reports
+    python3 tests/fixtures/generate.py random-plug-reports   # random-plug reports
 """
 
 import contextlib
@@ -26,7 +33,7 @@ import numpy as np
 from rih.cli import main as cli_main
 from rih.lattice import LatticeSpec
 from rih.tiling import Tiling, striped_witness
-from rih.hamiltonian import toy_plugs
+from rih.hamiltonian import TranslationPlug, toy_plugs
 from rih import solver
 
 HERE = pathlib.Path(__file__).parent
@@ -112,5 +119,64 @@ def solve_reports():
     print(f"wrote {len(cases)} solve reports to {out}")
 
 
+# (lattice, seeds): ring 7's joint searches take seconds for seeds 2 and 3
+RANDOM_PLUG_CASES = (
+    (LatticeSpec(1, 5), (1, 2, 3)),
+    (LatticeSpec(1, 7), (1,)),
+    (LatticeSpec(1, 6, "open"), (1, 2, 3)),
+)
+
+
+def _random_psd(rng, complex_entries):
+    """A 4x4 PSD matrix with spectrum {0, 1/3, 2/3, 1} in a random basis, drawn
+    as the benchmark's certify workload draws its plugs."""
+    g = rng.standard_normal((4, 4))
+    if complex_entries:
+        g = g + 1j * rng.standard_normal((4, 4))
+    q, r = np.linalg.qr(g)
+    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    h = q @ np.diag([0.0, 1 / 3, 2 / 3, 1.0]) @ q.conj().T
+    h = (h + h.conj().T) / 2
+    return h if complex_entries else h.real
+
+
+def _matrix_json(mat):
+    mat = np.asarray(mat, dtype=np.complex128)
+    return {"real": mat.real.tolist(), "imag": mat.imag.tolist()}
+
+
+def random_plug_reports():
+    cases = []
+    for spec, seeds in RANDOM_PLUG_CASES:
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            separable = _random_psd(rng, True), np.zeros((4, 4))
+            joint = _random_psd(rng, False), _random_psd(rng, False)
+            for plug in (
+                TranslationPlug(2, *separable, name=f"random-h-{seed}"),
+                TranslationPlug(2, *joint, name=f"random-hv-{seed}"),
+            ):
+                report = solver.ground_energy_search(spec, plug).to_json_dict()
+                del report["stats"]["elapsed_seconds"]
+                plug_json = {
+                    "d": plug.d,
+                    "name": plug.name,
+                    "horizontal": _matrix_json(plug.horizontal),
+                    "vertical": _matrix_json(plug.vertical),
+                }
+                cases.append({"spec": spec.to_json_dict(), "plug": plug_json, "report": report})
+    out = HERE / "random_plug_reports.json"
+    out.write_text(
+        json.dumps({"schema": "random-plug-reports/1", "cases": cases}, indent=1) + "\n"
+    )
+    print(f"wrote {len(cases)} random-plug reports to {out}")
+
+
 if __name__ == "__main__":
-    solve_reports() if sys.argv[1:] == ["solve-reports"] else main()
+    mode = sys.argv[1:]
+    if mode == ["solve-reports"]:
+        solve_reports()
+    elif mode == ["random-plug-reports"]:
+        random_plug_reports()
+    else:
+        main()

@@ -31,6 +31,9 @@ from rih.tiling import (
 from rih import solver
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "src" / "rih" / "data"
+RANDOM_PLUG_REPORTS = json.loads(
+    (pathlib.Path(__file__).parent / "fixtures" / "random_plug_reports.json").read_text()
+)["cases"]
 
 TORUS = LatticeSpec(2, 3, "periodic")
 OPEN3 = LatticeSpec(2, 3, "open")
@@ -165,6 +168,12 @@ class TestPairingMinimum:
 
 
 class TestEprMinEnergy:
+    def test_pair_groups_keep_first_pair_and_input_order(self):
+        # (1, 2) and (3, 4) join only through the later (2, 3)
+        pairs = [(1, 2), (5, 6), (3, 4), (6, 7), (2, 3), (0, 9)]
+        assert solver._pair_groups(pairs) == [[0, 2, 4], [1, 3], [5]]
+        assert solver._pair_groups([]) == []
+
     def test_cyclically_numbered_ring_is_satisfied(self):
         t = Tiling(RING, [0, 0, 0], [0, 1, 2])
         r = solver.epr_min_energy(epr_demand_graph(t, 1))
@@ -264,7 +273,7 @@ class TestEprMinEnergy:
         # components in other labelings
         nt = solver.NumberingTable(TORUS)
         picks = np.random.default_rng(2026).choice(len(nt.patterns), 400, replace=False)
-        demands = [nt.demands_for_pattern(p) for p in picks]
+        demands = [solver._pattern_demands(nt.edge_idx, nt.patterns[p]) for p in picks]
         cold = []
         for d in demands:
             solver._pairing_minimum.cache_clear()
@@ -550,7 +559,9 @@ class TestGroundEnergySearch:
         sizes = [
             c.num_slots
             for p in nt.orbit_reps
-            for c in solver.epr_min_energy(nt.demands_for_pattern(p)).components
+            for c in solver.epr_min_energy(
+                solver._pattern_demands(nt.edge_idx, nt.patterns[p])
+            ).components
         ]
         assert max(sizes) == largest < solver.EXACT_PAIRING_CAP
 
@@ -601,6 +612,28 @@ class TestGroundEnergySearch:
     def test_oversized_lattice_is_rejected(self):
         with pytest.raises(solver.BudgetExceeded):
             solver.ground_energy_search(LatticeSpec(2, 6, "periodic"))
+
+    @pytest.mark.parametrize(
+        "case",
+        RANDOM_PLUG_REPORTS,
+        ids=[
+            "{}-{r}d{n}{boundary:.1}".format(c["plug"]["name"], **c["spec"])
+            for c in RANDOM_PLUG_REPORTS
+        ],
+    )
+    def test_random_plug_report_is_pinned(self, case):
+        # the separable sweep of a complex plug and the joint refinement of a
+        # real one, as tests/fixtures/random_plug_reports.json records them
+        p = case["plug"]
+        h, v = (
+            np.array(p[k]["real"]) + 1j * np.array(p[k]["imag"])
+            for k in ("horizontal", "vertical")
+        )
+        spec = LatticeSpec.from_json_dict(case["spec"])
+        out = solver.ground_energy_search(spec, TranslationPlug(p["d"], h, v, p["name"]))
+        out = out.to_json_dict()
+        del out["stats"]["elapsed_seconds"]
+        assert json.dumps(out, indent=1) == json.dumps(case["report"], indent=1)
 
 
 class TestCountingFloor:
@@ -720,7 +753,7 @@ class TestSymmetryOrbits:
         nt = solver.NumberingTable(spec)
         nt.solve_all()
         for p in _patterns_under_test(nt, sample):
-            direct = solver.epr_min_energy(nt.demands_for_pattern(p))
+            direct = solver.epr_min_energy(solver._pattern_demands(nt.edge_idx, nt.patterns[p]))
             assert abs(direct.value - nt.epr[p]) <= tol
             assert direct.exact == nt.epr_exact[p]
 
@@ -828,6 +861,7 @@ class TestReducedTables:
         nt.solve_all()
         ct = solver.ColoringTable(nt)
         want_nt, want_ct = _reference_tables(spec)
+        assert nt.zero_groups[nt.group_of].tobytes() == want_nt.pop("zero_mask").tobytes()
         for table, want in ((nt, want_nt), (ct, want_ct)):
             for name, ref in want.items():
                 got = getattr(table, name)
@@ -903,21 +937,21 @@ def _sweep_extra(spec, nt, kind):
 def _violations_for_mask(mask, nt):
     """Tile-rule violation count per step pattern, one popcount per pattern:
     viol = 2*|mask & zero| + E - |mask| - |zero|."""
-    inter = solver._popcount(np.bitwise_and(nt.zero_mask, np.uint64(mask)))
+    zero_mask = nt.zero_groups[nt.group_of]
+    inter = solver._popcount(np.bitwise_and(zero_mask, np.uint64(mask)))
     mask_count = int(solver._popcount(np.array([mask], dtype=np.uint64))[0])
-    return 2 * inter + nt.num_edges - mask_count - solver._popcount(nt.zero_mask)
+    return 2 * inter + nt.num_edges - mask_count - solver._popcount(zero_mask)
 
 
 def _q_loop(masks, nt, extra=None):
     """The per-mask reference for _q_sweep, over every mask: mask by mask, the
-    np.argmin over patterns of 8*violations + pairing (+ extra, one value per
+    np.argmin over patterns of 8*violations + (pairing + extra, one value per
     pattern orbit) and its value."""
     q = np.empty(len(masks))
     argmin = np.empty(len(masks), dtype=np.int64)
+    base = nt.epr if extra is None else nt.epr + nt.broadcast(extra)
     for i, m in enumerate(masks):
-        vals = 8.0 * _violations_for_mask(int(m), nt) + nt.epr
-        if extra is not None:
-            vals = vals + nt.broadcast(extra)
+        vals = 8.0 * _violations_for_mask(int(m), nt) + base
         argmin[i] = np.argmin(vals)
         q[i] = vals[argmin[i]]
     return q, argmin
@@ -982,6 +1016,7 @@ class TestMaskSweep:
     def test_pair_sweep_matches_brute_force(self, sweep_extra, spec, kind):
         nt, ct = solver._tables(spec)
         loop_cost = 2.0 * (nt.num_edges - ct.same_count)
+        assert loop_cost.tobytes() == ct.loop_cost.tobytes()
         q1, _ = solver._q_sweep(nt, ct, sweep_extra(spec, nt, kind))
         q2, _ = solver._q_sweep(nt, ct)
         values1, values2 = loop_cost + q1, loop_cost + q2
@@ -995,9 +1030,11 @@ class TestMaskSweep:
 
     @pytest.mark.parametrize("spec", [TORUS, LatticeSpec(1, 7)], ids=["torus3x3", "ring7"])
     def test_group_violations_match_the_per_pattern_count(self, spec):
+        # the row kernel, read through group_of, is 8 times each pattern's count
         nt, ct = solver._tables(spec)
         for i, m in enumerate(ct.masks):
-            assert (solver._violations(i, nt, ct) == _violations_for_mask(int(m), nt)).all()
+            got = solver._mask_violations([i], ct)[0][nt.group_of]
+            assert (got == 8 * _violations_for_mask(int(m), nt)).all()
 
     def test_pairs_below_lists_every_pair_under_the_limit(self):
         nt, ct = solver._tables(LatticeSpec(1, 7))
@@ -1029,7 +1066,7 @@ class TestMaskSweep:
         for plug in (None, toy_plugs()["afm"]):
             solver.ground_energy_search(TORUS, plug)
         rows, sweeps = [], []
-        kernel, sweep = solver._table_rows, solver._q_sweep
+        kernel, sweep = solver._mask_violations, solver._q_sweep
 
         def counted_kernel(reps, ct):
             rows.append(len(reps))
@@ -1039,15 +1076,16 @@ class TestMaskSweep:
             start = len(rows)
             out = sweep(*args)
             sweeps.append(sum(rows[start:]))
+            del rows[start:]
             return out
 
-        monkeypatch.setattr(solver, "_table_rows", counted_kernel)
+        monkeypatch.setattr(solver, "_mask_violations", counted_kernel)
         monkeypatch.setattr(solver, "_q_sweep", counted_sweep)
         for plug in (None, toy_plugs()["afm"]):
             solver.ground_energy_search(TORUS, plug)
         assert sweeps == [75, 75, 75]
-        # the argmin reads one mask's pattern costs, not the row kernel
-        assert sum(rows) == sum(sweeps)
+        # outside the sweeps, each search's argmin reads one mask per copy
+        assert rows == [1, 1, 1, 1]
 
 
 def _mask_image(ct, g):
