@@ -482,14 +482,17 @@ def crit_symmetry_invariance(ctx):
     for t in cases:
         perms = lattice_symmetry_permutations(t.spec)
         base_flags = (invariant_flags(t, 1), invariant_flags(t, 2))
+        # the zero plug's embedded part is exactly 0.0, so the zero total plus
+        # the afm embedded part is the afm sector's total, float for float
         base_zero = solver.tile_sector_energy(t).total
-        base_afm = solver.tile_sector_energy(t, plugs["afm"]).total
+        base_afm = base_zero + solver.embedded_2d_energy(t, plugs["afm"])
         for perm in perms:
             moved = t.permuted(perm)
             if (invariant_flags(moved, 1), invariant_flags(moved, 2)) != base_flags:
                 return False, "classification flags changed under a coordinate permutation"
-            dz = abs(solver.tile_sector_energy(moved).total - base_zero)
-            da = abs(solver.tile_sector_energy(moved, plugs["afm"]).total - base_afm)
+            zero = solver.tile_sector_energy(moved).total
+            dz = abs(zero - base_zero)
+            da = abs(zero + solver.embedded_2d_energy(moved, plugs["afm"]) - base_afm)
             worst = max(worst, dz, da)
             if dz > 1e-8 or da > 1e-8:
                 return False, "sector energy changed under a coordinate permutation"

@@ -146,17 +146,35 @@ def edge_index_array(spec):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def neighbor_index_array(spec):
+    """Neighbor site indices as an (N, 2r) int array: row i holds the indices
+    of neighbors(index_site(i)) in that order, padded with -1 where an open
+    boundary cuts a neighbor off.
+
+    Built once per spec and shared by every caller, so the array is read-only.
+    """
+    out = np.full((spec.num_sites, 2 * spec.r), -1, dtype=np.int64)
+    for i, u in enumerate(spec.sites()):
+        row = [spec.site_index(v) for v in neighbors(u, spec)]
+        out[i, : len(row)] = row
+    out.setflags(write=False)
+    return out
+
+
 def permute_coords(u, perm):
     """Apply a coordinate permutation: result[i] = u[perm[i]]."""
     return tuple(u[p] for p in perm)
 
 
+@functools.lru_cache(maxsize=None)
 def lattice_symmetry_permutations(spec):
     """Site-index permutations generated by coordinate permutations, axis
     reflections, and (periodic only) translations.
 
     Returns an (G, N) int array; row g maps site index i to perms[g, i].
-    Deduplicated, deterministic order.
+    Deduplicated, deterministic order.  Built once per spec and shared by
+    every caller, so the array is read-only.
     """
     n, r = spec.n, spec.r
     sites = spec.sites()
@@ -183,4 +201,6 @@ def lattice_symmetry_permutations(spec):
                 if key not in seen:
                     seen.add(key)
                     rows.append(row)
-    return np.array(rows, dtype=np.int64)
+    out = np.array(rows, dtype=np.int64)
+    out.setflags(write=False)
+    return out

@@ -42,14 +42,15 @@ masks, and the per-copy number minimization is a vectorized sweep:
     min-plus product of the mask orbits' representatives against each
     group's smallest pairing value, through one AND-popcount kernel taken
     in blocks;
-  * a mask pair's value values1[i] + values2[j] + |m_i & m_j| is bounded
+  * a mask pair's value values1[i] + values2[j] + copy*|m_i & m_j| is bounded
     below by values1[i] + values2[j], so the pair sweep evaluates only the
     pairs whose bound reaches the pair of row minima (4 of 8.5M on the 3x3
     torus).
 
 The joint embedded refinement of a non-separable plug stays per pattern.
-The tile, loop and pairing weights are read from
-hamiltonian.DEFAULT_COEFFICIENTS, the weights the term is built with.
+The tile, loop, pairing, copy-coupling, horizontal and vertical weights
+are read from hamiltonian.DEFAULT_COEFFICIENTS, the weights the term is
+built with.
 
 Every demand joins a port-2 slot to a port-1 slot, so rotating each port-2
 slot by pi about Y turns a pairing penalty 8(I - P_Phi+), at pairing weight
@@ -62,11 +63,14 @@ inexact, and a search whose table holds such a bound is reported
 uncertified.  No lattice the numbering table accepts comes near the cap: its
 largest component has 9 slots on the 3x3 lattices and 12 on ring 12.
 
-Three process caches hold computed values, and each is a pure function of its
+Process caches hold computed values, and each is a pure function of its
 input, so no result depends on what ran earlier in the process:
-lattice.edge_index_array (edge table per lattice), _pairing_minimum (pairing
-minimum per slot count and demand edge tuple) and _tables (the solved
-numbering and coloring tables per lattice).
+lattice.edge_index_array and lattice.lattice_symmetry_permutations (edge
+table and symmetries per lattice), _component_key (canonical key per slot
+count and demand edge tuple), _pairing_minimum (pairing minimum per
+canonical key), _dp_layout (the embedded layer sweep's layout per lattice
+and level count) and _tables (the solved numbering and coloring tables per
+lattice).
 """
 
 from __future__ import annotations
@@ -292,6 +296,11 @@ def _normalize_demands(g):
     return demands
 
 
+# the canonical key per (slot count, demand edge tuple) as met, a pure
+# function of its arguments like _pairing_minimum
+_component_key = functools.lru_cache(maxsize=None)(_canonical_component_key)
+
+
 def _solve_component(k, local_edges):
     m = len(local_edges)
     if m == 1:
@@ -300,7 +309,7 @@ def _solve_component(k, local_edges):
     # what a wider cap cached earlier in the process
     if k > EXACT_PAIRING_CAP:
         return ComponentResult(k, m, "bound", _component_bound(local_edges), False)
-    value = _pairing_minimum(*_canonical_component_key(k, local_edges))
+    value = _pairing_minimum(*_component_key(k, tuple(local_edges)))
     return ComponentResult(k, m, "exact", value, True)
 
 
@@ -362,11 +371,16 @@ def epr_min_energy(g):
 
 def _active_terms(steps1, steps2, plug):
     """(steps, matrix) of each embedded term that acts: the horizontal term
-    along steps1 and the vertical term along steps2, each kept when its matrix
-    is nonzero and its step pattern has a nonzero step."""
+    along steps1 and the vertical term along steps2, each scaled by its
+    weight and kept when its matrix is nonzero and its step pattern has a
+    nonzero step."""
+    w = DEFAULT_COEFFICIENTS
     return [
         (steps, mat)
-        for steps, mat in ((steps1, plug.horizontal), (steps2, plug.vertical))
+        for steps, mat in (
+            (steps1, w["horizontal"] * plug.horizontal),
+            (steps2, w["vertical"] * plug.vertical),
+        )
         if np.count_nonzero(mat) and np.count_nonzero(steps)
     ]
 
@@ -378,76 +392,104 @@ def _plug_is_diagonal(terms):
 
 def _edge_cost_tables(spec, terms, d):
     """Per-edge (d, d) classical cost tables of diagonal active terms, indexed
-    [level at edge tail, level at edge head] in site order (a, b)."""
-    ei = edge_index_array(spec)
-    costs = [None] * len(ei)
+    [level at edge tail, level at edge head] in site order (a, b), as an
+    (E, d, d) array, and the ascending indices of the edges some term acts
+    on."""
+    costs = np.zeros((len(edge_index_array(spec)), d, d))
+    acts = np.zeros(len(costs), dtype=bool)
     for steps, mat in terms:
         diag = np.real(np.diag(mat)).reshape(d, d)
-        for j in range(len(ei)):
-            s = int(steps[j])
-            if s == 0:
-                continue
-            add = diag if s == 1 else diag.T  # reversed orientation
-            costs[j] = add.copy() if costs[j] is None else costs[j] + add
-    return costs
+        # indexed by step: no term, forward, reversed orientation
+        costs += np.stack((np.zeros((d, d)), diag, diag.T))[steps]
+        acts |= steps != 0
+    return np.flatnonzero(acts).tolist(), costs
 
 
-def _embedded_diag_dp(spec, costs, d):
-    """Exact classical minimum of summed per-edge cost tables by min-plus
-    dynamic programming over layers of constant first coordinate.  Handles
-    lattices whose full level space is far beyond enumeration."""
-    n = spec.n
-    N = spec.num_sites
-    m = N // n  # sites per layer; lex order keeps layers contiguous
-    S = d**m
-    if S > 4096 or S * S * n > 2 * 10**8:
+def _layer_states(spec, d):
+    """Level assignments of one layer of constant first coordinate, d^(N/n),
+    checked against the sweep's budget before anything is allocated."""
+    S = d ** (spec.num_sites // spec.n)
+    if S > 4096 or S * S * spec.n > 2 * 10**8:
         raise BudgetExceeded(f"layer state space {S} too large for the classical sweep")
+    return S
+
+
+@functools.lru_cache(maxsize=None)
+def _dp_layout(spec, d):
+    """Where each edge's cost table lands in the layer sweep of
+    _embedded_diag_dp, built once per (spec, d) and read-only: for edge j,
+    (intra, layer, tail levels, head levels), so that its cost table indexed
+    [tail levels, head levels] adds to the layer's intra-layer costs (S,) or
+    to its layer -> layer+1 transition costs (S, S).  The level arrays are
+    views of one (m, S) table of each layer position's level in every layer
+    state, shaped for that broadcast."""
+    n = spec.n
+    m = spec.num_sites // n  # sites per layer; lex order keeps layers contiguous
+    S = _layer_states(spec, d)
+    levels = np.empty((m, S), dtype=np.int64)
     idx = np.arange(S, dtype=np.int64)
-    digits = np.empty((S, m), dtype=np.int64)
     for k in range(m - 1, -1, -1):
-        digits[:, k] = idx % d
+        levels[k] = idx % d
         idx //= d
-    intra = [np.zeros(S) for _ in range(n)]
-    inter = [np.zeros((S, S)) for _ in range(n)]  # layer l -> l+1 (wrap at n-1)
-    ei = edge_index_array(spec)
-    for j, cost in enumerate(costs):
-        if cost is None:
-            continue
-        a, b = int(ei[j, 0]), int(ei[j, 1])
+    levels.setflags(write=False)
+    places = []
+    for a, b in edge_index_array(spec).tolist():
         la, pa = divmod(a, m)
         lb, pb = divmod(b, m)
         if la == lb:
-            intra[la] += cost[digits[:, pa], digits[:, pb]]
+            places.append((True, la, levels[pa], levels[pb]))
         elif lb == (la + 1) % n:
-            inter[la] += cost[digits[:, pa][:, None], digits[:, pb][None, :]]
+            places.append((False, la, levels[pa][:, None], levels[pb][None, :]))
         else:
             # wrap edges are stored smaller site first, so the layer-(n-1)
             # endpoint sits second; reorient onto the n-1 -> 0 transition
             assert la == (lb + 1) % n
-            inter[lb] += cost[digits[:, pa][None, :], digits[:, pb][:, None]]
+            places.append((False, lb, levels[pa][None, :], levels[pb][:, None]))
+    return tuple(places)
+
+
+def _embedded_diag_dp(spec, terms, d):
+    """Exact classical minimum of diagonal active terms by min-plus dynamic
+    programming over layers of constant first coordinate.  Handles lattices
+    whose full level space is far beyond enumeration.
+
+    The layer-state budget is checked first.  The per-(spec, d) layout comes
+    from the _dp_layout cache, so a call only adds each acting edge's cost
+    table (see _edge_cost_tables) into its layer, in edge order, and runs
+    the sweep."""
+    n = spec.n
+    S = _layer_states(spec, d)
+    places = _dp_layout(spec, d)
+    acting, costs = _edge_cost_tables(spec, terms, d)
+    intra = np.zeros((n, S))
+    inter = np.zeros((n, S, S))  # layer l -> l+1 (wrap at n-1)
+    for j in acting:
+        within, layer, tail, head = places[j]
+        (intra if within else inter)[layer] += costs[j][tail, head]
     if spec.boundary == "open":
         dp = intra[0].copy()
         for l in range(1, n):
             dp = (dp[:, None] + inter[l - 1]).min(axis=0) + intra[l]
         return float(dp.min())
-    # periodic: close the cycle, trying anchor states in promising order and
-    # stopping once the open-chain floor is reached
-    floor = intra[0].min()
-    for l in range(1, n):
-        floor += intra[l].min()
-    for l in range(n):
-        floor += inter[l].min()
+    # periodic: close the cycle from each anchor state of layer 0, trying
+    # anchors in promising order, a block of about SWEEP_BLOCK elements at a
+    # time, and stopping once the open-chain floor is reached; each anchor's
+    # row runs the arithmetic of a sweep from that anchor alone
+    floor = sum(intra.min(axis=1).tolist() + inter.min(axis=(1, 2)).tolist())
     best = np.inf
-    for f in np.argsort(intra[0], kind="stable"):
-        dp = np.full(S, np.inf)
-        dp[f] = intra[0][f]
+    order = np.argsort(intra[0], kind="stable")
+    block = max(1, SWEEP_BLOCK // (S * S))
+    for start in range(0, S, block):
+        anchors = order[start : start + block]
+        dp = np.full((len(anchors), S), np.inf)
+        dp[np.arange(len(anchors)), anchors] = intra[0][anchors]
         for l in range(1, n):
-            dp = (dp[:, None] + inter[l - 1]).min(axis=0) + intra[l]
-        cand = float((dp + inter[n - 1][:, f]).min())
-        if cand < best:
-            best = cand
-        if best <= floor + 1e-12:
-            break
+            dp = (dp[:, :, None] + inter[l - 1]).min(axis=1) + intra[l]
+        for cand in (dp + inter[n - 1][:, anchors].T).min(axis=1).tolist():
+            if cand < best:
+                best = cand
+            if best <= floor + 1e-12:
+                return best
     return best
 
 
@@ -473,7 +515,7 @@ def embedded_step_energy(spec, steps1, steps2, plug):
     if not terms:
         return 0.0
     if _plug_is_diagonal(terms):
-        return _embedded_diag_dp(spec, _edge_cost_tables(spec, terms, d), d)
+        return _embedded_diag_dp(spec, terms, d)
     ei = edge_index_array(spec)
     entries = [(steps, dense_entries(mat)) for steps, mat in terms]
     total = 0.0
@@ -556,11 +598,20 @@ class SectorEnergy:
 def tile_sector_energy(t, plug=None):
     """Ground energy of the sector that fixes every tile value of t: classical
     scalar plus both copies' pairing minima plus the embedded minimum.  These
-    act on disjoint factors, so the sector minimum is their sum."""
+    act on disjoint factors, so the sector minimum is their sum.
+
+    The step patterns are read once: both copies' demands come from
+    _pattern_demands, the builder the numbering table uses, which lists the
+    demands of tiling.epr_demand_graph in the same edge order with the same
+    ports, and the embedded part from embedded_step_energy on the same
+    arrays, so no demand-graph objects are built."""
+    spec = t.spec
+    ei = edge_index_array(spec)
+    s1, s2 = _step_patterns(t)
     ce = classical_energy(t)
-    e1 = epr_min_energy(epr_demand_graph(t, 1))
-    e2 = epr_min_energy(epr_demand_graph(t, 2))
-    emb = embedded_2d_energy(t, plug)
+    e1 = epr_min_energy(_pattern_demands(ei, s1))
+    e2 = epr_min_energy(_pattern_demands(ei, s2))
+    emb = 0.0 if plug is None else embedded_step_energy(spec, s1, s2, plug)
     method = "component-exact" if (e1.exact and e2.exact) else "bound-only"
     return SectorEnergy(
         classical=float(ce.total),
@@ -732,9 +783,9 @@ def _pattern_demands(edge_idx, steps):
     edge (a, b) asks slot (a, 2) to pair with (b, 1), a reverse one (b, 2)
     with (a, 1)."""
     out = []
-    for j in np.flatnonzero(steps):
-        a, b = int(edge_idx[j, 0]), int(edge_idx[j, 1])
-        out.append(((a, 2), (b, 1)) if steps[j] == 1 else ((b, 2), (a, 1)))
+    for (a, b), s in zip(edge_idx.tolist(), steps.tolist()):
+        if s:
+            out.append(((a, 2), (b, 1)) if s == 1 else ((b, 2), (a, 1)))
     return out
 
 
@@ -1007,12 +1058,14 @@ class EnergyReport:
 
 
 def _pairs_below(values1, values2, masks, limit):
-    """Every mask pair whose value values1[i] + values2[j] + |m_i & m_j| is at
-    most limit, as (value, i, j) arrays in lexicographic order.
+    """Every mask pair whose value values1[i] + values2[j] + copy*|m_i & m_j|
+    is at most limit, as (value, i, j) arrays in lexicographic order, with
+    the copy-coupling weight copy >= 0.
 
     values1[i] + values2[j] bounds a pair's value from below, so each row i
     evaluates only the prefix of values2, in ascending order, whose bound
     can reach limit.  Candidates go through in blocks of about SWEEP_BLOCK."""
+    copy = DEFAULT_COEFFICIENTS["copy"]
     order = np.argsort(values2, kind="stable")
     finite = np.isfinite(values1)
     # a float sum at most limit needs values2[j] <= limit - values1[i] up to
@@ -1031,7 +1084,7 @@ def _pairs_below(values1, values2, masks, limit):
         c = counts[rows[start:stop]]
         i = np.repeat(rows[start:stop], c)
         j = order[np.arange(len(i)) - np.repeat(np.cumsum(c) - c, c)]
-        val = values1[i] + values2[j] + _popcount(masks[i] & masks[j])
+        val = values1[i] + values2[j] + copy * _popcount(masks[i] & masks[j])
         keep = val <= limit
         found.append((val[keep], i[keep], j[keep]))
         start = stop
@@ -1041,11 +1094,12 @@ def _pairs_below(values1, values2, masks, limit):
 
 
 def _pair_sweep(values1, values2, masks):
-    """min over ordered mask pairs of values1[i] + values2[j] + |m_i & m_j|,
+    """min over ordered mask pairs of values1[i] + values2[j] + copy*|m_i & m_j|,
     with the lexicographically smallest (i, j) attaining it.  The pair of the
     two row minima seeds the limit for _pairs_below."""
     i, j = int(np.argmin(values1)), int(np.argmin(values2))
-    seed = values1[i] + values2[j] + _popcount(masks[i] & masks[j])
+    copy = DEFAULT_COEFFICIENTS["copy"]
+    seed = values1[i] + values2[j] + copy * _popcount(masks[i] & masks[j])
     if not np.isfinite(seed):
         return np.inf, (0, 0)
     val, rows, cols = _pairs_below(values1, values2, masks, seed)
@@ -1115,7 +1169,7 @@ def ground_energy_search(spec, plug=None):
             achieving numbering pair; pairs above budget_val are skipped, so
             the min is exact only where it is below budget_val."""
             inter = int(np.bitwise_count(ct.masks[i] & ct.masks[j]))
-            base = float(ct.loop_cost[i] + ct.loop_cost[j] + inter)
+            base = float(ct.loop_cost[i] + ct.loop_cost[j] + DEFAULT_COEFFICIENTS["copy"] * inter)
             v1, v2 = _pattern_costs(i, nt, ct, nt.epr), _pattern_costs(j, nt, ct, nt.epr)
             # seed: the classical argmin pair is achievable, and any pair whose
             # classical part exceeds seed_total - base can never win (embedded

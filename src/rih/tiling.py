@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rih.lattice import LatticeSpec, coord_diff_count, edge_index_array, edges, neighbors
+from rih.lattice import (
+    LatticeSpec,
+    coord_diff_count,
+    edge_index_array,
+    edges,
+    neighbor_index_array,
+    neighbors,
+)
 
 COLORS = ("red", "yellow", "blue")  # fixed index mapping: red=0, yellow=1, blue=2
 RULE_SAME_COLOR_SAME_NUMBER = 1
@@ -128,14 +135,9 @@ def same_color_degree(t, copy, u):
 
 
 def _same_color_degrees(t, copy):
-    spec = t.spec
     c = t.colors(copy)
-    deg = np.zeros(spec.num_sites, dtype=np.int64)
-    for a, b in edge_index_array(spec):
-        if c[a] == c[b]:
-            deg[a] += 1
-            deg[b] += 1
-    return deg
+    nbr = neighbor_index_array(t.spec)
+    return ((nbr >= 0) & (c[nbr] == c[:, None])).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -159,15 +161,10 @@ class ClassificationFlags:
 def has_turn(t, copy):
     """True iff some same-colored path u - v - w bends: both steps are lattice
     edges but u and w differ in two coordinates."""
-    spec = t.spec
-    c = t.colors(copy)
-    for v in spec.sites():
-        iv = spec.site_index(v)
-        same = [
-            u
-            for u in neighbors(v, spec)
-            if c[spec.site_index(u)] == c[iv]
-        ]
+    c = t.colors(copy).tolist()
+    sites = t.spec.sites()
+    for v, row in enumerate(neighbor_index_array(t.spec).tolist()):
+        same = [sites[u] for u in row if u >= 0 and c[u] == c[v]]
         for i in range(len(same)):
             for j in range(i + 1, len(same)):
                 if coord_diff_count(same[i], same[j]) == 2:
@@ -178,10 +175,10 @@ def has_turn(t, copy):
 def same_color_loops(t, copy):
     """Connected components of the same-color adjacency, as site-index lists."""
     spec = t.spec
-    c = t.colors(copy)
+    c = t.colors(copy).tolist()
     N = spec.num_sites
     adj = [[] for _ in range(N)]
-    for a, b in edge_index_array(spec):
+    for a, b in edge_index_array(spec).tolist():
         if c[a] == c[b]:
             adj[a].append(b)
             adj[b].append(a)
@@ -216,18 +213,21 @@ def classify(t, copy):
     looped = bool((deg == 2).all())
     turn = has_turn(t, copy)
 
+    sites = spec.sites()
     uniformly_directed = False
     direction = None
     if looped and not turn:
+        nbr = neighbor_index_array(spec).tolist()
         dims = set()
         ok = True
         for comp in same_color_loops(t, copy):
-            comp_sites = [spec.index_site(i) for i in comp]
             in_comp = set(comp)
             comp_dims = set()
-            for u in comp_sites:
-                for v in neighbors(u, spec):
-                    if spec.site_index(v) in in_comp:
+            for i in comp:
+                u = sites[i]
+                for j in nbr[i]:
+                    if j in in_comp:
+                        v = sites[j]
                         for d in range(spec.r):
                             if u[d] != v[d]:
                                 comp_dims.add(d)
@@ -241,10 +241,10 @@ def classify(t, copy):
 
     numbered_consistently = False
     if uniformly_directed:
-        m = t.numbers(copy)
+        m = t.numbers(copy).tolist()
         groups = {}
-        for u in spec.sites():
-            groups.setdefault(u[direction], set()).add(int(m[spec.site_index(u)]))
+        for u, value in zip(sites, m):
+            groups.setdefault(u[direction], set()).add(value)
         numbered_consistently = all(len(vals) == 1 for vals in groups.values())
 
     return ClassificationFlags(

@@ -12,6 +12,7 @@ from rih.lattice import (
     edges,
     lattice_symmetry_permutations,
     lee_distance,
+    neighbor_index_array,
     neighbors,
     permute_coords,
 )
@@ -128,6 +129,30 @@ def test_edge_index_array_is_shared_and_read_only():
         ei[0, 0] = 5
     with pytest.raises(ValueError):
         ei.sort(axis=0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [LatticeSpec(1, 5), LatticeSpec(1, 5, OPEN), LatticeSpec(2, 3), LatticeSpec(2, 4, OPEN),
+     LatticeSpec(3, 3, OPEN)],
+    ids=str,
+)
+def test_neighbor_index_array_is_shared_and_read_only(spec):
+    nbr = neighbor_index_array(spec)
+    assert neighbor_index_array(LatticeSpec(spec.r, spec.n, spec.boundary)) is nbr
+    assert nbr.shape == (spec.num_sites, 2 * spec.r)
+    for i, u in enumerate(spec.sites()):
+        row = [spec.site_index(v) for v in neighbors(u, spec)]
+        assert nbr[i].tolist() == row + [-1] * (2 * spec.r - len(row))
+    with pytest.raises(ValueError):
+        nbr[0, 0] = 5
+
+
+def test_symmetry_permutations_are_shared_and_read_only():
+    perms = lattice_symmetry_permutations(LatticeSpec(2, 3))
+    assert lattice_symmetry_permutations(LatticeSpec(2, 3)) is perms
+    with pytest.raises(ValueError):
+        perms[0, 0] = 1
 
 
 def test_edges_unordered_unique_sorted():

@@ -442,6 +442,211 @@ class TestSectorEnergy:
         assert se.total <= exact.total + 1e-9
 
 
+def _random_tiling(spec, rng):
+    return Tiling(spec, *(rng.integers(0, 3, spec.num_sites) for _ in range(4)))
+
+
+ARRAY_PATH_SPECS = [TORUS, OPEN3] + [LatticeSpec(1, n) for n in range(3, 8)] + [
+    LatticeSpec(1, 6, "open")
+]
+
+
+def _object_path_sector(t, plug):
+    """The sector energy composed from the demand-graph objects: the
+    reference for tile_sector_energy's array path."""
+    ce = classical_energy(t)
+    e1 = solver.epr_min_energy(epr_demand_graph(t, 1))
+    e2 = solver.epr_min_energy(epr_demand_graph(t, 2))
+    return solver.SectorEnergy(
+        classical=float(ce.total),
+        epr_copy1=e1.value,
+        epr_copy2=e2.value,
+        embedded=solver.embedded_2d_energy(t, plug),
+        method="component-exact" if (e1.exact and e2.exact) else "bound-only",
+        breakdown={
+            "classical": ce.to_json_dict(),
+            "epr_copy1": e1.to_json_dict(),
+            "epr_copy2": e2.to_json_dict(),
+        },
+    )
+
+
+class TestArrayPath:
+    @pytest.mark.parametrize("spec", ARRAY_PATH_SPECS, ids=str)
+    def test_pattern_demands_match_the_demand_graph(self, spec):
+        rng = np.random.default_rng(21)
+        ei = edge_index_array(spec)
+        conflicts = 0
+        for _ in range(30):
+            t = _random_tiling(spec, rng)
+            for copy, steps in zip((1, 2), solver._step_patterns(t)):
+                g = epr_demand_graph(t, copy)
+                conflicts += len(g.rule_conflicts)
+                got = solver.epr_min_energy(solver._pattern_demands(ei, steps))
+                want = solver.epr_min_energy(g)
+                assert (got.value, got.exact) == (want.value, want.exact)
+                assert got.components == want.components
+        assert conflicts > 0
+
+    @pytest.mark.parametrize("spec", ARRAY_PATH_SPECS, ids=str)
+    def test_sector_energy_matches_the_object_composition(self, spec):
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            t = _random_tiling(spec, rng)
+            for plug in (None, toy_plugs()["afm"], toy_plugs()["frustration_free"]):
+                got = solver.tile_sector_energy(t, plug)
+                assert got == _object_path_sector(t, plug)
+                assert got.total == _object_path_sector(t, plug).total
+
+    def test_component_values_do_not_depend_on_the_key_cache(self):
+        rng = np.random.default_rng(23)
+        components = []
+        for spec in (TORUS, OPEN3, LatticeSpec(1, 7)):
+            for _ in range(20):
+                for steps in solver._step_patterns(_random_tiling(spec, rng)):
+                    demands = solver._pattern_demands(edge_index_array(spec), steps)
+                    for group in solver._pair_groups(demands):
+                        pairs = [demands[k] for k in group]
+                        slots = sorted({s for p in pairs for s in p})
+                        index = {s: i for i, s in enumerate(slots)}
+                        local = [(index[a], index[b]) for a, b in pairs]
+                        components.append((len(slots), local))
+        cold = []
+        for k, local in components:
+            solver._component_key.cache_clear()
+            cold.append(solver._solve_component(k, local))
+        for _ in range(2):
+            warm = [solver._solve_component(k, local) for k, local in components]
+            assert warm == cold
+        # the second warm pass reads every key of a component with two or
+        # more demands from the cache
+        keyed = sum(len(local) > 1 for _, local in components)
+        assert solver._component_key.cache_info().hits >= keyed > 0
+
+
+def _reference_diag_dp(spec, terms, d):
+    """The classical embedded minimum with every table built in the call:
+    per-edge cost tables in a Python loop, the layer digits, and one anchor
+    at a time around a periodic lattice.  The reference for the cached
+    layout, the vectorized cost tables and the anchor blocks of
+    _embedded_diag_dp."""
+    ei = edge_index_array(spec)
+    costs = [None] * len(ei)
+    for steps, mat in terms:
+        diag = np.real(np.diag(mat)).reshape(d, d)
+        for j in range(len(ei)):
+            s = int(steps[j])
+            if s == 0:
+                continue
+            add = diag if s == 1 else diag.T
+            costs[j] = add.copy() if costs[j] is None else costs[j] + add
+    n = spec.n
+    m = spec.num_sites // n
+    S = d**m
+    idx = np.arange(S, dtype=np.int64)
+    digits = np.empty((S, m), dtype=np.int64)
+    for k in range(m - 1, -1, -1):
+        digits[:, k] = idx % d
+        idx //= d
+    intra = [np.zeros(S) for _ in range(n)]
+    inter = [np.zeros((S, S)) for _ in range(n)]
+    for j, cost in enumerate(costs):
+        if cost is None:
+            continue
+        a, b = int(ei[j, 0]), int(ei[j, 1])
+        la, pa = divmod(a, m)
+        lb, pb = divmod(b, m)
+        if la == lb:
+            intra[la] += cost[digits[:, pa], digits[:, pb]]
+        elif lb == (la + 1) % n:
+            inter[la] += cost[digits[:, pa][:, None], digits[:, pb][None, :]]
+        else:
+            inter[lb] += cost[digits[:, pa][None, :], digits[:, pb][:, None]]
+    if spec.boundary == "open":
+        dp = intra[0].copy()
+        for l in range(1, n):
+            dp = (dp[:, None] + inter[l - 1]).min(axis=0) + intra[l]
+        return float(dp.min())
+    floor = intra[0].min()
+    for l in range(1, n):
+        floor += intra[l].min()
+    for l in range(n):
+        floor += inter[l].min()
+    best = np.inf
+    for f in np.argsort(intra[0], kind="stable"):
+        dp = np.full(S, np.inf)
+        dp[f] = intra[0][f]
+        for l in range(1, n):
+            dp = (dp[:, None] + inter[l - 1]).min(axis=0) + intra[l]
+        cand = float((dp + inter[n - 1][:, f]).min())
+        if cand < best:
+            best = cand
+        if best <= floor + 1e-12:
+            break
+    return best
+
+
+def _random_diagonal_plug(rng, vertical):
+    h = np.diag(rng.random(4))
+    v = np.diag(rng.random(4)) if vertical else np.zeros((4, 4))
+    return TranslationPlug(2, h, v, name="random-diagonal")
+
+
+class TestDiagonalSweep:
+    # the open 3x3 and rings run the open and small periodic sweeps; the 4x4
+    # and 6x6 tori have 16 and 64 layer states, so their anchors run in one
+    # block and in blocks of four
+    @pytest.mark.parametrize(
+        "spec",
+        [TORUS, OPEN3, LatticeSpec(1, 5), LatticeSpec(1, 6, "open"), LatticeSpec(2, 4),
+         LatticeSpec(2, 6)],
+        ids=str,
+    )
+    def test_cached_layout_matches_the_reference(self, spec):
+        rng = np.random.default_rng(24)
+        plugs = [toy_plugs()["afm"], toy_plugs()["frustration_free"]]
+        plugs += [_random_diagonal_plug(rng, k % 2 == 1) for k in range(4)]
+        solver._dp_layout.cache_clear()
+        for k in range(12):
+            s1, s2 = solver._step_patterns(_random_tiling(spec, rng))
+            for plug in plugs:
+                terms = solver._active_terms(s1, s2, plug)
+                if not terms:
+                    continue
+                want = _reference_diag_dp(spec, terms, plug.d)
+                assert solver._embedded_diag_dp(spec, terms, plug.d) == want
+                assert solver.embedded_step_energy(spec, s1, s2, plug) == want
+        assert solver._dp_layout.cache_info().currsize == 1
+
+    def test_oversized_layer_fails_before_allocating(self):
+        spec = LatticeSpec(2, 12)
+        s1, s2 = solver._step_patterns(striped_witness(spec))
+        edge_index_array(spec)
+        layouts = solver._dp_layout.cache_info().currsize
+        tracemalloc.start()
+        try:
+            with pytest.raises(solver.BudgetExceeded, match="layer state space"):
+                solver.embedded_step_energy(spec, s1, s2, toy_plugs()["frustration_free"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert solver._dp_layout.cache_info().currsize == layouts
+
+    def test_embedded_weights_scale_the_terms(self, monkeypatch):
+        spec = LatticeSpec(2, 3)
+        s1, s2 = solver._step_patterns(_random_tiling(spec, np.random.default_rng(25)))
+        plug = _random_diagonal_plug(np.random.default_rng(26), True)
+        zero = np.zeros_like(s1)
+        h = solver.embedded_step_energy(spec, s1, zero, plug)
+        v = solver.embedded_step_energy(spec, zero, s2, plug)
+        assert h > 0 and v > 0
+        monkeypatch.setitem(solver.DEFAULT_COEFFICIENTS, "horizontal", 2.0)
+        monkeypatch.setitem(solver.DEFAULT_COEFFICIENTS, "vertical", 0.0)
+        assert solver.embedded_step_energy(spec, s1, zero, plug) == 2 * h
+        assert solver.embedded_step_energy(spec, zero, s2, plug) == 0.0
+
+
 @pytest.fixture(scope="module")
 def fixtures():
     return json.loads((FIXTURES / "sector_fixtures.json").read_text())["fixtures"]
@@ -1048,6 +1253,16 @@ class TestMaskSweep:
         assert len(val) > 100
         assert (i == wi[order]).all() and (j == wj[order]).all()
         assert val.tobytes() == full[wi, wj][order].tobytes()
+
+    def test_copy_weight_scales_the_overlap(self, monkeypatch):
+        nt, ct = solver._tables(LatticeSpec(1, 7))
+        q, _ = solver._q_sweep(nt, ct)
+        values = ct.loop_cost + q
+        monkeypatch.setitem(solver.DEFAULT_COEFFICIENTS, "copy", 2.5)
+        full = values[:, None] + values + 2.5 * solver._popcount(ct.masks[:, None] & ct.masks)
+        k = int(np.argmin(full))
+        want = (float(full.flat[k]), divmod(k, len(ct.masks)))
+        assert solver._pair_sweep(values, values, ct.masks) == want
 
     def test_warm_search_allocates_little(self):
         # the kernels work in blocks of about SWEEP_BLOCK elements, never M x M

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from rih.lattice import (
     edge_index_array,
     edges,
     lattice_symmetry_permutations,
+    neighbors,
 )
 from rih.tiling import (
     RULE_DIFF_COLOR_DIFF_NUMBER,
@@ -19,8 +22,10 @@ from rih.tiling import (
     Slot,
     Tiling,
     classical_energy,
+    _same_color_degrees,
     classify,
     epr_demand_graph,
+    has_turn,
     h1lb_bound,
     handshake_check,
     rule_violations,
@@ -225,6 +230,52 @@ class TestClassify:
                 assert fg.looped == f.looped
                 assert fg.has_turn == f.has_turn
                 assert fg.uniformly_directed == f.uniformly_directed
+
+
+def reference_same_color_degrees(t, copy):
+    """Same-color degrees counted literally, site by site over neighbors()."""
+    spec = t.spec
+    c = t.colors(copy)
+    return [
+        sum(1 for v in neighbors(u, spec) if c[spec.site_index(v)] == c[spec.site_index(u)])
+        for u in spec.sites()
+    ]
+
+
+def reference_has_turn(t, copy):
+    """has_turn by its definition, over neighbors() and site_index()."""
+    spec = t.spec
+    c = t.colors(copy)
+    for v in spec.sites():
+        same = [u for u in neighbors(v, spec) if c[spec.site_index(u)] == c[spec.site_index(v)]]
+        for a, b in itertools.combinations(same, 2):
+            if sum(x != y for x, y in zip(a, b)) == 2:
+                return True
+    return False
+
+
+TABLE_SPECS = [
+    LatticeSpec(r, n, boundary)
+    for r, n in ((1, 3), (1, 7), (2, 3), (2, 4), (3, 3))
+    for boundary in (PERIODIC, OPEN)
+]
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=str)
+def test_neighbor_table_flags_match_the_literal_definitions(spec):
+    rng = np.random.default_rng(31)
+    turns = 0
+    for k in range(40):
+        t = random_tiling(spec, rng)
+        if k % 2:
+            # two colors make long same-color runs, so loops and straight
+            # stretches come up as well as turns
+            t = Tiling(spec, rng.integers(0, 2, spec.num_sites), t.numbers1)
+        for copy in (1, 2):
+            assert _same_color_degrees(t, copy).tolist() == reference_same_color_degrees(t, copy)
+            assert has_turn(t, copy) == reference_has_turn(t, copy)
+            turns += has_turn(t, copy)
+    assert (turns > 0) == (spec.r > 1)
 
 
 def reference_demand_graph(t, copy):
