@@ -94,8 +94,10 @@ from rih.hamiltonian import (
 )
 from rih.lattice import LatticeSpec, edge_index_array, lattice_symmetry_permutations
 from rih.tiling import (
+    ClassicalEnergy,
     EprDemandGraph,
     Tiling,
+    classical_counts,
     classical_energy,
     epr_demand_graph,
     striped_witness,
@@ -456,7 +458,9 @@ def _embedded_diag_dp(spec, terms, d):
     The layer-state budget is checked first.  The per-(spec, d) layout comes
     from the _dp_layout cache, so a call only adds each acting edge's cost
     table (see _edge_cost_tables) into its layer, in edge order, and runs
-    the sweep."""
+    the sweep.  Around a periodic lattice the sweep closes the cycle from
+    one anchor state of layer 0 at a time, in promising order, and stops at
+    the first anchor whose best reaches the open-chain floor."""
     n = spec.n
     S = _layer_states(spec, d)
     places = _dp_layout(spec, d)
@@ -471,25 +475,20 @@ def _embedded_diag_dp(spec, terms, d):
         for l in range(1, n):
             dp = (dp[:, None] + inter[l - 1]).min(axis=0) + intra[l]
         return float(dp.min())
-    # periodic: close the cycle from each anchor state of layer 0, trying
-    # anchors in promising order, a block of about SWEEP_BLOCK elements at a
-    # time, and stopping once the open-chain floor is reached; each anchor's
-    # row runs the arithmetic of a sweep from that anchor alone
+    # periodic: close the cycle, trying anchor states in promising order and
+    # stopping once the open-chain floor is reached
     floor = sum(intra.min(axis=1).tolist() + inter.min(axis=(1, 2)).tolist())
     best = np.inf
-    order = np.argsort(intra[0], kind="stable")
-    block = max(1, SWEEP_BLOCK // (S * S))
-    for start in range(0, S, block):
-        anchors = order[start : start + block]
-        dp = np.full((len(anchors), S), np.inf)
-        dp[np.arange(len(anchors)), anchors] = intra[0][anchors]
+    for f in np.argsort(intra[0], kind="stable").tolist():
+        dp = np.full(S, np.inf)
+        dp[f] = intra[0][f]
         for l in range(1, n):
-            dp = (dp[:, :, None] + inter[l - 1]).min(axis=1) + intra[l]
-        for cand in (dp + inter[n - 1][:, anchors].T).min(axis=1).tolist():
-            if cand < best:
-                best = cand
-            if best <= floor + 1e-12:
-                return best
+            dp = (dp[:, None] + inter[l - 1]).min(axis=0) + intra[l]
+        cand = float((dp + inter[n - 1][:, f]).min())
+        if cand < best:
+            best = cand
+        if best <= floor + 1e-12:
+            break
     return best
 
 
@@ -604,23 +603,29 @@ def tile_sector_energy(t, plug=None):
     _pattern_demands, the builder the numbering table uses, which lists the
     demands of tiling.epr_demand_graph in the same edge order with the same
     ports, and the embedded part from embedded_step_energy on the same
-    arrays, so no demand-graph objects are built."""
+    arrays, so no demand-graph objects are built.  The classical part weighs
+    tiling.classical_counts by DEFAULT_COEFFICIENTS, as the ground search
+    does; its breakdown is tiling.classical_energy's, under the weights
+    typed in there."""
     spec = t.spec
     ei = edge_index_array(spec)
     s1, s2 = _step_patterns(t)
-    ce = classical_energy(t)
+    counts = classical_counts(t)
+    viol1, viol2, diff1, diff2, both = counts
+    w = DEFAULT_COEFFICIENTS
+    classical = w["tile"] * (viol1 + viol2) + w["loop"] * (diff1 + diff2) + w["copy"] * both
     e1 = epr_min_energy(_pattern_demands(ei, s1))
     e2 = epr_min_energy(_pattern_demands(ei, s2))
     emb = 0.0 if plug is None else embedded_step_energy(spec, s1, s2, plug)
     method = "component-exact" if (e1.exact and e2.exact) else "bound-only"
     return SectorEnergy(
-        classical=float(ce.total),
+        classical=float(classical),
         epr_copy1=e1.value,
         epr_copy2=e2.value,
         embedded=emb,
         method=method,
         breakdown={
-            "classical": ce.to_json_dict(),
+            "classical": ClassicalEnergy.from_counts(counts).to_json_dict(),
             "epr_copy1": e1.to_json_dict(),
             "epr_copy2": e2.to_json_dict(),
         },

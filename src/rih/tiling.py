@@ -378,10 +378,24 @@ class ClassicalEnergy:
             "total": self.total,
         }
 
+    @classmethod
+    def from_counts(cls, counts):
+        """The energy of the counts of classical_counts under the weights of
+        classical_energy."""
+        viol1, viol2, diff1, diff2, both = counts
+        return cls(
+            tile1=8 * viol1,
+            tile2=8 * viol2,
+            loop1=2 * diff1,
+            loop2=2 * diff2,
+            copy_coupling=both,
+        )
 
-def classical_energy(t):
-    """Tile penalties (8 each), loop penalties (2 per different-color edge per
-    copy), and the copy-coupling count (1 per edge same-colored in both copies)."""
+
+def classical_counts(t):
+    """The unweighted summands of the classical energy: the tile-rule
+    violations of copy 1 and of copy 2, the different-color edges of copy 1
+    and of copy 2, and the edges same-colored in both copies."""
     spec = t.spec
     ei = edge_index_array(spec)
     c1, m1, c2, m2 = t.colors1, t.numbers1, t.colors2, t.numbers2
@@ -389,15 +403,21 @@ def classical_energy(t):
     same2 = c2[ei[:, 0]] == c2[ei[:, 1]]
     eqn1 = m1[ei[:, 0]] == m1[ei[:, 1]]
     eqn2 = m2[ei[:, 0]] == m2[ei[:, 1]]
-    viol1 = int((same1 & eqn1).sum() + (~same1 & ~eqn1).sum())
-    viol2 = int((same2 & eqn2).sum() + (~same2 & ~eqn2).sum())
-    return ClassicalEnergy(
-        tile1=8 * viol1,
-        tile2=8 * viol2,
-        loop1=2 * int((~same1).sum()),
-        loop2=2 * int((~same2).sum()),
-        copy_coupling=int((same1 & same2).sum()),
+    return (
+        int((same1 & eqn1).sum() + (~same1 & ~eqn1).sum()),
+        int((same2 & eqn2).sum() + (~same2 & ~eqn2).sum()),
+        int((~same1).sum()),
+        int((~same2).sum()),
+        int((same1 & same2).sum()),
     )
+
+
+def classical_energy(t):
+    """Tile penalties (8 each), loop penalties (2 per different-color edge per
+    copy), and the copy-coupling count (1 per edge same-colored in both
+    copies), with these weights typed in; solver.tile_sector_energy weighs
+    the same counts by hamiltonian.DEFAULT_COEFFICIENTS."""
+    return ClassicalEnergy.from_counts(classical_counts(t))
 
 
 def h1lb_bound(t, copy):

@@ -498,6 +498,20 @@ class TestArrayPath:
                 assert got == _object_path_sector(t, plug)
                 assert got.total == _object_path_sector(t, plug).total
 
+    def test_classical_part_reads_the_weights(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        tilings = [_random_tiling(TORUS, rng) for _ in range(10)]
+        for name, value in (("tile", 3.0), ("loop", 0.5), ("copy", 2.5)):
+            monkeypatch.setitem(solver.DEFAULT_COEFFICIENTS, name, value)
+        for t in tilings:
+            ce = classical_energy(t)
+            want = 3.0 * (ce.tile1 + ce.tile2) / 8 + 0.5 * (ce.loop1 + ce.loop2) / 2
+            want += 2.5 * ce.copy_coupling
+            se = solver.tile_sector_energy(t)
+            assert se.classical == pytest.approx(want, abs=1e-12)
+            # the breakdown stays the typed-in integer record
+            assert se.breakdown["classical"] == ce.to_json_dict()
+
     def test_component_values_do_not_depend_on_the_key_cache(self):
         rng = np.random.default_rng(23)
         components = []
@@ -528,8 +542,7 @@ def _reference_diag_dp(spec, terms, d):
     """The classical embedded minimum with every table built in the call:
     per-edge cost tables in a Python loop, the layer digits, and one anchor
     at a time around a periodic lattice.  The reference for the cached
-    layout, the vectorized cost tables and the anchor blocks of
-    _embedded_diag_dp."""
+    layout and the vectorized cost tables of _embedded_diag_dp."""
     ei = edge_index_array(spec)
     costs = [None] * len(ei)
     for steps, mat in terms:
@@ -594,8 +607,7 @@ def _random_diagonal_plug(rng, vertical):
 
 class TestDiagonalSweep:
     # the open 3x3 and rings run the open and small periodic sweeps; the 4x4
-    # and 6x6 tori have 16 and 64 layer states, so their anchors run in one
-    # block and in blocks of four
+    # and 6x6 tori have 16 and 64 layer states
     @pytest.mark.parametrize(
         "spec",
         [TORUS, OPEN3, LatticeSpec(1, 5), LatticeSpec(1, 6, "open"), LatticeSpec(2, 4),
