@@ -8,6 +8,7 @@ import json
 import sys
 
 from rih import solver
+from rih._blas import one_blas_thread
 from rih.instance import (
     TrialBudgetError,
     f_search,
@@ -233,7 +234,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with one_blas_thread():
+            return args.fn(args)
     except KNOWN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -390,7 +390,7 @@ class TwoBodyTerm:
 
     def matrix(self, max_nnz=MAX_MATRIX_NNZ):
         """The explicit sparse matrix in canonical CSR form (sorted indices,
-        duplicates summed, zeros dropped).  Raises MemoryError, before any
+        duplicates summed, zeros dropped).  Raises BudgetExceeded, before any
         array of the term's size exists, if it has more than max_nnz entries."""
         if self._matrix is None:
             self._matrix = self._materialize(max_nnz)
@@ -412,7 +412,7 @@ class TwoBodyTerm:
         type_nnz = row_nnz.reshape(len(types), nn).sum(axis=1)
         nnz = int(np.bincount(type_of.ravel(), minlength=len(types)) @ type_nnz)
         if nnz > max_nnz:
-            raise MemoryError(
+            raise BudgetExceeded(
                 f"materializing this term needs {nnz} nonzeros (cap {max_nnz}); "
                 "use the block structure instead"
             )
@@ -568,14 +568,15 @@ def check_term_symmetries(term):
     exchanging the two sites; returns a report.
 
     A term with a block structure is checked block by block once it is larger
-    than MAX_DENSE_PAIR_DIM.  A matrix-only term that large raises ValueError
-    before anything is allocated, since its check needs the dense matrix."""
+    than MAX_DENSE_PAIR_DIM.  A matrix-only term that large raises
+    BudgetExceeded before anything is allocated, since its check needs the
+    dense matrix."""
     if term.pair_dim <= MAX_DENSE_PAIR_DIM:
         herm, lo, swap = _check_via_matrix(term)
     elif term.blocks is not None:
         herm, lo, swap = _check_via_blocks(term)
     else:
-        raise ValueError(
+        raise BudgetExceeded(
             f"a matrix-only term of pair dimension {term.pair_dim} is above the "
             f"dense check's cap {MAX_DENSE_PAIR_DIM}"
         )
@@ -594,7 +595,7 @@ def tile_diagonality_check(term):
     differ, on either site."""
     try:
         M = term.matrix().tocsr()
-    except MemoryError:
+    except BudgetExceeded:
         # built block-diagonally over tiles, so the property holds structurally
         return True
     inner = term.layout.inner_dim

@@ -106,7 +106,9 @@ from rih.tiling import (
 PAIR_PENALTY = DEFAULT_COEFFICIENTS["pairing"] * EPR_HALF_PROJECTOR  # one per demand
 
 DEFAULT_TOL = 1e-10
-DENSE_CUTOFF = 2**7  # dense eigvalsh up to here, eigsh above: the measured crossover
+# dense eigvalsh up to DENSE_CUTOFF, eigsh above: the crossover measured with
+# two OpenBLAS threads, not with the CLI's one
+DENSE_CUTOFF = 2**7
 EXACT_PAIRING_CAP = 18  # slots of the largest pairing component solved exactly
 DIAG_CAP = 2**18  # largest embedded component or sector oracle diagonalized
 SWEEP_BLOCK = 2**14  # elements per block of the mask-sweep kernels

@@ -9,12 +9,14 @@ from pathlib import Path
 import pytest
 
 import rih
-from rih import solver
+from rih import cli, solver
+from rih._blas import _openblas, one_blas_thread
 from rih.cli import main
+from rih.hamiltonian import toy_plugs
 from rih.instance import reduction
 from rih.lattice import LatticeSpec
 from rih.rules import frame_configuration, open_bc_frame_ruleset
-from rih.tiling import striped_witness
+from rih.tiling import Tiling, striped_witness
 
 
 SOLVE_REPORTS = json.loads(
@@ -44,6 +46,106 @@ def test_import_leaves_scipy_io_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def _blas_counts():
+    return [get() for get, _ in _openblas()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    # every pool at 2 threads, whatever the machine's default, so a cap to 1
+    # and a lost restore both show
+    if not _openblas():
+        pytest.skip("no OpenBLAS pool found next to numpy or scipy")
+    saved = _blas_counts()
+    for _, set_ in _openblas():
+        set_(2)
+    yield
+    for (_, set_), n in zip(_openblas(), saved):
+        set_(n)
+
+
+class TestBlasThreads:
+    def _patch_encode(self, monkeypatch, exc=None):
+        seen = []
+
+        def fake(args):
+            seen.append(_blas_counts())
+            if exc is not None:
+                raise exc
+            return 0
+
+        monkeypatch.setattr(cli, "_cmd_encode", fake)
+        return seen
+
+    def test_command_runs_on_one_thread_and_restores(self, monkeypatch, two_blas_threads):
+        seen = self._patch_encode(monkeypatch)
+        assert main(["encode", "--x", "1"]) == 0
+        assert seen == [[1] * len(_openblas())]
+        assert _blas_counts() == [2] * len(_openblas())
+
+    def test_counts_restored_after_known_error(self, monkeypatch, capsys, two_blas_threads):
+        seen = self._patch_encode(monkeypatch, ValueError("bad input"))
+        assert main(["encode", "--x", "1"]) == 2
+        assert capsys.readouterr().err == "error: bad input\n"
+        assert seen == [[1] * len(_openblas())]
+        assert _blas_counts() == [2] * len(_openblas())
+
+    def test_counts_restored_after_unexpected_exception(self, monkeypatch, two_blas_threads):
+        seen = self._patch_encode(monkeypatch, RuntimeError("boom"))
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["encode", "--x", "1"])
+        assert seen == [[1] * len(_openblas())]
+        assert _blas_counts() == [2] * len(_openblas())
+
+    def test_import_changes_no_count_and_looks_nothing_up(self):
+        if not _openblas():
+            pytest.skip("no OpenBLAS pool found next to numpy or scipy")
+        # the pools are set to 2 through a stand-alone copy of the module,
+        # before the package is imported at all
+        blas = Path(rih.__file__).with_name("_blas.py")
+        code = (
+            "import importlib.util\n"
+            f"spec = importlib.util.spec_from_file_location('pools', {str(blas)!r})\n"
+            "pools = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(pools)\n"
+            "for _, set_ in pools._openblas():\n"
+            "    set_(2)\n"
+            "import rih.cli, rih._blas\n"
+            "print(rih._blas._openblas.cache_info().currsize)\n"
+            "print([get() for get, _ in pools._openblas()])\n"
+        )
+        src = str(Path(rih.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split("\n")[:2] == ["0", str([2] * len(_openblas()))]
+
+    def test_one_thread_changes_no_oracle_value(self):
+        # c06's twelve full-space diagonalizations.  Lanczos at dimension 4096
+        # sums in another order on one thread than on two, so a few values
+        # move in their last bits; 1e-12 is four orders below c06's 1e-8
+        # oracle-versus-decomposition tolerance
+        text = (Path(rih.__file__).parent / "data" / "sector_fixtures.json").read_text()
+        rows = [f for f in json.loads(text)["fixtures"] if f["kind"] == "sector-full"]
+        assert len(rows) == 12
+        plugs = toy_plugs()
+
+        def oracle_values():
+            return [
+                solver.sector_full_oracle(Tiling.from_json_dict(f["tiling"]), plugs[f["plug"]])
+                for f in rows
+            ]
+
+        with one_blas_thread():
+            capped = oracle_values()
+        free = oracle_values()
+        assert capped == pytest.approx(free, rel=0, abs=1e-12)
+        for f, value in zip(rows, capped):
+            assert value == pytest.approx(f["expected_total"], abs=1e-6)
 
 
 class TestEncodeReduce:

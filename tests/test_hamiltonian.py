@@ -220,6 +220,7 @@ class TestEmbedOperator:
 
 
 class TestBlockContent:
+    @pytest.mark.slow
     def test_variants_match_naive_embed_d1(self):
         term = build_site_term(toy_plugs()["zero"])
         b = term.blocks
@@ -238,6 +239,7 @@ class TestBlockContent:
                     ref += naive_embed(E16, (8, 2), b.inner_dims)
                 assert np.abs(F - ref).max() == 0.0
 
+    @pytest.mark.slow
     def test_embedded_variant_matches_naive_d2(self):
         plug = toy_plugs()["afm"]
         term = build_site_term(plug)
@@ -368,6 +370,7 @@ class TestFullTerm:
         term = build_site_term(toy_plugs()["zero"])
         assert term.pair_dim == 1296**2
 
+    @pytest.mark.slow
     def test_symmetry_report_passes(self):
         for name in ("zero", "frustration_free", "afm"):
             rep = check_term_symmetries(build_site_term(toy_plugs()[name]))
@@ -444,8 +447,14 @@ class TestFullTerm:
 
 def _reference_cases():
     plugs = toy_plugs()
+    slow = {"afm", "frustration_free"}
     cases = [
-        pytest.param(lambda name=name: build_site_term(plugs[name]), id=name) for name in plugs
+        pytest.param(
+            lambda name=name: build_site_term(plugs[name]),
+            id=name,
+            marks=pytest.mark.slow if name in slow else (),
+        )
+        for name in plugs
     ]
     for key in sorted(DEFAULT_COEFFICIENTS):
         for value in (0.0, DEFAULT_COEFFICIENTS[key] + 1):
@@ -457,7 +466,11 @@ def _reference_cases():
             )
     cases.append(pytest.param(build_single_copy_term, id="single_copy"))
     cases.append(
-        pytest.param(lambda: build_site_term(sparse_complex_plug(11)), id="sparse_complex")
+        pytest.param(
+            lambda: build_site_term(sparse_complex_plug(11)),
+            id="sparse_complex",
+            marks=pytest.mark.slow,
+        )
     )
     return cases
 
@@ -493,7 +506,7 @@ class TestCanonicalBuild:
         nnz = 2_799_360
         tracemalloc.start()
         try:
-            with pytest.raises(MemoryError, match=f"{nnz} nonzeros"):
+            with pytest.raises(BudgetExceeded, match=f"{nnz} nonzeros"):
                 term.matrix(max_nnz=nnz - 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -526,6 +539,7 @@ class TestCanonicalBuild:
         given = TwoBodyTerm(sc.layout, sc.coefficients, matrix=messy)
         assert term_hash(given) == term_hash(sc)
 
+    @pytest.mark.slow
     def test_conjugate_plugs_hash_differently(self):
         # nonzero real parts: with 0.5j and -0.5j the two terms would also
         # differ in the signs of zero real parts, which the hash sees
@@ -572,7 +586,7 @@ class TestNegativeControls:
         term = TwoBodyTerm(two_copy_layout(1), DEFAULT_COEFFICIENTS, matrix=big)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="matrix-only"):
+            with pytest.raises(BudgetExceeded, match="matrix-only"):
                 check_term_symmetries(term)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -331,6 +331,7 @@ class TestFrameRules:
         )
         assert check_tiling(rs, raised) != []
 
+    @pytest.mark.slow
     def test_exhaustive_n3_matches_brute_force(self):
         rs = open_bc_frame_ruleset()
         brute = brute_force_valid(rs, 3)

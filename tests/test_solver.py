@@ -684,6 +684,7 @@ class TestOracleAgreement:
             assert direct == pytest.approx(se.total, abs=1e-8)
             assert direct == pytest.approx(f["expected_total"], abs=1e-6)
 
+    @pytest.mark.slow
     def test_qubit_oracle_matches_decomposition(self, fixtures):
         for f in (f for f in fixtures if f["kind"] == "sector-qubits"):
             t = Tiling.from_json_dict(f["tiling"])
@@ -926,6 +927,14 @@ ORBIT_IDS = ["ring5", "ring7", "torus3x3"]
 ORBIT_TOLERANCE = [0.0, 0.0, 1e-12]
 
 
+def _marked_slow(cases, ids, slow):
+    """The cases as pytest params, the ones with an id in `slow` marked slow."""
+    return [
+        pytest.param(*case, id=i, marks=pytest.mark.slow if i in slow else ())
+        for case, i in zip(cases, ids)
+    ]
+
+
 def _patterns_under_test(nt, sample):
     if sample is None:
         return range(len(nt.patterns))
@@ -974,7 +983,9 @@ class TestSymmetryOrbits:
             assert abs(direct.value - nt.epr[p]) <= tol
             assert direct.exact == nt.epr_exact[p]
 
-    @pytest.mark.parametrize("spec,sample", ORBIT_CASES, ids=ORBIT_IDS)
+    @pytest.mark.parametrize(
+        "spec,sample", _marked_slow(ORBIT_CASES, ORBIT_IDS, {"torus3x3"})
+    )
     def test_embedded_minima_are_orbit_invariant(self, spec, sample):
         rng = np.random.default_rng(5)
         nondiagonal = TranslationPlug(
@@ -1218,7 +1229,10 @@ def sweep_extra():
 
 
 class TestMaskSweep:
-    @pytest.mark.parametrize("spec,kind", SWEEP_CASES, ids=SWEEP_IDS)
+    @pytest.mark.parametrize(
+        "spec,kind",
+        _marked_slow(SWEEP_CASES, SWEEP_IDS, {"2d3p-complex", "1d11p-none", "1d11p-afm"}),
+    )
     def test_q_all_matches_the_per_mask_loop(self, sweep_extra, spec, kind):
         # q from the orbit representatives, broadcast, and the row argmin of
         # every mask agree bit for bit with the loop over all masks
