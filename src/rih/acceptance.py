@@ -318,8 +318,9 @@ def crit_oracle_agreement(ctx):
 def crit_term_audit(ctx):
     term = ctx.term("zero")
     rep = check_term_symmetries(term)
-    diag = tile_diagonality_check(term)
+    # one scan gives both; term_hash runs it, so traces bill the scan to it
     digest = term_hash(term)
+    diag = tile_diagonality_check(term)
     ok = (
         rep.hermitian
         and rep.swap_symmetric

@@ -21,8 +21,11 @@ The term is a sum of projector-style summands with integer weights:
     embedded term.
 
 Every summand is diagonal on the tile factors, so the term decomposes into
-blocks labeled by the two sites' tile indices.  Assembly, symmetry checks,
-and matrix materialization all ride on that block structure.
+blocks labeled by the two sites' tile indices.  Assembly and the symmetry
+checks ride on that block structure.  The canonical sparse matrix is produced
+from it one band at a time, a band being the rows of one first-site tile, so
+the term's hash and its tile-diagonality check read the matrix without ever
+holding it; materializing the matrix fills it from the same bands.
 """
 
 from __future__ import annotations
@@ -368,8 +371,10 @@ def _sum_embedded(ops, inner_dims):
 class TwoBodyTerm:
     """The assembled two-site operator, held block-diagonally over tile factors.
 
-    The explicit sparse matrix is materialized lazily; symmetry checks work on
-    the block structure so large embedded dimensions stay cheap.
+    The explicit sparse matrix is materialized lazily, band by band; symmetry
+    checks work on the block structure so large embedded dimensions stay
+    cheap, and term_hash and tile_diagonality_check scan the bands without
+    materializing the matrix, caching their result on the term.
     """
 
     def __init__(self, layout, coefficients, blocks=None, matrix=None):
@@ -377,6 +382,7 @@ class TwoBodyTerm:
         self.coefficients = dict(coefficients)
         self.blocks = blocks
         self._matrix = matrix
+        self._audit = None  # (term_hash, tile diagonality), see _audit
         if blocks is None and matrix is None:
             raise ValueError("term needs a block structure or an explicit matrix")
 
@@ -397,50 +403,110 @@ class TwoBodyTerm:
         return self._matrix
 
     def _materialize(self, max_nnz):
-        b = self.blocks
-        layout = self.layout
+        bands = _Bands(self, max_nnz)
+        indptr = np.zeros(self.pair_dim + 1, dtype=bands.index_dtype)
+        indices = np.empty(bands.nnz, dtype=bands.index_dtype)
+        data = np.empty(bands.nnz, dtype=bands.dtype)
+        for lo, counts, cols, vals in bands():
+            at = indptr[lo]
+            ends = indptr[lo + 1 : lo + 1 + len(counts)]
+            np.cumsum(counts, out=ends)
+            ends += at
+            indices[at : ends[-1]] = cols
+            data[at : ends[-1]] = vals
+        m = scipy.sparse.csr_matrix((data, indices, indptr), shape=(self.pair_dim, self.pair_dim))
+        m.has_canonical_format = True
+        return m
+
+
+class _Bands:
+    """A term's canonical CSR (sorted indices, duplicates summed, zeros
+    dropped), one tile of the first site at a time: band U holds rows
+    U*inner*site .. (U+1)*inner*site.
+
+    A block-built term computes each band from its distinct block types, so
+    no array of the whole term's size exists; building one raises
+    BudgetExceeded first if the term has more than max_nnz entries.  A
+    matrix-only term slices its canonicalized matrix."""
+
+    def __init__(self, term, max_nnz):
+        layout = term.layout
+        self.rows = layout.inner_dim * layout.site_dim
+        self.count = layout.tile_dim
+        if term.blocks is None:
+            M = term.matrix().tocsr()
+            if not M.has_canonical_format or not M.data.all():
+                M = M.copy()
+                M.sum_duplicates()
+                M.eliminate_zeros()
+            self._matrix = M
+            self.nnz, self.dtype, self.index_dtype = M.nnz, M.dtype, M.indices.dtype
+            self._band = self._slice
+            return
+        b = term.blocks
         inner = layout.inner_dim
         nn = inner * inner
-        site = layout.site_dim
-        pair_dim = layout.pair_dim
         # blocks of one (scalar, variant) type hold the same inner operator
         types, type_of = np.unique(
             np.stack([b.scalar.ravel(), b.sig.ravel()], axis=1), axis=0, return_inverse=True
         )
         local = _type_blocks(b, types, nn)
         row_nnz = np.diff(local.indptr)
-        type_nnz = row_nnz.reshape(len(types), nn).sum(axis=1)
-        nnz = int(np.bincount(type_of.ravel(), minlength=len(types)) @ type_nnz)
-        if nnz > max_nnz:
+        type_of = type_of.reshape(b.scalar.shape)
+        band_nnz = row_nnz.reshape(len(types), nn).sum(axis=1)[type_of].sum(axis=1)
+        self.nnz = int(band_nnz.sum())
+        if self.nnz > max_nnz:
             raise BudgetExceeded(
-                f"materializing this term needs {nnz} nonzeros (cap {max_nnz}); "
+                f"materializing this term needs {self.nnz} nonzeros (cap {max_nnz}); "
                 "use the block structure instead"
             )
-        idx = scipy.sparse.get_index_dtype(maxval=max(nnz, pair_dim, local.shape[0], local.nnz))
-        # global row (U, au, V, av) copies row au*inner + av of its block's
-        # type, and each entry keeps its column's offset from the row
-        spread = (np.arange(nn) // inner) * site + np.arange(nn) % inner
-        local_row = np.repeat(np.arange(local.shape[0]), row_nnz)
-        shift = (spread[local.indices % nn] - spread[local_row % nn]).astype(idx)
-        au = np.arange(inner, dtype=idx)
-        type_row = (
-            type_of.astype(idx).reshape(layout.tile_dim, 1, layout.tile_dim, 1) * nn
-            + au[:, None, None] * inner
-            + au
-        ).ravel()
-        counts = row_nnz.astype(idx)[type_row]
-        indptr = np.zeros(pair_dim + 1, dtype=idx)
-        np.cumsum(counts, out=indptr[1:])
-        # where each global entry sits in the stacked type blocks
-        entry = np.repeat(local.indptr.astype(idx)[type_row] - indptr[:-1], counts)
-        entry += np.arange(nnz, dtype=idx)
-        indices = np.repeat(np.arange(pair_dim, dtype=idx), counts)
-        indices += shift[entry]
-        m = scipy.sparse.csr_matrix(
-            (local.data[entry], indices, indptr), shape=(pair_dim, pair_dim)
+        idx = scipy.sparse.get_index_dtype(
+            maxval=max(self.nnz, layout.pair_dim, local.shape[0], local.nnz)
         )
-        m.has_canonical_format = True
-        return m
+        self.dtype, self.index_dtype = local.data.dtype, idx
+        # row (au, V, av) of band U copies row au*inner + av of block (U, V)'s
+        # type, and each entry keeps its column's offset from the row
+        spread = (np.arange(nn) // inner) * layout.site_dim + np.arange(nn) % inner
+        local_row = np.repeat(np.arange(local.shape[0]), row_nnz)
+        self._shift = (spread[local.indices % nn] - spread[local_row % nn]).astype(idx)
+        au = np.arange(inner, dtype=idx)
+        self._inner_row = au[:, None, None] * inner + au
+        self._type_row0 = type_of.astype(idx)[:, None, :, None] * nn
+        self._row_nnz = row_nnz.astype(idx)
+        self._starts = local.indptr.astype(idx)
+        self._data = local.data
+        self._band = self._build
+
+    def __call__(self, columns=True, values=True):
+        """Yield (first row, row counts, column indices, values) band by
+        band; a part not asked for is None."""
+        for U in range(self.count):
+            yield (U * self.rows, *self._band(U, columns, values))
+
+    def _build(self, U, columns, values):
+        type_row = (self._type_row0[U] + self._inner_row).ravel()
+        counts = self._row_nnz[type_row]
+        if not (columns or values):
+            return counts, None, None
+        # where each band entry sits in the stacked type blocks
+        offsets = np.zeros(len(counts) + 1, dtype=self.index_dtype)
+        np.cumsum(counts, out=offsets[1:])
+        entry = np.repeat(self._starts[type_row] - offsets[:-1], counts)
+        entry += np.arange(offsets[-1], dtype=self.index_dtype)
+        cols = vals = None
+        if columns:
+            lo = U * self.rows
+            cols = np.repeat(np.arange(lo, lo + self.rows, dtype=self.index_dtype), counts)
+            cols += self._shift[entry]
+        if values:
+            vals = self._data[entry]
+        return counts, cols, vals
+
+    def _slice(self, U, columns, values):
+        M = self._matrix
+        ptr = M.indptr[U * self.rows : (U + 1) * self.rows + 1]
+        a, z = ptr[0], ptr[-1]
+        return np.diff(ptr), M.indices[a:z] if columns else None, M.data[a:z] if values else None
 
 
 def _type_blocks(b, types, nn):
@@ -594,19 +660,10 @@ def tile_diagonality_check(term):
     """True iff no matrix element connects basis states whose tile digits
     differ, on either site."""
     try:
-        M = term.matrix().tocsr()
+        return _audit(term)[1]
     except BudgetExceeded:
         # built block-diagonally over tiles, so the property holds structurally
         return True
-    inner = term.layout.inner_dim
-    site = term.layout.site_dim
-    tile_dim = term.layout.tile_dim
-
-    def tiles(i):
-        return (i // site // inner) * tile_dim + i % site // inner
-
-    rows = tiles(np.arange(M.shape[0]))
-    return bool((np.repeat(rows, np.diff(M.indptr)) == tiles(M.indices)).all())
 
 
 def term_hash(term):
@@ -617,20 +674,40 @@ def term_hash(term):
     the rows as int64, the columns as int64, the real parts as float64 and,
     for a complex term only, the imaginary parts as float64.  The toy plugs'
     terms hold only dyadic rationals, so their digests are bit-stable across
-    platforms."""
-    M = term.matrix().tocsr()
-    if not M.has_canonical_format or not M.data.all():
-        M = M.copy()
-        M.sum_duplicates()
-        M.eliminate_zeros()
+    platforms.  Raises BudgetExceeded, before any band exists, for a
+    block-built term of more than MAX_MATRIX_NNZ entries."""
+    return _audit(term)[0]
+
+
+def _audit(term):
+    """(term_hash, tile diagonality) from one scan of the term's bands, in
+    the digest's section order; cached on the term.  The column section and
+    the tile check share one pass, since gathering the columns is most of a
+    pass's cost."""
+    if term._audit is not None:
+        return term._audit
+    bands = _Bands(term, MAX_MATRIX_NNZ)
     h = hashlib.sha256()
-    h.update(f"dim={M.shape[0]};nnz={M.nnz};".encode())
-    h.update(np.repeat(np.arange(M.shape[0], dtype=np.int64), np.diff(M.indptr)))
-    h.update(M.indices.astype(np.int64))
-    h.update(np.ascontiguousarray(M.data.real, dtype=np.float64))
-    if np.iscomplexobj(M.data):
-        h.update(np.ascontiguousarray(M.data.imag, dtype=np.float64))
-    return h.hexdigest()
+    h.update(f"dim={term.pair_dim};nnz={bands.nnz};".encode())
+    for lo, counts, _, _ in bands(columns=False, values=False):
+        h.update(np.repeat(np.arange(lo, lo + len(counts), dtype=np.int64), counts))
+    # a column shares its row's first-site tile iff it lies in the row's
+    # band, and its second-site tile iff it has the same band offset // inner
+    # mod tile_dim, which is the row's
+    second = (np.arange(bands.rows) // term.layout.inner_dim) % term.layout.tile_dim
+    diagonal = True
+    for lo, counts, cols, _ in bands(values=False):
+        h.update(cols.astype(np.int64))
+        diagonal = diagonal and bool(
+            (cols >= lo).all()
+            and (cols < lo + bands.rows).all()
+            and (second[cols - lo] == np.repeat(second, counts)).all()
+        )
+    for part in (np.real, np.imag)[: 1 + (bands.dtype.kind == "c")]:
+        for *_, vals in bands(columns=False):
+            h.update(np.ascontiguousarray(part(vals), dtype=np.float64))
+    term._audit = (h.hexdigest(), diagonal)
+    return term._audit
 
 
 def global_hamiltonian(spec, term):

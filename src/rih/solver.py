@@ -131,6 +131,11 @@ def min_eigenvalue(op):
     Dense solve up to DENSE_CUTOFF, shift-free Lanczos to DEFAULT_TOL above;
     iteration budget 10*sqrt(dim)+500.  Convergence failures raise, they are
     never papered over.
+
+    Above DENSE_CUTOFF the result's last bits depend on the BLAS thread
+    count (1-4 ulps between one and two OpenBLAS threads at dimension 4096,
+    deterministic for a given count), so a bit-exact pin of a Lanczos value
+    holds only for the thread count it was made with.
     """
     if isinstance(op, np.ndarray):
         if op.shape[0] <= DENSE_CUTOFF:

@@ -51,3 +51,10 @@ def test_corrupted_coefficient_is_caught():
 def test_unknown_profile_rejected():
     with pytest.raises(ValueError):
         acceptance.run_criteria(profile="typo")
+
+
+def test_term_audit_materializes_nothing():
+    ctx = acceptance.AcceptanceContext()
+    passed, detail = acceptance.crit_term_audit(ctx)
+    assert passed, detail
+    assert ctx.term("zero")._matrix is None

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import warnings
 
@@ -6,10 +7,12 @@ import pytest
 import scipy.io
 import scipy.sparse
 
+from rih import hamiltonian
 from rih.hamiltonian import (
     DEFAULT_COEFFICIENTS,
     EPR_HALF_PROJECTOR,
     ILLEGAL_TILE_PAIRS,
+    MAX_MATRIX_NNZ,
     BudgetExceeded,
     FactorLayout,
     PlugValidationError,
@@ -27,6 +30,7 @@ from rih.hamiltonian import (
     tile_diagonality_check,
     toy_plugs,
     two_copy_layout,
+    _Bands,
 )
 from rih.lattice import LatticeSpec
 
@@ -95,6 +99,42 @@ def reference_band(term, U):
     m.sum_duplicates()
     m.eliminate_zeros()
     return m, unsorted
+
+
+def canonical(M):
+    M = M.tocsr()
+    if not M.has_canonical_format or not M.data.all():
+        M = M.copy()
+        M.sum_duplicates()
+        M.eliminate_zeros()
+    return M
+
+
+def reference_hash(M):
+    """term_hash computed from a whole matrix at once: the original digest,
+    kept as the oracle of the band scan."""
+    M = canonical(M)
+    h = hashlib.sha256()
+    h.update(f"dim={M.shape[0]};nnz={M.nnz};".encode())
+    h.update(np.repeat(np.arange(M.shape[0], dtype=np.int64), np.diff(M.indptr)))
+    h.update(M.indices.astype(np.int64))
+    h.update(np.ascontiguousarray(M.data.real, dtype=np.float64))
+    if np.iscomplexobj(M.data):
+        h.update(np.ascontiguousarray(M.data.imag, dtype=np.float64))
+    return h.hexdigest()
+
+
+def reference_tile_diagonal(layout, M):
+    """tile_diagonality_check computed from a whole matrix by decoding both
+    tile digits of every canonical entry's row and column."""
+    M = canonical(M)
+    inner, site, tile_dim = layout.inner_dim, layout.site_dim, layout.tile_dim
+
+    def tiles(i):
+        return (i // site // inner) * tile_dim + i % site // inner
+
+    rows = np.repeat(np.arange(M.shape[0], dtype=M.indices.dtype), np.diff(M.indptr))
+    return bool((tiles(rows) == tiles(M.indices)).all())
 
 
 def sparse_complex_plug(seed):
@@ -479,27 +519,38 @@ class TestCanonicalBuild:
     @pytest.mark.parametrize("make_term", _reference_cases())
     def test_matches_the_block_by_block_build(self, make_term):
         term = make_term()
+        digest, diagonal = term_hash(term), tile_diagonality_check(term)
+        assert term._matrix is None
         M = term.matrix()
         assert isinstance(M, scipy.sparse.csr_matrix)
         fresh = scipy.sparse.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape)
         assert M.has_canonical_format and fresh.has_canonical_format and M.data.all()
         band = term.layout.inner_dim * term.site_dim
         disorder = set()
+        bands = _Bands(term, MAX_MATRIX_NNZ)()
         for U in range(term.layout.tile_dim):
             ref, unsorted = reference_band(term, U)
             disorder.add(unsorted)
             lo, hi = M.indptr[U * band], M.indptr[(U + 1) * band]
+            first, counts, cols, vals = next(bands)
+            assert first == U * band
             pairs = (
                 (M.indptr[U * band : (U + 1) * band + 1] - lo, ref.indptr),
                 (M.indices[lo:hi], ref.indices),
                 (M.data[lo:hi], ref.data),
+                (np.diff(ref.indptr).astype(counts.dtype), counts),
+                (cols, ref.indices),
+                (vals, ref.data),
             )
             for got, want in pairs:
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
+        assert next(bands, None) is None
         # converting the whole COO at once sorts every row as soon as one is
         # out of order, a band only its own rows: the same when all bands agree
         assert len(disorder) == 1
+        assert digest == reference_hash(M)
+        assert diagonal == reference_tile_diagonal(term.layout, M)
 
     def test_exact_size_check_runs_before_allocating(self):
         term = build_site_term(toy_plugs()["zero"])
@@ -514,16 +565,49 @@ class TestCanonicalBuild:
         assert peak < 4 * 2**20
         assert term.matrix(max_nnz=nnz).nnz == nnz
 
-    def test_materialize_and_hash_peak_memory(self):
-        # the matrix itself keeps 38 MiB (int32 indices, float64 data)
+    def test_hash_and_tile_check_peak_memory(self):
+        # the scan holds one band (1/81 of the term) at a time
         term = build_site_term(toy_plugs()["zero"])
         tracemalloc.start()
         try:
+            assert tile_diagonality_check(term)
             assert term_hash(term) == GOLDEN_D1_HASH
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 128 * 2**20
+        assert term._matrix is None
+        assert peak < 24 * 2**20
+
+    def test_materialize_peak_memory(self):
+        # the matrix itself keeps 38 MiB (int32 indices, float64 data)
+        term = build_site_term(toy_plugs()["zero"])
+        tracemalloc.start()
+        try:
+            assert term.matrix().nnz == 2_799_360
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 44 * 2**20
+
+    def test_hash_size_check_runs_before_allocating(self, monkeypatch):
+        term = build_site_term(toy_plugs()["zero"])
+        nnz = 2_799_360
+        monkeypatch.setattr(hamiltonian, "MAX_MATRIX_NNZ", nnz - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                BudgetExceeded,
+                match=f"materializing this term needs {nnz} nonzeros \\(cap {nnz - 1}\\); "
+                "use the block structure instead",
+            ):
+                term_hash(term)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        # built block-diagonally, so the tile check still holds over the cap
+        assert tile_diagonality_check(term)
+        assert term._matrix is None and term._audit is None
 
     def test_hash_canonicalizes_a_given_matrix(self):
         sc = build_single_copy_term()
@@ -537,7 +621,24 @@ class TestCanonicalBuild:
         order = rng.permutation(len(vals))
         messy = scipy.sparse.coo_matrix((vals[order], (rows[order], cols[order])), shape=M.shape)
         given = TwoBodyTerm(sc.layout, sc.coefficients, matrix=messy)
-        assert term_hash(given) == term_hash(sc)
+        assert term_hash(given) == term_hash(sc) == reference_hash(messy)
+        # explicit zeros may join different tiles, but they are no matrix
+        # elements: the check reads the canonical form, as the hash does
+        assert tile_diagonality_check(given) and reference_tile_diagonal(sc.layout, messy)
+
+    def test_hash_sees_signed_zero_real_parts(self):
+        sc = build_single_copy_term()
+        M = sc.matrix()
+        data = np.zeros(M.nnz, dtype=complex)
+        data.imag = M.data
+        data.real[::2] = -0.0
+        digests = []
+        for vals in (data, data + 0.0):
+            m = scipy.sparse.csr_matrix((vals, M.indices, M.indptr), shape=M.shape)
+            term = TwoBodyTerm(sc.layout, sc.coefficients, matrix=m)
+            assert term_hash(term) == reference_hash(m)
+            digests.append(term_hash(term))
+        assert digests[0] != digests[1]
 
     @pytest.mark.slow
     def test_conjugate_plugs_hash_differently(self):
