@@ -605,27 +605,45 @@ def _check_via_matrix(term):
 
 def _check_via_blocks(term):
     b = term.blocks
-    inner = term.layout.inner_dim
+    perm = swap_permutation(term.layout.inner_dim)
+    used = [int(s) for s in np.unique(b.sig)]
+    mirror = [int(m) for m in b.mirror_sig]
+
+    def spectrum(t, F):
+        fmin = float(np.linalg.eigvalsh((F + F.conj().T) / 2).min()) if len(b.variants[t][2]) else 0.0
+        return float(np.abs(F - F.conj().T).max()), fmin
+
+    def swap_of(F, G):
+        return float(np.abs(F[np.ix_(perm, perm)] - G).max())
+
+    # per-variant defects and minima; a variant and its mirror are checked
+    # together, so each is built once and at most two are held at a time
+    herm, fmin, swap = {}, {}, {}
+    for s in used:
+        if s in herm:
+            continue
+        m = mirror[s]
+        F = b.variant_dense(s)
+        herm[s], fmin[s] = spectrum(s, F)
+        G = F if m == s else b.variant_dense(m)
+        swap[s] = swap_of(F, G)
+        if m in used and m not in herm:
+            swap[m] = swap_of(G, F if mirror[m] == s else b.variant_dense(mirror[m]))
+            F = None
+            herm[m], fmin[m] = spectrum(m, G)
     herm_defect = 0.0
     lo = float("inf")
-    used = np.unique(b.sig)
     for s in used:
-        F = b.variant_dense(s)
-        herm_defect = max(herm_defect, float(np.abs(F - F.conj().T).max()))
-        fmin = float(np.linalg.eigvalsh((F + F.conj().T) / 2).min()) if len(b.variants[s][2]) else 0.0
-        smin = float(b.scalar[b.sig == s].min())
-        lo = min(lo, smin + fmin)
+        herm_defect = max(herm_defect, herm[s])
+        lo = min(lo, float(b.scalar[b.sig == s].min()) + fmin[s])
 
     # exchanging the sites maps block (U,V) to (V,U) and conjugates the inner
     # operator by the inner swap; verify both halves of that statement
     swap_defect = float(np.abs(b.scalar - b.scalar.T).max())
     if not (b.mirror_sig[b.sig] == b.sig.T).all():
         swap_defect = max(swap_defect, float("inf"))
-    perm = swap_permutation(inner)
     for s in used:
-        F = b.variant_dense(s)
-        G = b.variant_dense(int(b.mirror_sig[s]))
-        swap_defect = max(swap_defect, float(np.abs(F[np.ix_(perm, perm)] - G).max()))
+        swap_defect = max(swap_defect, swap[s])
     return herm_defect, lo, swap_defect
 
 

@@ -5,7 +5,8 @@ p is a prime whose most significant third of bits spells the input.  The
 two-body interaction never changes with the input; only the lattice grows.
 
 Primality is Miller-Rabin with random bases drawn from a seeded stream; below
-PSI_12 the twelve-prime base set proves the answer, and the stream is still
+PSI_12 the shortest prefix of the twelve-prime base set that the
+strong-pseudoprime bounds allow proves the answer, and the stream is still
 advanced exactly as the random-base test would advance it, so every search
 draws the same candidates.
 """
@@ -28,6 +29,20 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Sorenson & Webster, Math. Comp. 86 (2017).  Every odd m < PSI_12 that
 # passes those twelve strong tests is prime.
 PSI_12 = 318665857834031151167461
+# (psi_k, k): psi_k is the smallest strong pseudoprime to the first k
+# _SMALL_PRIMES bases (OEIS A014233; psi_8 = psi_7 and psi_11 = psi_10 =
+# psi_9), so every odd m < psi_k that passes those k strong tests is prime
+_PSI = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (PSI_12, 12),
+)
 
 
 class TrialBudgetError(RuntimeError):
@@ -47,13 +62,23 @@ def _strong_probable_prime(m, a, d, s):
     return False
 
 
+def _proof_bases(m):
+    """The shortest prefix of _SMALL_PRIMES whose strong tests prove an odd
+    m prime: empty from PSI_12 on, where no such prefix is known."""
+    for bound, k in _PSI:
+        if m < bound:
+            return _SMALL_PRIMES[:k]
+    return ()
+
+
 def is_probable_prime(m, rounds=MR_ROUNDS, rng=None):
     """Miller-Rabin with independent uniform bases.
 
-    Below PSI_12 the twelve _SMALL_PRIMES bases decide primality outright.  A
-    prime passes every random round, so on that path the `rounds` bases are
-    drawn from `rng` but not tested: the result and the state `rng` is left
-    in are those of the plain random-base test for every input.
+    Below PSI_12 the _proof_bases of m decide primality outright: at most
+    seven for m below 341550071728321 (48 bits).  A prime passes every random
+    round, so on that path the `rounds` bases are drawn from `rng` but not
+    tested: the result and the state `rng` is left in are those of the plain
+    random-base test for every input.
     """
     if m < 2:
         return False
@@ -64,7 +89,8 @@ def is_probable_prime(m, rounds=MR_ROUNDS, rng=None):
     s = (d & -d).bit_length() - 1
     d >>= s
     rng = rng if rng is not None else random.Random(0x5EED)
-    if m < PSI_12 and all(_strong_probable_prime(m, a, d, s) for a in _SMALL_PRIMES):
+    bases = _proof_bases(m)
+    if bases and all(_strong_probable_prime(m, a, d, s) for a in bases):
         for _ in range(rounds):
             rng.randrange(2, m - 1)
         return True

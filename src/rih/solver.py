@@ -82,7 +82,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from rih.hamiltonian import (
@@ -325,8 +324,10 @@ def _solve_component(k, local_edges):
 def _pair_groups(pairs):
     """Connected groups of the graph whose edges are pairs, as lists of
     indices into pairs: groups in the order of their first pair, and each
-    group's pairs in input order.  A dict union-find, which beats scipy's
-    connected_components by far on the few pairs of one demand graph."""
+    group's pairs in input order.  A dict union-find over the slots as met:
+    on the dozen pairs of one demand graph it takes about a third of the time
+    that numbering the slots for the array routine _components takes alone
+    (21 against 56 us for 12 pairs on the 3x3 torus)."""
     parent = {}
 
     def find(x):
@@ -763,13 +764,41 @@ def _site0_digits(spec):
     return out
 
 
-def _components(n, a, b):
-    """Connected components of the graph on nodes 0..n-1 with edges (a, b):
-    the smallest node of each node's component."""
-    graph = scipy.sparse.coo_matrix((np.ones(len(a), dtype=bool), (a, b)), shape=(n, n))
-    _, label = scipy.sparse.csgraph.connected_components(graph, directed=False)
-    _, first = np.unique(label, return_index=True)
-    return first[label]
+def _components(n, a, b, label=None):
+    """Connected components of the graph on nodes 0..n-1 (n < 2^31) with
+    edges (a, b): the smallest node of each node's component, as int32.
+
+    Label propagation (Shiloach & Vishkin, J. Algorithms 3, 57 (1982)): every
+    edge whose ends carry different labels hooks the larger label onto the
+    smaller, then pointer jumping (label = label[label]) takes each node to
+    its root, until every edge has equal labels.  Labels only decrease and
+    each stays in its node's component, so the smallest node of a component
+    is its one root.  label, a result of this function over other edges on
+    the same nodes, joins those edges' components with these."""
+    a = np.asarray(a, dtype=np.int32)
+    b = np.asarray(b, dtype=np.int32)
+    label = np.arange(n, dtype=np.int32) if label is None else label.copy()
+    while True:
+        la, lb = label[a], label[b]
+        split = la != lb
+        if not split.any():
+            return label
+        la, lb = la[split], lb[split]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+
+
+def _orbit_index(canon):
+    """(reps, index) for canon, each node's smallest class member (a
+    _components result): the distinct members in ascending order and each
+    node's position among them, as np.unique(canon, return_inverse=True)
+    gives them, without its sort."""
+    is_rep = canon == np.arange(len(canon))
+    return np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[canon]
 
 
 def _generators(perms):
@@ -821,34 +850,42 @@ class NumberingTable:
         digits = _site0_digits(spec)
         self.spec = spec
         self.edge_idx = edge_index_array(spec)
-        E = len(self.edge_idx)
-        steps = (digits[:, self.edge_idx[:, 1]] - digits[:, self.edge_idx[:, 0]]) % 3
-        # base-3 code of each row, first edge most significant, so that sorted
-        # codes are lexicographically sorted patterns (E <= 39 fits in int64)
-        weight = 3 ** np.arange(E - 1, -1, -1, dtype=np.int64)
-        row_codes = np.zeros(len(steps), dtype=np.int64)
-        for j in range(E):
-            row_codes += weight[j] * steps[:, j]
-        order = np.argsort(row_codes)
-        self.patterns = steps[order]
-        self.digits = digits[order]
-        P = len(self.patterns)
+        P, E = len(digits), len(self.edge_idx)
         self.num_edges = E
-        # pattern index of the numbering in each row of the site-0 digit table
-        pattern_at = np.empty(P, dtype=np.int64)
-        pattern_at[order] = np.arange(P)
-        self.orbit_reps, self.orbit_of = self._orbits(pattern_at)
-        # the rows are in lexicographic order, so one np.unique over their
-        # zero masks gives the groups, each group's first row and every row's
-        # group; violation counts depend on a pattern only through its group
+        steps = (digits[:, self.edge_idx[:, 1]] - digits[:, self.edge_idx[:, 0]]) % 3
         row_mask = np.zeros(P, dtype=np.uint64)
         for j in range(E):
             row_mask |= (steps[:, j] == 0).astype(np.uint64) << np.uint64(j)
+        # base-3 code of each row, first edge most significant, so that sorted
+        # codes are lexicographically sorted patterns (the cap gives E <= 24,
+        # which fits in int64)
+        weight = 3 ** np.arange(E - 1, -1, -1, dtype=np.int64)
+        row_codes = np.zeros(P, dtype=np.int64)
+        for j in range(E):
+            row_codes += weight[j] * steps[:, j]
+        order = np.argsort(row_codes)
+        # each unsorted intermediate is dropped once read, so the build peaks
+        # near the size of the tables it keeps
+        del row_codes
+        self.patterns = steps[order]
+        del steps
+        # the rows are in lexicographic order, so one np.unique over their
+        # zero masks gives the groups, each group's first row and every row's
+        # group; violation counts depend on a pattern only through its group
         self.zero_groups, first, row_group = np.unique(
             row_mask, return_index=True, return_inverse=True
         )
+        del row_mask
         self.group_of = row_group[order]
+        del row_group
+        self.digits = digits[order]
+        del digits
+        # pattern index of the numbering in each row of the site-0 digit table
+        pattern_at = np.empty(P, dtype=np.int32)
+        pattern_at[order] = np.arange(P, dtype=np.int32)
+        del order
         self.group_rep = pattern_at[first]
+        self.orbit_reps, self.orbit_of = self._orbits(pattern_at)
         self.epr = np.zeros(P)
         self.epr_exact = np.zeros(P, dtype=bool)
 
@@ -859,23 +896,22 @@ class NumberingTable:
 
         A symmetry g moves numbering x to the numbering that carries x[i] at
         site g[i]; less its value at site 0 (mod 3), that is a row of the
-        site-0 digit table whose base-3 digits are its row index, and its
-        pattern is the image of x's.  The images under a generating set of
-        the symmetries join the patterns into connected components, the
-        orbits; the identity keeps a fixed pattern in its own orbit.
+        site-0 digit table whose base-3 digits are its row index (below
+        TABLE_ROW_CAP, so int32), and its pattern is the image of x's.  The
+        images under a generating set of the symmetries join the patterns
+        into connected components, the orbits, taken one generator at a time.
         """
         P, N = self.digits.shape
-        place = 3 ** np.arange(N - 1, -1, -1, dtype=np.int64)
-        items = np.arange(P)
-        images = [items]
+        place = 3 ** np.arange(N - 1, -1, -1, dtype=np.int32)
+        items = np.arange(P, dtype=np.int32)
+        label = items
         for g in _generators(lattice_symmetry_permutations(self.spec)):
             origin = self.digits[:, np.argsort(g)[0]]  # value moved onto site 0
-            row = np.zeros(P, dtype=np.int64)
+            row = np.zeros(P, dtype=np.int32)
             for i in range(N):
                 row += place[g[i]] * ((self.digits[:, i] - origin) % 3)
-            images.append(pattern_at[row])
-        canon = _components(P, np.tile(items, len(images)), np.concatenate(images))
-        return np.unique(canon, return_inverse=True)
+            label = _components(P, items, pattern_at[row], label)
+        return _orbit_index(label)
 
     def broadcast(self, rep_values):
         """Spread per-orbit values (in orbit_reps order) over every pattern."""
@@ -968,7 +1004,7 @@ class ColoringTable:
         # each pattern joins its own mask to its orbit representative's
         group_of = nt.group_of
         canon = _components(len(self.masks), group_of, group_of[nt.orbit_reps[nt.orbit_of]])
-        self.orbit_reps, self.orbit_of = np.unique(canon, return_inverse=True)
+        self.orbit_reps, self.orbit_of = _orbit_index(canon)
 
     def _turn_flags(self):
         """Whether each mask holds two edges that meet at a site along

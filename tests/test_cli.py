@@ -48,6 +48,23 @@ def test_import_leaves_scipy_io_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_solve_leaves_scipy_csgraph_unloaded():
+    # the table components are labeled with numpy alone
+    src = str(Path(rih.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = (
+        "import contextlib, io, sys, rih.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = rih.cli.main(['solve', '--r', '1', '--n', '5'])\n"
+        "print(code, 'scipy.sparse.csgraph' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0 False"
+
+
 def _blas_counts():
     return [get() for get, _ in _openblas()]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 import warnings
@@ -653,6 +654,61 @@ class TestCanonicalBuild:
             for m in (h, h.conj()):
                 digests.append(term_hash(build_site_term(TranslationPlug(2, m, np.zeros((4, 4))))))
         assert digests[0] != digests[1]
+
+
+def reference_block_check(term):
+    """The block check as two passes: every used variant for Hermiticity and
+    the PSD minimum, then every used variant against its mirror."""
+    b = term.blocks
+    herm, lo = 0.0, float("inf")
+    used = np.unique(b.sig)
+    for s in used:
+        F = b.variant_dense(s)
+        herm = max(herm, float(np.abs(F - F.conj().T).max()))
+        fmin = float(np.linalg.eigvalsh((F + F.conj().T) / 2).min()) if len(b.variants[s][2]) else 0.0
+        lo = min(lo, float(b.scalar[b.sig == s].min()) + fmin)
+    swap = float(np.abs(b.scalar - b.scalar.T).max())
+    if not (b.mirror_sig[b.sig] == b.sig.T).all():
+        swap = float("inf")
+    perm = hamiltonian.swap_permutation(term.layout.inner_dim)
+    for s in used:
+        F, G = b.variant_dense(s), b.variant_dense(int(b.mirror_sig[s]))
+        swap = max(swap, float(np.abs(F[np.ix_(perm, perm)] - G).max()))
+    return herm, lo, swap
+
+
+def _block_check_term(case):
+    term = build_site_term(toy_plugs()["zero"])
+    b = term.blocks
+    if case == "non-hermitian variant":
+        s = max(range(len(b.variants)), key=lambda v: len(b.variants[v][2]))
+        rows, cols, vals = b.variants[s]
+        variants = list(b.variants)
+        variants[s] = (np.append(rows, 0), np.append(cols, 1), np.append(vals, 0.25))
+        b = dataclasses.replace(b, variants=variants)
+    elif case == "every variant its own mirror":
+        b = dataclasses.replace(b, mirror_sig=np.arange(len(b.mirror_sig)))
+    return TwoBodyTerm(term.layout, term.coefficients, blocks=b)
+
+
+class TestBlockCheck:
+    @pytest.mark.parametrize("case", ["zero", "non-hermitian variant", "every variant its own mirror"])
+    def test_builds_each_variant_once_with_the_two_pass_result(self, case, monkeypatch):
+        term = _block_check_term(case)
+        want = reference_block_check(term)
+        built = []
+        variant_dense = hamiltonian.BlockStructure.variant_dense
+
+        def counted(self, s, dtype=None):
+            built.append(int(s))
+            return variant_dense(self, s, dtype)
+
+        monkeypatch.setattr(hamiltonian.BlockStructure, "variant_dense", counted)
+        assert hamiltonian._check_via_blocks(term) == want
+        used = {int(s) for s in np.unique(term.blocks.sig)}
+        assert sorted(built) == sorted(used | {int(term.blocks.mirror_sig[s]) for s in used})
+        if case != "zero":
+            assert not check_term_symmetries(term).passed
 
 
 class TestNegativeControls:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rih.hamiltonian import term_hash
+from rih import instance
 from rih.instance import (
     PSI_12,
     DecisionSpec,
@@ -62,13 +63,104 @@ def _seeded_odd(count, seed):
     return [g.getrandbits(g.randint(2, 90)) | 1 for _ in range(count)]
 
 
-# Carmichael numbers, the smallest strong pseudoprimes to the first one, four
-# and nine prime bases, and to all twelve (PSI_12), then seeded odd m of 2-90 bits
+# the smallest strong pseudoprimes to the first k prime bases, psi_1 .. psi_12
+# (OEIS A014233, with psi_8 = psi_7 and psi_11 = psi_10 = psi_9)
+PSI = [
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    PSI_12,
+]
+
+# Carmichael numbers and the psi values, then seeded odd m of 2-90 bits
 STREAM_CASES = (
-    [561, 1105, 1729, 6601, 8911, 2821, 2047, 3215031751, 3825123056546413051, PSI_12]
+    [561, 1105, 1729, 6601, 8911, 2821] + PSI
     + _seeded_odd(2000, 11)
     + [m + 2 for m in _seeded_odd(100, 12)]
 )
+
+
+def twelve_base_is_probable_prime(m, rounds=64, rng=None):
+    """The proof path with all twelve small-prime bases below PSI_12."""
+    if m < 2:
+        return False
+    for q in instance._SMALL_PRIMES:
+        if m % q == 0:
+            return m == q
+    d = m - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    rng = rng if rng is not None else random.Random(0x5EED)
+    if m < PSI_12 and all(
+        instance._strong_probable_prime(m, a, d, s) for a in instance._SMALL_PRIMES
+    ):
+        for _ in range(rounds):
+            rng.randrange(2, m - 1)
+        return True
+    return reference_is_probable_prime(m, rounds, rng)
+
+
+def _band_cases(per_band, seed):
+    """Seeded odd m in each band [psi_{k-1}, psi_k) of the proof prefixes,
+    with the first probable prime at or above each, the band's two ends and
+    the strong base-2 pseudoprimes 3277, 4033, 4681 and 8321."""
+    g = random.Random(seed)
+    out = [3277, 4033, 4681, 8321]
+    for lo, hi in zip([41] + PSI[:-1], PSI):
+        out += [lo, lo + 2, hi - 2, hi]
+        for _ in range(per_band):
+            m = g.randrange(lo, hi) | 1
+            out.append(m)
+            while not reference_is_probable_prime(m, 16, random.Random(m)):
+                m += 2
+            out.append(m)
+    return out
+
+
+BAND_CASES = _band_cases(40, 13)
+
+
+class TestProofPrefix:
+    def test_each_psi_passes_its_prefix_and_fails_the_next(self):
+        for k, psi in zip((1, 2, 3, 4, 5, 6, 7, 9, 12), PSI):
+            d, s = psi - 1, 0
+            while d % 2 == 0:
+                d, s = d // 2, s + 1
+            passes = [instance._strong_probable_prime(psi, a, d, s) for a in instance._SMALL_PRIMES]
+            assert all(passes[:k]), psi
+            assert not reference_is_probable_prime(psi, 64, random.Random(psi))
+            assert len(instance._proof_bases(psi - 2)) == k
+            # from psi on, the next longer prefix witnesses it
+            longer = instance._proof_bases(psi)
+            assert not longer or not all(passes[: len(longer)]), psi
+
+    def test_prefix_decides_as_the_twelve_bases(self):
+        for m in BAND_CASES:
+            if m % 2 == 0 or any(m % q == 0 for q in instance._SMALL_PRIMES):
+                continue
+            d, s = m - 1, 0
+            while d % 2 == 0:
+                d, s = d // 2, s + 1
+            prefix = instance._proof_bases(m)
+            if m >= PSI_12:
+                assert prefix == ()
+                continue
+            assert (len(prefix) <= 7) == (m < PSI[6]), m
+            assert all(instance._strong_probable_prime(m, a, d, s) for a in prefix) == all(
+                instance._strong_probable_prime(m, a, d, s) for a in instance._SMALL_PRIMES
+            ), m
+
+    @pytest.mark.parametrize("rounds", [0, 64])
+    def test_matches_the_twelve_base_path_in_result_and_rng_state(self, rounds):
+        for m in BAND_CASES:
+            a, b = random.Random(m), random.Random(m)
+            assert is_probable_prime(m, rounds, a) == twelve_base_is_probable_prime(m, rounds, b), m
+            assert a.getstate() == b.getstate(), m
 
 
 class TestPrimalityStream:

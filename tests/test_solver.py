@@ -942,6 +942,75 @@ def _patterns_under_test(nt, sample):
     return np.sort(rng.choice(len(nt.patterns), sample, replace=False))
 
 
+def _oracle_components(n, a, b):
+    """The smallest node of each node's component, through scipy's graph."""
+    import scipy.sparse.csgraph
+
+    graph = scipy.sparse.coo_matrix((np.ones(len(a), dtype=bool), (a, b)), shape=(n, n))
+    _, label = scipy.sparse.csgraph.connected_components(graph, directed=False)
+    _, first = np.unique(label, return_index=True)
+    return first[label]
+
+
+def _component_cases():
+    rng = np.random.default_rng(19)
+    cases = {"no-edges": (7, [], []), "one-node-self-loop": (1, [0], [0])}
+    for n, m in ((10, 4), (1000, 300), (1000, 2000), (10**5, 5 * 10**4), (10**5, 2 * 10**5)):
+        cases[f"random-{n}-{m}"] = (n, rng.integers(0, n, m), rng.integers(0, n, m))
+    a, b = rng.integers(0, 500, 400), rng.integers(0, 500, 400)
+    loops = rng.integers(0, 500, 50)
+    cases["self-loops-and-repeats"] = (
+        500,
+        np.concatenate([a, b, loops, a]),
+        np.concatenate([b, a, loops, b]),
+    )
+    # a long path is the deepest chain of hooks; in node order, reversed and
+    # in shuffled order
+    n = 10**4
+    walk = np.arange(n)
+    cases["path"] = (n, walk[:-1], walk[1:])
+    cases["path-reversed"] = (n, walk[:0:-1], walk[-2::-1])
+    walk = rng.permutation(n)
+    cases["path-shuffled"] = (n, walk[:-1], walk[1:])
+    return cases
+
+
+COMPONENT_CASES = _component_cases()
+
+
+class TestComponents:
+    @pytest.mark.parametrize("name", list(COMPONENT_CASES))
+    def test_matches_the_scipy_oracle(self, name):
+        n, a, b = COMPONENT_CASES[name]
+        label = solver._components(n, a, b)
+        assert label.dtype == np.int32
+        assert (label == _oracle_components(n, np.asarray(a, int), np.asarray(b, int))).all()
+
+    def test_joining_a_previous_labeling(self):
+        rng = np.random.default_rng(7)
+        n = 2000
+        a, b = rng.integers(0, n, (2, 1500))
+        c, d = rng.integers(0, n, (2, 1500))
+        first = solver._components(n, a, b)
+        kept = first.copy()
+        joined = solver._components(n, c, d, first)
+        assert (first == kept).all()
+        want = _oracle_components(n, np.concatenate([a, c]), np.concatenate([b, d]))
+        assert (joined == want).all()
+
+    def test_orbit_index_matches_unique(self):
+        canon = solver._components(*COMPONENT_CASES["random-1000-300"])
+        reps, index = solver._orbit_index(canon)
+        want_reps, want_index = np.unique(canon, return_inverse=True)
+        assert reps.tobytes() == want_reps.astype(np.int64).tobytes()
+        assert index.tobytes() == want_index.tobytes()
+
+
+ORBIT_SPECS = [TORUS, OPEN3] + [
+    LatticeSpec(1, n, boundary) for n in range(3, 12) for boundary in ("periodic", "open")
+]
+
+
 class TestSymmetryOrbits:
     @pytest.mark.parametrize("spec,orbits", [(TORUS, 150), (OPEN3, 954)])
     def test_orbit_count_is_the_burnside_count(self, spec, orbits):
@@ -969,6 +1038,35 @@ class TestSymmetryOrbits:
         # each representative is its orbit's smallest pattern index
         assert (nt.orbit_reps[nt.orbit_of] <= np.arange(len(nt.patterns))).all()
         assert (nt.orbit_of[nt.orbit_reps] == np.arange(len(nt.orbit_reps))).all()
+
+    @pytest.mark.parametrize("spec", ORBIT_SPECS, ids=lambda s: f"{s.r}d{s.n}{s.boundary[0]}")
+    def test_orbits_are_the_minimum_over_every_symmetry_image(self, spec):
+        # the symmetries form a group, so a pattern's orbit is its set of
+        # images and the orbit's smallest member is the smallest image
+        nt = solver.NumberingTable(spec)
+        N = spec.num_sites
+        place = 3 ** np.arange(N - 1, -1, -1)
+        pattern_at = np.full(3**N, -1)
+        pattern_at[nt.digits.astype(np.int64) @ place] = np.arange(len(nt.patterns))
+        canon = np.arange(len(nt.patterns))
+        for g in lattice_symmetry_permutations(spec):
+            moved = np.empty_like(nt.digits)
+            moved[:, g] = nt.digits
+            moved = (moved - moved[:, :1]) % 3
+            np.minimum(canon, pattern_at[moved.astype(np.int64) @ place], out=canon)
+        orbit_reps, orbit_of = np.unique(canon, return_inverse=True)
+        assert nt.orbit_reps.tobytes() == orbit_reps.tobytes()
+        assert nt.orbit_of.tobytes() == orbit_of.tobytes()
+
+    def test_ring_eleven_build_peak_memory(self):
+        # the tables keep 2.7 MiB; the build holds one generator's image at a time
+        tracemalloc.start()
+        try:
+            solver.NumberingTable(LatticeSpec(1, 11))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
     @pytest.mark.parametrize(
         "spec,sample,tol",
