@@ -191,7 +191,7 @@ def crit_shared_slot_floor(ctx):
     ok = abs(value - 0.25) <= 1e-12 and dt < 1.0
     return ok, (
         f"two half-projectors sharing a qubit: min eigenvalue {value:.15f} "
-        f"(target 0.25, tol 1e-12) in {dt:.3f}s"
+        "(target 0.25, tol 1e-12); time bound 1s"
     )
 
 
@@ -224,14 +224,12 @@ def crit_witness_energies(ctx):
     ok = dt < 10.0
     return ok, (
         f"witness classical and certified sector totals {totals} "
-        f"(4*n^r*(r-1)) in {dt:.2f}s"
+        "(4*n^r*(r-1)); time bound 10s"
     )
 
 
 def crit_certified_ground_search(ctx):
-    t0 = perf_counter()
     rep = ctx.zero_search()
-    dt = perf_counter() - t0
     if not rep.certified:
         return False, "search did not certify its minimum"
     if abs(rep.minimum - 36.0) > 1e-9:
@@ -253,18 +251,16 @@ def crit_certified_ground_search(ctx):
         f"{s['distinct_masks']} color classes x {s['distinct_step_patterns']} "
         f"numbering classes ({s['mask_pairs_swept']} class pairs); "
         f"non-looped >= {not_looped:.0f}; looped-with-turn classes: "
-        f"{turn_masks} (bound vacuous); {dt:.2f}s"
+        f"{turn_masks} (bound vacuous)"
     )
 
 
 def crit_single_copy_floor(ctx):
-    t0 = perf_counter()
     ok, margin = solver.single_copy_floor_check(TORUS33)
-    dt = perf_counter() - t0
     passed = ok and margin >= -1e-9
     return passed, (
         f"counting floor holds for every single-copy class; worst margin "
-        f"{margin:.2e} (tol 1e-9) in {dt:.2f}s"
+        f"{margin:.2e} (tol 1e-9)"
     )
 
 
@@ -286,7 +282,6 @@ def crit_chain_ring_energies(ctx):
 
 
 def crit_oracle_agreement(ctx):
-    t0 = perf_counter()
     plugs = toy_plugs()
     rows = [f for f in ctx.fixtures() if f["kind"] == "sector-full"]
     if len(rows) < 10:
@@ -307,11 +302,10 @@ def crit_oracle_agreement(ctx):
             )
         if abs(oracle - f["expected_total"]) > 1e-6:
             return False, f"oracle drifted from frozen value {f['expected_total']}"
-    dt = perf_counter() - t0
     return True, (
         f"{len(rows)} full-space diagonalizations match the "
         f"classical+pairing+embedded decomposition; worst gap {worst:.2e} "
-        f"(tol 1e-8) in {dt:.1f}s"
+        "(tol 1e-8)"
     )
 
 
@@ -336,7 +330,6 @@ def crit_term_audit(ctx):
 
 
 def crit_open_boundary_endpoints(ctx):
-    t0 = perf_counter()
     rep = solver.ground_energy_search(OPEN3, None)
     if not rep.certified or abs(rep.minimum - 24.0) > 1e-9:
         return False, f"open 3x3 certified minimum {rep.minimum} != 24"
@@ -361,18 +354,16 @@ def crit_open_boundary_endpoints(ctx):
                 f"{alt_se.total} vs {base.total}"
             )
         details.append(f"n={spec.n}: {base.total:.0f} < {alt_se.total:.2f}")
-    dt = perf_counter() - t0
     return True, (
         "open-boundary optimum certified at n=3 (24, chains open-ended); "
         "straight witnesses leave line-end qubits unpaired and every "
         f"turn-introducing alternative costs strictly more ({'; '.join(details)}); "
         f"n=6 full-space certification is out of reach (3^36 colorings), "
-        f"covered by the n=3 certificate plus exact alternatives; {dt:.1f}s"
+        "covered by the n=3 certificate plus exact alternatives"
     )
 
 
 def crit_block_lift_bijection(ctx):
-    t0 = perf_counter()
     mono = TileRuleSet(("m",), frozenset(), frozenset())
     res = enumerate_valid(lift_3x3(mono), 3)
     if len(res) != 9:
@@ -397,10 +388,9 @@ def crit_block_lift_bijection(ctx):
                     return False, f"decode not a bijection at n={n}"
                 seen.add((orig.rows, off))
             checked.append(f"{len(originals)}->{len(lifted)}")
-    dt = perf_counter() - t0
     return True, (
         f"single-tile lift yields exactly 9 torus tilings at size 3; "
-        f"offset-decode bijections verified ({', '.join(checked)}) in {dt:.1f}s"
+        f"offset-decode bijections verified ({', '.join(checked)})"
     )
 
 
@@ -459,12 +449,11 @@ def crit_prime_length_encoding(ctx):
     ok = dt < 30.0
     return ok, (
         f"1000 random inputs (|x| <= 16) encoded: n=3p, p prime by 64-round "
-        f"checks, top third of bits spells x; {dt:.1f}s (<30s)"
+        "checks, top third of bits spells x; time bound 30s"
     )
 
 
 def crit_symmetry_invariance(ctx):
-    t0 = perf_counter()
     plugs = toy_plugs()
     rng = np.random.default_rng(5)
     cases = [striped_witness(TORUS33), _snake_tiling(3)]
@@ -479,21 +468,23 @@ def crit_symmetry_invariance(ctx):
         f = classify(t, copy)
         return (f.looped, f.has_turn, f.uniformly_directed, f.numbered_consistently)
 
+    def sector_totals(t):
+        # the zero plug's sector is the afm sector without its embedded part
+        se = solver.tile_sector_energy(t, plugs["afm"])
+        return se.classical + se.epr_copy1 + se.epr_copy2, se.total
+
     worst = 0.0
     for t in cases:
         perms = lattice_symmetry_permutations(t.spec)
         base_flags = (invariant_flags(t, 1), invariant_flags(t, 2))
-        # the zero plug's embedded part is exactly 0.0, so the zero total plus
-        # the afm embedded part is the afm sector's total, float for float
-        base_zero = solver.tile_sector_energy(t).total
-        base_afm = base_zero + solver.embedded_2d_energy(t, plugs["afm"])
+        base_zero, base_afm = sector_totals(t)
         for perm in perms:
             moved = t.permuted(perm)
             if (invariant_flags(moved, 1), invariant_flags(moved, 2)) != base_flags:
                 return False, "classification flags changed under a coordinate permutation"
-            zero = solver.tile_sector_energy(moved).total
+            zero, afm = sector_totals(moved)
             dz = abs(zero - base_zero)
-            da = abs(zero + solver.embedded_2d_energy(moved, plugs["afm"]) - base_afm)
+            da = abs(afm - base_afm)
             worst = max(worst, dz, da)
             if dz > 1e-8 or da > 1e-8:
                 return False, "sector energy changed under a coordinate permutation"
@@ -501,11 +492,9 @@ def crit_symmetry_invariance(ctx):
     b = solver.ground_energy_search(TORUS33, None)
     if a.minimum != b.minimum or a.argmin != b.argmin:
         return False, "ground search not stable across reruns"
-    dt = perf_counter() - t0
     return True, (
         f"{len(cases)} tilings invariant under coordinate permutations "
-        f"(worst sector drift {worst:.2e}, tol 1e-8); ground search stable; "
-        f"{dt:.1f}s"
+        f"(worst sector drift {worst:.2e}, tol 1e-8); ground search stable"
     )
 
 

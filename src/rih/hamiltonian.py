@@ -105,9 +105,6 @@ class FactorLayout:
     def pair_dim(self):
         return self.site_dim**2
 
-    def position(self, name):
-        return self.names.index(name)
-
     def describe(self):
         return ",".join(f"{n}({d})" for n, d in zip(self.names, self.dims))
 
@@ -378,13 +375,19 @@ class TwoBodyTerm:
     """
 
     def __init__(self, layout, coefficients, blocks=None, matrix=None):
+        if blocks is None and matrix is None:
+            raise ValueError("term needs a block structure or an explicit matrix")
+        if matrix is not None:
+            matrix = matrix.tocsr()
+            if not matrix.has_canonical_format or not matrix.data.all():
+                matrix = matrix.copy()
+                matrix.sum_duplicates()
+                matrix.eliminate_zeros()
         self.layout = layout
         self.coefficients = dict(coefficients)
         self.blocks = blocks
         self._matrix = matrix
         self._audit = None  # (term_hash, tile diagonality), see _audit
-        if blocks is None and matrix is None:
-            raise ValueError("term needs a block structure or an explicit matrix")
 
     @property
     def site_dim(self):
@@ -394,16 +397,17 @@ class TwoBodyTerm:
     def pair_dim(self):
         return self.layout.pair_dim
 
-    def matrix(self, max_nnz=MAX_MATRIX_NNZ):
+    def matrix(self):
         """The explicit sparse matrix in canonical CSR form (sorted indices,
         duplicates summed, zeros dropped).  Raises BudgetExceeded, before any
-        array of the term's size exists, if it has more than max_nnz entries."""
+        array of the term's size exists, if it has more than MAX_MATRIX_NNZ
+        entries."""
         if self._matrix is None:
-            self._matrix = self._materialize(max_nnz)
+            self._matrix = self._materialize()
         return self._matrix
 
-    def _materialize(self, max_nnz):
-        bands = _Bands(self, max_nnz)
+    def _materialize(self):
+        bands = _Bands(self)
         indptr = np.zeros(self.pair_dim + 1, dtype=bands.index_dtype)
         indices = np.empty(bands.nnz, dtype=bands.index_dtype)
         data = np.empty(bands.nnz, dtype=bands.dtype)
@@ -426,20 +430,16 @@ class _Bands:
 
     A block-built term computes each band from its distinct block types, so
     no array of the whole term's size exists; building one raises
-    BudgetExceeded first if the term has more than max_nnz entries.  A
-    matrix-only term slices its canonicalized matrix."""
+    BudgetExceeded first if the term has more than MAX_MATRIX_NNZ entries.
+    A matrix-only term slices its matrix, which is canonical from the
+    start."""
 
-    def __init__(self, term, max_nnz):
+    def __init__(self, term):
         layout = term.layout
         self.rows = layout.inner_dim * layout.site_dim
         self.count = layout.tile_dim
         if term.blocks is None:
-            M = term.matrix().tocsr()
-            if not M.has_canonical_format or not M.data.all():
-                M = M.copy()
-                M.sum_duplicates()
-                M.eliminate_zeros()
-            self._matrix = M
+            M = self._matrix = term.matrix()
             self.nnz, self.dtype, self.index_dtype = M.nnz, M.dtype, M.indices.dtype
             self._band = self._slice
             return
@@ -455,9 +455,9 @@ class _Bands:
         type_of = type_of.reshape(b.scalar.shape)
         band_nnz = row_nnz.reshape(len(types), nn).sum(axis=1)[type_of].sum(axis=1)
         self.nnz = int(band_nnz.sum())
-        if self.nnz > max_nnz:
+        if self.nnz > MAX_MATRIX_NNZ:
             raise BudgetExceeded(
-                f"materializing this term needs {self.nnz} nonzeros (cap {max_nnz}); "
+                f"materializing this term needs {self.nnz} nonzeros (cap {MAX_MATRIX_NNZ}); "
                 "use the block structure instead"
             )
         idx = scipy.sparse.get_index_dtype(
@@ -704,7 +704,7 @@ def _audit(term):
     pass's cost."""
     if term._audit is not None:
         return term._audit
-    bands = _Bands(term, MAX_MATRIX_NNZ)
+    bands = _Bands(term)
     h = hashlib.sha256()
     h.update(f"dim={term.pair_dim};nnz={bands.nnz};".encode())
     for lo, counts, _, _ in bands(columns=False, values=False):

@@ -11,6 +11,7 @@ original adjacency prohibitions transfer to the facing border subtiles.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -155,12 +156,12 @@ def _index_rules(rs):
         allowed_h[pos[a], pos[b]] = False
     for a, b in rs.forbidden_v:
         allowed_v[pos[a], pos[b]] = False
-    return pos, allowed_h, allowed_v
+    return allowed_h, allowed_v
 
 
 def _row_count(n, allowed_h, wrap):
-    """How many rows _valid_rows yields, counted without building one: the
-    sum of A^(n-1) over the allowed-successor matrix A, or with wrap the
+    """How many rows enumerate_valid builds, counted without building one:
+    the sum of A^(n-1) over the allowed-successor matrix A, or with wrap the
     trace of A^n.  Each product saturates at ROW_CAP + 1, so the int64
     entries stay far below overflow and the count is exact up to the cap
     (a saturated entry times a nonzero one saturates either way)."""
@@ -176,93 +177,65 @@ def _row_count(n, allowed_h, wrap):
     return min(int(np.trace(power) if wrap else power.sum()), cap)
 
 
-def _valid_rows(n, k, allowed_h, wrap):
-    """Depth-first generation of horizontally consistent rows, in lex order.
-    The rows are counted first, so an oversized row space fails before any
-    row is built."""
-    if _row_count(n, allowed_h, wrap) > ROW_CAP:
-        raise RuleSetError("row space exceeds the enumeration cap")
-    succ = [np.flatnonzero(allowed_h[a]).tolist() for a in range(k)]
-    rows = []
-    stack = [(t,) for t in reversed(range(k))]
-    while stack:
-        prefix = stack.pop()
-        if len(prefix) == n:
-            if not wrap or allowed_h[prefix[-1], prefix[0]]:
-                rows.append(prefix)
+def _walks(n, first, successors, closed):
+    """Every walk of n items that starts at an item of first and steps from
+    each item to one of successors(item), as tuples.  When first and every
+    successor list ascend, the walks come in lexicographic order.  A closed
+    walk must also step from its last item back to its first."""
+    walk = []
+    branches = [iter(first)]
+    while branches:
+        depth = len(branches)
+        del walk[depth - 1:]
+        item = next(branches[-1], None)
+        if item is None:
+            branches.pop()
             continue
-        for t in reversed(succ[prefix[-1]]):
-            stack.append(prefix + (t,))
-    return rows
+        walk.append(item)
+        if depth < n:
+            branches.append(iter(successors(item)))
+        elif not closed or walk[0] in successors(item):
+            yield tuple(walk)
 
 
 def enumerate_valid(rs, n, limit=None, require_present=None):
-    """Exactly the valid n-by-n tilings, by row transfer with memoized row
-    compatibility, emitted in lexicographic row order.  A limit truncates the
-    output and sets the flag; require_present keeps only tilings containing
-    every listed tile."""
+    """Exactly the valid n-by-n tilings, in lexicographic row order.
+
+    Rows are the walks of n tiles through the horizontal rules, counted
+    first so that an oversized row space fails before any row is built.
+    Grids are the walks of n rows through the vertical rules; a row's
+    successors are computed the first time a walk reaches it.  With wrap,
+    both walks close.  A limit truncates the output and sets the flag;
+    require_present keeps only tilings containing every listed tile."""
     if n < 1:
         raise RuleSetError("grid side must be positive")
-    pos, allowed_h, allowed_v = _index_rules(rs)
+    allowed_h, allowed_v = _index_rules(rs)
     k = len(rs.alphabet)
     wrap = rs.boundary == "periodic"
-    rows = _valid_rows(n, k, allowed_h, wrap)
+    if _row_count(n, allowed_h, wrap) > ROW_CAP:
+        raise RuleSetError("row space exceeds the enumeration cap")
+    tile_successors = [np.flatnonzero(allowed_h[a]).tolist() for a in range(k)]
+    rows = list(_walks(n, range(k), tile_successors.__getitem__, wrap))
     required = frozenset(require_present or ())
     missing = required - set(rs.alphabet)
     if missing:
         raise RuleSetError(f"required tiles {sorted(missing)} outside the alphabet")
-    R = len(rows)
-    names = rs.alphabet
-    if R == 0:
-        return EnumerationResult((), False, 0)
     arr = np.array(rows, dtype=np.int16)
-    if R <= 4096:
-        compat = allowed_v[arr[:, None, :], arr[None, :, :]].all(axis=2)
-        succ_rows = [np.flatnonzero(compat[i]).tolist() for i in range(R)]
-    else:
-        cache = {}
 
-        def row_succ(i):
-            if i not in cache:
-                cache[i] = np.flatnonzero(
-                    allowed_v[arr[i][None, :], arr].all(axis=1)
-                ).tolist()
-            return cache[i]
+    @functools.cache
+    def row_successors(i):
+        return np.flatnonzero(allowed_v[arr[i], arr].all(axis=1)).tolist()
 
-        succ_rows = None
-
-    def successors(i):
-        return succ_rows[i] if succ_rows is not None else row_succ(i)
-
-    results = []
-    truncated = False
-    budget = None if limit is None else limit + 1
-
-    def emit(stack):
-        tile_rows = tuple(tuple(names[t] for t in rows[i]) for i in stack)
-        g = GridTiling(n, tile_rows)
-        if required and not required <= {t for r in tile_rows for t in r}:
-            return False
-        results.append(g)
-        return budget is not None and len(results) >= budget
-
-    def dfs(stack):
-        if len(stack) == n:
-            if wrap and not (
-                allowed_v[arr[stack[-1]], arr[stack[0]]].all()
-            ):
-                return False
-            return emit(stack)
-        for j in successors(stack[-1]) if stack else range(R):
-            if dfs(stack + [j]):
-                return True
-        return False
-
-    dfs([])
-    if budget is not None and len(results) >= budget:
-        results = results[: limit]
-        truncated = True
-    return EnumerationResult(tuple(results), truncated, R)
+    names = rs.alphabet
+    tilings = []
+    for walk in _walks(n, range(len(rows)), row_successors, wrap):
+        grid = tuple(tuple(names[t] for t in rows[i]) for i in walk)
+        if required and not required <= {t for row in grid for t in row}:
+            continue
+        if limit is not None and len(tilings) >= limit:
+            return EnumerationResult(tuple(tilings), True, len(rows))
+        tilings.append(GridTiling(n, grid))
+    return EnumerationResult(tuple(tilings), False, len(rows))
 
 
 def subtile(tile, position):

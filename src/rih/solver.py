@@ -561,15 +561,6 @@ def _step_patterns(t):
     return s1, s2
 
 
-def embedded_2d_energy(t, plug):
-    """Exact minimum of the embedded horizontal and vertical terms in the tile
-    sector of t.  Orientation comes from the number steps of each copy."""
-    if plug is None:
-        return 0.0
-    s1, s2 = _step_patterns(t)
-    return embedded_step_energy(t.spec, s1, s2, plug)
-
-
 # ---------------------------------------------------------------------------
 # sector energies
 

@@ -349,6 +349,27 @@ class TestVerify:
         assert "c07" in failed
         assert "c07 FAIL" in err
 
+    @pytest.mark.slow
+    def test_report_is_the_same_in_every_process(self):
+        # apart from the timings, nothing in the report may depend on the
+        # process, string hashing included
+        src = str(Path(rih.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, rih.cli; sys.exit(rih.cli.main(['verify', '--profile', 'full']))"
+        reports = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            report = json.loads(out.stdout)
+            del report["elapsed_seconds"]
+            for row in report["criteria"]:
+                del row["seconds"]
+            reports.append(report)
+        assert reports[0]["all_passed"]
+        assert reports[0] == reports[1]
+
     def test_malformed_mutation_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--mutate", "pairing")
         assert code == 2

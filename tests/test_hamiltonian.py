@@ -13,7 +13,6 @@ from rih.hamiltonian import (
     DEFAULT_COEFFICIENTS,
     EPR_HALF_PROJECTOR,
     ILLEGAL_TILE_PAIRS,
-    MAX_MATRIX_NNZ,
     BudgetExceeded,
     FactorLayout,
     PlugValidationError,
@@ -528,7 +527,7 @@ class TestCanonicalBuild:
         assert M.has_canonical_format and fresh.has_canonical_format and M.data.all()
         band = term.layout.inner_dim * term.site_dim
         disorder = set()
-        bands = _Bands(term, MAX_MATRIX_NNZ)()
+        bands = _Bands(term)()
         for U in range(term.layout.tile_dim):
             ref, unsorted = reference_band(term, U)
             disorder.add(unsorted)
@@ -553,18 +552,20 @@ class TestCanonicalBuild:
         assert digest == reference_hash(M)
         assert diagonal == reference_tile_diagonal(term.layout, M)
 
-    def test_exact_size_check_runs_before_allocating(self):
+    def test_exact_size_check_runs_before_allocating(self, monkeypatch):
         term = build_site_term(toy_plugs()["zero"])
         nnz = 2_799_360
+        monkeypatch.setattr(hamiltonian, "MAX_MATRIX_NNZ", nnz - 1)
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceeded, match=f"{nnz} nonzeros"):
-                term.matrix(max_nnz=nnz - 1)
+                term.matrix()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
-        assert term.matrix(max_nnz=nnz).nnz == nnz
+        monkeypatch.setattr(hamiltonian, "MAX_MATRIX_NNZ", nnz)
+        assert term.matrix().nnz == nnz
 
     def test_hash_and_tile_check_peak_memory(self):
         # the scan holds one band (1/81 of the term) at a time
@@ -622,6 +623,12 @@ class TestCanonicalBuild:
         order = rng.permutation(len(vals))
         messy = scipy.sparse.coo_matrix((vals[order], (rows[order], cols[order])), shape=M.shape)
         given = TwoBodyTerm(sc.layout, sc.coefficients, matrix=messy)
+        # the given matrix is canonicalized once, as matrix() promises; an
+        # already canonical one is kept without a copy
+        G = given.matrix()
+        assert isinstance(G, scipy.sparse.csr_matrix)
+        assert G.has_canonical_format and G.data.all() and (G != sc.matrix()).nnz == 0
+        assert TwoBodyTerm(sc.layout, sc.coefficients, matrix=sc.matrix()).matrix() is sc.matrix()
         assert term_hash(given) == term_hash(sc) == reference_hash(messy)
         # explicit zeros may join different tiles, but they are no matrix
         # elements: the check reads the canonical form, as the hash does

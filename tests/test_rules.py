@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import tracemalloc
 
 import numpy as np
@@ -190,8 +191,15 @@ class TestEnumerateValid:
     )
     def test_row_count_is_the_number_of_rows_built(self, allowed, wrap, n):
         allowed_h = np.array(allowed).reshape(3, 3)
-        rows = rules._valid_rows(n, 3, allowed_h, wrap)
+        successors = [np.flatnonzero(a).tolist() for a in allowed_h]
+        rows = list(rules._walks(n, range(3), successors.__getitem__, wrap))
         assert rules._row_count(n, allowed_h, wrap) == len(rows)
+        # the walks are the allowed tile sequences, in lexicographic order
+        expected = [
+            r for r in itertools.product(range(3), repeat=n)
+            if all(allowed_h[a, b] for a, b in zip(r, (r[1:] + r[:1]) if wrap else r[1:]))
+        ]
+        assert rows == expected
 
     @pytest.mark.parametrize("cap,fails", [(16, False), (15, True)])
     def test_row_cap_is_exact(self, monkeypatch, cap, fails):
@@ -202,6 +210,34 @@ class TestEnumerateValid:
                 enumerate_valid(FREE2, 4)
         else:
             assert enumerate_valid(FREE2, 4).valid_rows == 16
+
+    def test_many_rows_need_no_pairwise_table(self):
+        # 2^12 rows; successors are computed only for the rows a walk
+        # reaches, never as a table over all pairs of rows (200 MiB here)
+        rs = TileRuleSet(("a", "b"), frozenset(), frozenset({("a", "a")}))
+        tracemalloc.start()
+        try:
+            res = enumerate_valid(rs, 12, limit=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res) == 10 and res.truncated and res.valid_rows == 4096
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("require", [None, {"b", "c"}])
+    def test_limit_keeps_the_first_tilings(self, boundary, require):
+        rng = random.Random(4)
+        pairs = sorted(itertools.product("abc", repeat=2))
+        rs = TileRuleSet(
+            ("a", "b", "c"), frozenset(rng.sample(pairs, 3)), frozenset(rng.sample(pairs, 3)), boundary
+        )
+        full = enumerate_valid(rs, 3, require_present=require).tilings
+        assert len(full) >= 6
+        for k in (0, 1, 5, len(full) - 1, len(full)):
+            res = enumerate_valid(rs, 3, limit=k, require_present=require)
+            assert res.tilings == full[:k]
+            assert res.truncated == (k < len(full))
 
     def test_oversized_row_space_fails_before_allocating(self):
         # 64^12 rows, far past ROW_CAP: counted, never generated

@@ -326,18 +326,18 @@ def _embedded_entries(spec, steps1, steps2, plug):
 class TestEmbedded:
     def test_witness_with_alternating_plug(self):
         w = striped_witness(TORUS)
-        assert solver.embedded_2d_energy(w, toy_plugs()["afm"]) == pytest.approx(
+        assert solver.tile_sector_energy(w, toy_plugs()["afm"]).embedded == pytest.approx(
             3.0, abs=1e-9
         )
 
     def test_witness_with_satisfiable_plug(self):
         w = striped_witness(TORUS)
-        assert solver.embedded_2d_energy(w, toy_plugs()["frustration_free"]) == pytest.approx(
-            0.0, abs=1e-9
-        )
+        assert solver.tile_sector_energy(
+            w, toy_plugs()["frustration_free"]
+        ).embedded == pytest.approx(0.0, abs=1e-9)
 
     def test_no_plug_contributes_nothing(self):
-        assert solver.embedded_2d_energy(striped_witness(TORUS), None) == 0.0
+        assert solver.tile_sector_energy(striped_witness(TORUS), None).embedded == 0.0
 
     def test_oversized_components_are_rejected(self):
         # a non-diagonal plug along all 19 edges of ring 19 joins one
@@ -350,7 +350,7 @@ class TestEmbedded:
         with pytest.raises(solver.BudgetExceeded, match="exceeds cap"):
             solver.embedded_step_energy(ring, ones, zeros, plug)
         with pytest.raises(solver.BudgetExceeded, match="layer state space"):
-            solver.embedded_2d_energy(
+            solver.tile_sector_energy(
                 striped_witness(LatticeSpec(2, 12)), toy_plugs()["frustration_free"]
             )
 
@@ -461,7 +461,9 @@ def _object_path_sector(t, plug):
         classical=float(ce.total),
         epr_copy1=e1.value,
         epr_copy2=e2.value,
-        embedded=solver.embedded_2d_energy(t, plug),
+        embedded=0.0 if plug is None else solver.embedded_step_energy(
+            t.spec, *solver._step_patterns(t), plug
+        ),
         method="component-exact" if (e1.exact and e2.exact) else "bound-only",
         breakdown={
             "classical": ce.to_json_dict(),
