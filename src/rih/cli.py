@@ -9,6 +9,7 @@ import sys
 
 from rih import solver
 from rih._blas import one_blas_thread
+from rih.hamiltonian import _coefficients
 from rih.instance import (
     TrialBudgetError,
     f_search,
@@ -68,6 +69,7 @@ def _cmd_verify(args):
         if not _:
             raise ValueError(f"--mutate wants name=value, got {item!r}")
         overrides[name] = float(value)
+    _coefficients(overrides)  # refuse a bad control before any criterion runs
     report = verify_claims(
         profile=args.profile,
         coefficient_overrides=overrides or None,

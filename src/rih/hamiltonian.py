@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,23 +63,7 @@ HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-9
 MAX_DENSE_PAIR_DIM = 8192  # direct-matrix checks above this would be wasteful
 MAX_MATRIX_NNZ = 50_000_000
-GLOBAL_DIM_CAP = 2**26  # largest many-site space global_hamiltonian or global_matvec builds
-
-
-def tile_pair_is_illegal(c_left, n_left, c_right, n_right):
-    """Adjacency rules: same color needs different numbers, different colors
-    need the same number."""
-    return (c_left == c_right) == (n_left == n_right)
-
-
-ILLEGAL_TILE_PAIRS = tuple(
-    (c1 * 3 + n1, c2 * 3 + n2)
-    for c1 in range(3)
-    for n1 in range(3)
-    for c2 in range(3)
-    for n2 in range(3)
-    if tile_pair_is_illegal(c1, n1, c2, n2)
-)
+GLOBAL_DIM_CAP = 2**26  # largest many-site space global_hamiltonian builds
 
 
 @dataclass(frozen=True)
@@ -104,9 +89,6 @@ class FactorLayout:
     @property
     def pair_dim(self):
         return self.site_dim**2
-
-    def describe(self):
-        return ",".join(f"{n}({d})" for n, d in zip(self.names, self.dims))
 
 
 def two_copy_layout(d):
@@ -537,13 +519,16 @@ def _type_blocks(b, types, nn):
 
 
 def _coefficients(coefficient_overrides):
-    """DEFAULT_COEFFICIENTS with the overrides applied; an unknown name
-    raises ValueError."""
+    """DEFAULT_COEFFICIENTS with the overrides applied; an unknown name or a
+    non-finite value raises ValueError."""
     w = dict(DEFAULT_COEFFICIENTS)
     if coefficient_overrides:
         unknown = set(coefficient_overrides) - set(w)
         if unknown:
             raise ValueError(f"unknown coefficient names: {sorted(unknown)}")
+        bad = sorted(k for k, v in coefficient_overrides.items() if not math.isfinite(v))
+        if bad:
+            raise ValueError(f"coefficients must be finite: {bad}")
         w.update(coefficient_overrides)
     return w
 
@@ -750,49 +735,3 @@ def global_hamiltonian(spec, term):
     ).tocsr()
     H.sum_duplicates()
     return H
-
-
-def global_matvec(spec, term, state):
-    """Apply the summed Hamiltonian to a state without materializing it.
-
-    Edges are processed in their canonical order, so the reduction is
-    deterministic and the output reproducible bit for bit.
-    """
-    s = term.site_dim
-    N = spec.num_sites
-    D = s**N
-    if D > GLOBAL_DIM_CAP:
-        raise BudgetExceeded(f"global dimension {D} exceeds cap {GLOBAL_DIM_CAP}")
-    state = np.asarray(state)
-    if state.shape != (D,):
-        raise ValueError(f"state must have shape ({D},), got {state.shape}")
-    M = term.matrix()
-    psi = state.reshape((s,) * N)
-    out = np.zeros_like(psi, dtype=np.result_type(M.dtype, state.dtype))
-    for u, v in edges(spec):
-        iu, iv = spec.site_index(u), spec.site_index(v)
-        moved = np.moveaxis(psi, (iu, iv), (0, 1))
-        flat = np.ascontiguousarray(moved).reshape(s * s, -1)
-        acted = M @ flat
-        back = np.moveaxis(acted.reshape(moved.shape), (0, 1), (iu, iv))
-        out += back
-    return out.reshape(D)
-
-
-def export_matrix_market(term, path, spec=None):
-    """Write the term (or, given a lattice, the summed Hamiltonian) in Matrix
-    Market format with a header recording the basis convention and weights."""
-    audit = " ".join(f"{k}={v:g}" for k, v in sorted(term.coefficients.items()))
-    comment = (
-        f"site factors, most significant first: {term.layout.describe()}\n"
-        f"two-site index = u_state * {term.site_dim} + v_state\n"
-        f"summand weights: {audit}"
-    )
-    if spec is None:
-        M = term.matrix()
-    else:
-        M = global_hamiltonian(spec, term)
-        comment += f"\nsummed over nearest-neighbor pairs of {spec.to_json_dict()}"
-    import scipy.io  # only export needs it, so `import rih` does not load it
-
-    scipy.io.mmwrite(path, M, comment=comment)

@@ -131,9 +131,6 @@ class InstanceEncoding:
         if self.n != 3 * self.p:
             raise ValueError("side length is not three times p")
 
-    def primality_check(self, rounds=MR_ROUNDS, rng=None):
-        return is_probable_prime(self.p, rounds, rng)
-
     def to_json_dict(self):
         return {"x": self.x, "p": self.p, "n": self.n}
 

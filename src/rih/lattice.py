@@ -162,11 +162,6 @@ def neighbor_index_array(spec):
     return out
 
 
-def permute_coords(u, perm):
-    """Apply a coordinate permutation: result[i] = u[perm[i]]."""
-    return tuple(u[p] for p in perm)
-
-
 @functools.lru_cache(maxsize=None)
 def lattice_symmetry_permutations(spec):
     """Site-index permutations generated by coordinate permutations, axis

@@ -23,11 +23,6 @@ ALPHABET_CAP = 64
 ROW_CAP = 2_000_000
 
 BLOCK_POSITIONS = ("c", "l", "r", "t", "b", "tl", "tr", "bl", "br")
-# horizontal mirror: left-ish positions trade places with right-ish ones
-MIRROR_H = {
-    "c": "c", "l": "r", "r": "l", "t": "t", "b": "b",
-    "tl": "tr", "tr": "tl", "bl": "br", "br": "bl",
-}
 
 
 class RuleSetError(ValueError):
@@ -73,8 +68,12 @@ class TileRuleSet:
 
     @classmethod
     def from_json_dict(cls, obj):
+        try:
+            alphabet = tuple(obj["alphabet"])
+        except KeyError as exc:
+            raise RuleSetError(f"rule set JSON lacks the field {exc}") from None
         return cls(
-            alphabet=tuple(obj["alphabet"]),
+            alphabet=alphabet,
             forbidden_h=frozenset(map(tuple, obj.get("forbidden_h", ()))),
             forbidden_v=frozenset(map(tuple, obj.get("forbidden_v", ()))),
             boundary=obj.get("boundary", "periodic"),
@@ -97,7 +96,11 @@ class GridTiling:
 
     @classmethod
     def from_json_dict(cls, obj):
-        return cls(n=obj["n"], rows=tuple(map(tuple, obj["rows"])))
+        try:
+            n, rows = obj["n"], obj["rows"]
+        except KeyError as exc:
+            raise RuleSetError(f"grid JSON lacks the field {exc}") from None
+        return cls(n=n, rows=tuple(map(tuple, rows)))
 
     @classmethod
     def filled(cls, n, tile):
@@ -209,6 +212,8 @@ def enumerate_valid(rs, n, limit=None, require_present=None):
     require_present keeps only tilings containing every listed tile."""
     if n < 1:
         raise RuleSetError("grid side must be positive")
+    if limit is not None and limit < 0:
+        raise RuleSetError(f"limit must be nonnegative, got {limit}")
     allowed_h, allowed_v = _index_rules(rs)
     k = len(rs.alphabet)
     wrap = rs.boundary == "periodic"
@@ -380,24 +385,6 @@ def encode_lifted(g, offset=(1, 1)):
             for p, (dx, dy) in _BLOCK_OFFSETS.items():
                 rows[(cy + dy) % n3][(cx + dx) % n3] = subtile(m, p)
     return GridTiling(n3, tuple(tuple(r) for r in rows))
-
-
-def reflect_h(rs, rename=None):
-    """Mirror a rule set left-to-right: horizontal pairs swap order, vertical
-    pairs keep theirs.  rename maps tile names (block subtiles swap their
-    sided positions under MIRROR_H via reflect_subtile_name)."""
-    rename = rename or (lambda t: t)
-    return TileRuleSet(
-        tuple(rename(t) for t in rs.alphabet),
-        frozenset((rename(b), rename(a)) for a, b in rs.forbidden_h),
-        frozenset((rename(a), rename(b)) for a, b in rs.forbidden_v),
-        rs.boundary,
-    )
-
-
-def reflect_subtile_name(name):
-    tile, p = split_subtile(name)
-    return subtile(tile, MIRROR_H[p])
 
 
 LEFT_BC = "left_bc"

@@ -1300,16 +1300,6 @@ def ground_energy_search(spec, plug=None):
     )
 
 
-def single_copy_minimum(spec):
-    """min over one copy's sectors of tile + color + pairing energy; the
-    reduced quantity the full-space oracle can check independently."""
-    nt, ct = _tables(spec)
-    q, argn = _q_sweep(nt, ct)
-    tot = ct.loop_cost + q
-    i = int(np.argmin(tot))
-    return float(tot[i]), (i, argn(i))
-
-
 def single_copy_floor_check(spec):
     """Verify, for every single-copy tile sector of a small lattice, that the
     sector energy respects the counting floor 2E - sum(deg) + 4*sum(deg//3),

@@ -22,7 +22,6 @@ from rih.lattice import (
     edge_index_array,
     edges,
     neighbor_index_array,
-    neighbors,
 )
 
 COLORS = ("red", "yellow", "blue")  # fixed index mapping: red=0, yellow=1, blue=2
@@ -63,10 +62,6 @@ class Tiling:
     def numbers(self, copy):
         return self.numbers1 if copy == 1 else self.numbers2
 
-    def tile(self, u, copy):
-        i = self.spec.site_index(u)
-        return (int(self.colors(copy)[i]), int(self.numbers(copy)[i]))
-
     def permuted(self, site_perm):
         """Relabeled tiling: new site j carries what old site site_perm[j] carried."""
         p = np.asarray(site_perm)
@@ -97,8 +92,11 @@ class Tiling:
 
     @classmethod
     def from_json_dict(cls, obj):
-        spec = LatticeSpec.from_json_dict(obj["spec"])
-        copies = obj["copies"]
+        try:
+            spec = LatticeSpec.from_json_dict(obj["spec"])
+            copies = obj["copies"]
+        except KeyError as exc:
+            raise ValueError(f"tiling JSON lacks the field {exc}") from None
         if len(copies) not in (1, 2):
             raise ValueError("tiling JSON must carry one or two copies")
         c1 = [t[0] for t in copies[0]]
@@ -124,14 +122,6 @@ def rule_violations(t, copy):
         elif m[iu] != m[iv]:
             out.append(((u, v), RULE_DIFF_COLOR_DIFF_NUMBER))
     return out
-
-
-def same_color_degree(t, copy, u):
-    """How many neighbors of u share u's color in the given copy."""
-    spec = t.spec
-    c = t.colors(copy)
-    iu = spec.site_index(u)
-    return sum(1 for v in neighbors(u, spec) if c[spec.site_index(v)] == c[iu])
 
 
 def _same_color_degrees(t, copy):
@@ -256,21 +246,18 @@ def classify(t, copy):
     )
 
 
-def striped_witness(spec, copy1_dir=0, copy2_dir=1):
+def striped_witness(spec):
     """Low-energy tiling: per copy, stripes colored by the off-axis coordinate
     sum mod 3 and numbered by the on-axis coordinate mod 3.
 
-    Each copy's loops (periodic) or chains (open) run along its own dimension;
-    the two dimensions must differ.  Requires n divisible by 3 so the numbering
-    closes around periodic loops.
+    Copy 1's loops (periodic) or chains (open) run along dimension 0, copy 2's
+    along dimension 1, so r must be at least 2.  Requires n divisible by 3 so
+    the numbering closes around periodic loops.
     """
     if spec.n % 3 != 0:
         raise ValueError(f"striped witness needs n divisible by 3, got n={spec.n}")
-    if copy1_dir == copy2_dir:
-        raise ValueError("the two copies must run along different dimensions")
-    for d in (copy1_dir, copy2_dir):
-        if not 0 <= d < spec.r:
-            raise ValueError(f"direction {d} out of range for r={spec.r}")
+    if spec.r < 2:
+        raise ValueError(f"striped witness needs r >= 2, got r={spec.r}")
 
     def build(d):
         cs, ms = [], []
@@ -279,8 +266,8 @@ def striped_witness(spec, copy1_dir=0, copy2_dir=1):
             ms.append(u[d] % 3)
         return cs, ms
 
-    c1, n1 = build(copy1_dir)
-    c2, n2 = build(copy2_dir)
+    c1, n1 = build(0)
+    c2, n2 = build(1)
     return Tiling(spec, c1, n1, c2, n2)
 
 
@@ -291,9 +278,6 @@ class Slot:
     site: int
     copy: int
     port: int  # 1 or 2
-
-    def label(self):
-        return f"s{self.site}.c{self.copy}.sigma{self.port}"
 
 
 @dataclass(frozen=True)
@@ -324,12 +308,6 @@ class EprDemandGraph:
             for s in (d.tail, d.head):
                 deg[s] = deg.get(s, 0) + 1
         return deg
-
-    def overloaded_slots(self):
-        return sorted(
-            (s for s, k in self.slot_degrees().items() if k > 1),
-            key=lambda s: (s.site, s.copy, s.port),
-        )
 
 
 def epr_demand_graph(t, copy):
@@ -430,12 +408,3 @@ def h1lb_bound(t, copy):
     deg = _same_color_degrees(t, copy)
     E = len(edge_index_array(t.spec))
     return 2 * E - int(deg.sum()) + 4 * int((deg // 3).sum())
-
-
-def handshake_check(t, copy):
-    """sum_u n_u equals twice the same-color edge count; returns both sides."""
-    deg = _same_color_degrees(t, copy)
-    c = t.colors(copy)
-    ei = edge_index_array(t.spec)
-    same = int((c[ei[:, 0]] == c[ei[:, 1]]).sum())
-    return int(deg.sum()), 2 * same

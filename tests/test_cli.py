@@ -37,7 +37,8 @@ def run_json(capsys, *argv):
 
 
 def test_import_leaves_scipy_io_unloaded():
-    # scipy.io is imported by export_matrix_market alone, not by `import rih.cli`
+    # no rih module imports scipy.io; this guards `import rih.cli` against
+    # picking it up again
     src = str(Path(rih.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
@@ -268,6 +269,16 @@ class TestSolveWitness:
         assert out["classical"]["total"] == 36
         assert out["flags"]["copy2"]["uniformly_directed"] is True
 
+    @pytest.mark.parametrize("field", ["copies", "spec"])
+    def test_classify_names_a_missing_field(self, capsys, tmp_path, field):
+        obj = striped_witness(LatticeSpec(2, 3)).to_json_dict()
+        del obj[field]
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: tiling JSON lacks the field '{field}'\n"
+
 
 class TestTiles:
     @pytest.fixture()
@@ -319,6 +330,35 @@ class TestTiles:
         assert out["count"] == 1
         assert out["tilings"][0] == frame_configuration(3).to_json_dict()
 
+    def test_negative_limit_is_refused(self, capsys, frame_files):
+        rules, _ = frame_files
+        code, out, err = run(
+            capsys, "tiles", "enumerate", "--rules", rules, "--n", "3", "--limit", "-1"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: limit must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize("command", ["lift", "enumerate", "check"])
+    def test_rules_without_alphabet_is_refused(self, capsys, frame_files, tmp_path, command):
+        _, grid = frame_files
+        rules = tmp_path / "bare.json"
+        rules.write_text(json.dumps({"schema": "tile-rules/1", "forbidden_h": []}))
+        extra = {"lift": [], "enumerate": ["--n", "2"], "check": ["--grid", grid]}[command]
+        code, out, err = run(capsys, "tiles", command, "--rules", str(rules), *extra)
+        assert code == 2 and out == ""
+        assert err == "error: rule set JSON lacks the field 'alphabet'\n"
+
+    @pytest.mark.parametrize("field", ["rows", "n"])
+    def test_grid_without_a_field_is_refused(self, capsys, frame_files, tmp_path, field):
+        rules, _ = frame_files
+        obj = frame_configuration(3).to_json_dict()
+        del obj[field]
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "tiles", "check", "--rules", rules, "--grid", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: grid JSON lacks the field '{field}'\n"
+
     def test_lift_single_tile(self, capsys, tmp_path):
         rules = tmp_path / "mono.json"
         rules.write_text(
@@ -346,8 +386,34 @@ class TestVerify:
         report = json.loads(out)
         assert report["all_passed"] is False
         failed = {row["id"] for row in report["criteria"] if not row["passed"]}
-        assert "c07" in failed
+        assert failed == {"c07"}
         assert "c07 FAIL" in err
+
+    def test_negative_coefficient_is_a_control_not_an_error(self, capsys):
+        code, out, _ = run(capsys, "verify", "--profile", "fast", "--mutate", "pairing=-1")
+        assert code == 1
+        report = json.loads(out)
+        assert "c07" in {row["id"] for row in report["criteria"] if not row["passed"]}
+
+    @pytest.mark.parametrize(
+        "item,message",
+        [
+            ("nope=1", "unknown coefficient names: ['nope']"),
+            ("pairing=nan", "coefficients must be finite: ['pairing']"),
+            ("tile=inf", "coefficients must be finite: ['tile']"),
+            ("copy=-inf", "coefficients must be finite: ['copy']"),
+        ],
+    )
+    def test_bad_mutation_is_refused_before_any_criterion(
+        self, capsys, monkeypatch, item, message
+    ):
+        def no_criteria(**kwargs):
+            raise AssertionError("a criterion ran")
+
+        monkeypatch.setattr(cli, "verify_claims", no_criteria)
+        code, out, err = run(capsys, "verify", "--mutate", item)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.slow
     def test_report_is_the_same_in_every_process(self):

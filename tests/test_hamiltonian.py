@@ -5,14 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.io
 import scipy.sparse
 
 from rih import hamiltonian
 from rih.hamiltonian import (
     DEFAULT_COEFFICIENTS,
     EPR_HALF_PROJECTOR,
-    ILLEGAL_TILE_PAIRS,
     BudgetExceeded,
     FactorLayout,
     PlugValidationError,
@@ -22,9 +20,7 @@ from rih.hamiltonian import (
     build_site_term,
     check_term_symmetries,
     embed_operator,
-    export_matrix_market,
     global_hamiltonian,
-    global_matvec,
     single_copy_layout,
     term_hash,
     tile_diagonality_check,
@@ -175,10 +171,6 @@ class TestLayout:
             assert lay.inner_dim == 16 * d
             assert lay.pair_dim == (1296 * d) ** 2
         assert single_copy_layout().site_dim == 36
-
-    def test_illegal_pair_count(self):
-        # 9 same-color-same-number plus 36 different-color-different-number
-        assert len(ILLEGAL_TILE_PAIRS) == 45
 
 
 class TestPlugValidation:
@@ -765,37 +757,6 @@ class TestNegativeControls:
 
 
 class TestGlobalOperators:
-    def test_matvec_zero(self):
-        spec = LatticeSpec(1, 3)
-        sc = build_single_copy_term()
-        out = global_matvec(spec, sc, np.zeros(36**3))
-        assert not out.any()
-
-    def test_matvec_matches_explicit(self):
-        spec = LatticeSpec(1, 3)
-        sc = build_single_copy_term()
-        H = global_hamiltonian(spec, sc)
-        rng = np.random.default_rng(7)
-        for _ in range(3):
-            x = rng.standard_normal(36**3)
-            assert np.abs(H @ x - global_matvec(spec, sc, x)).max() < 1e-12
-
-    def test_matvec_hermitian_as_map(self):
-        spec = LatticeSpec(1, 3)
-        sc = build_single_copy_term()
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal(36**3)
-        y = rng.standard_normal(36**3)
-        assert abs(x @ global_matvec(spec, sc, y) - global_matvec(spec, sc, x) @ y) < 1e-10
-
-    def test_rayleigh_nonnegative(self):
-        spec = LatticeSpec(1, 3)
-        sc = build_single_copy_term()
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal(36**3)
-        x /= np.linalg.norm(x)
-        assert x @ global_matvec(spec, sc, x) >= 0.0
-
     def test_dimension_cap(self):
         # ring 6 of the single-copy term already spans 36^6 > 2^26 states; the
         # cap is checked before anything of that size is allocated
@@ -804,8 +765,6 @@ class TestGlobalOperators:
         try:
             for spec in (LatticeSpec(1, 6), LatticeSpec(2, 6)):
                 cap = f"global dimension {36**spec.num_sites} exceeds cap"
-                with pytest.raises(BudgetExceeded, match=cap):
-                    global_matvec(spec, sc, np.zeros(4))
                 with pytest.raises(BudgetExceeded, match=cap):
                     global_hamiltonian(spec, sc)
             peak = tracemalloc.get_traced_memory()[1]
@@ -821,23 +780,3 @@ class TestGlobalOperators:
         Hc = global_hamiltonian(chain, sc)
         assert (Hr - Hc).nnz > 0
 
-
-class TestExport:
-    def test_round_trip_and_header(self, tmp_path):
-        sc = build_single_copy_term()
-        path = tmp_path / "term.mtx"
-        export_matrix_market(sc, str(path))
-        back = scipy.io.mmread(str(path))
-        assert np.abs(back.tocsr() - sc.matrix()).max() == 0.0
-        text = path.read_text()
-        assert "summand weights" in text
-        assert "tile=8" in text
-
-    def test_global_export(self, tmp_path):
-        sc = build_single_copy_term()
-        spec = LatticeSpec(1, 3)
-        path = tmp_path / "global.mtx"
-        export_matrix_market(sc, str(path), spec=spec)
-        back = scipy.io.mmread(str(path))
-        H = global_hamiltonian(spec, sc)
-        assert np.abs(back.tocsr() - H).max() == 0.0

@@ -258,7 +258,7 @@ class TestFSearch:
         assert enc.n == 3 * enc.p
         assert enc.p.bit_length() == 3 * len(x)
         assert enc.p >> (2 * len(x)) == int(x, 2)
-        assert enc.primality_check(rounds=64, rng=random.Random(4))
+        assert is_probable_prime(enc.p, 64, random.Random(4))
 
 
 class TestInstanceEncoding:

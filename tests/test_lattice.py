@@ -14,7 +14,6 @@ from rih.lattice import (
     lee_distance,
     neighbor_index_array,
     neighbors,
-    permute_coords,
 )
 
 
@@ -175,8 +174,9 @@ def test_coordinate_permutation_maps_edges_bijectively():
     spec = LatticeSpec(3, 3)
     edge_set = set(edges(spec))
     for perm in itertools.permutations(range(3)):
+        # result[i] = u[perm[i]]
         mapped = {
-            tuple(sorted((permute_coords(u, perm), permute_coords(v, perm))))
+            tuple(sorted((tuple(u[p] for p in perm), tuple(v[p] for p in perm))))
             for u, v in edge_set
         }
         assert {(min(a, b), max(a, b)) for a, b in mapped} == edge_set

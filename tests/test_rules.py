@@ -27,8 +27,7 @@ from rih.rules import (
     load_grid,
     load_ruleset,
     open_bc_frame_ruleset,
-    reflect_h,
-    reflect_subtile_name,
+    split_subtile,
     subtile,
 )
 
@@ -151,6 +150,9 @@ class TestEnumerateValid:
         assert len(res) == 2 and res.truncated
         full = enumerate_valid(AB, 2, limit=4)
         assert len(full) == 4 and not full.truncated
+        assert len(enumerate_valid(AB, 2, limit=0)) == 0
+        with pytest.raises(RuleSetError, match="nonnegative"):
+            enumerate_valid(AB, 2, limit=-1)
 
     def test_require_present_filters(self):
         res = enumerate_valid(AB, 2, require_present={"a"})
@@ -314,6 +316,22 @@ class TestLift:
         ],
     )
     def test_reflect_lift_commutes(self, rs):
+        # mirror left to right: horizontal pairs swap order, vertical pairs
+        # keep theirs; block subtiles also trade their sided positions
+        mirror = {"l": "r", "r": "l", "tl": "tr", "tr": "tl", "bl": "br", "br": "bl"}
+
+        def reflect_subtile_name(name):
+            tile, p = split_subtile(name)
+            return subtile(tile, mirror.get(p, p))
+
+        def reflect_h(rs, rename=lambda t: t):
+            return TileRuleSet(
+                tuple(rename(t) for t in rs.alphabet),
+                frozenset((rename(b), rename(a)) for a, b in rs.forbidden_h),
+                frozenset((rename(a), rename(b)) for a, b in rs.forbidden_v),
+                rs.boundary,
+            )
+
         a = lift_3x3(reflect_h(rs))
         b = reflect_h(lift_3x3(rs), rename=reflect_subtile_name)
         assert set(a.alphabet) == set(b.alphabet)

@@ -718,7 +718,10 @@ class TestOracleAgreement:
     def test_full_space_ring_matches_sector_sweep(self):
         term = build_single_copy_term()
         whole = solver.full_space_oracle(RING, term)
-        swept, _ = solver.single_copy_minimum(RING)
+        # min over one copy's sectors of tile + color + pairing energy
+        nt, ct = solver._tables(RING)
+        q, _ = solver._q_sweep(nt, ct)
+        swept = float((ct.loop_cost + q).min())
         assert whole == pytest.approx(swept, abs=1e-8)
         assert whole == pytest.approx(0.0, abs=1e-8)
 

@@ -27,9 +27,7 @@ from rih.tiling import (
     epr_demand_graph,
     has_turn,
     h1lb_bound,
-    handshake_check,
     rule_violations,
-    same_color_degree,
     same_color_loops,
     striped_witness,
 )
@@ -55,13 +53,6 @@ class TestTilingBasics:
             Tiling(spec, [0] * 9, [3] * 9)
         with pytest.raises(ValueError):
             Tiling(spec, [0] * 9, [-1] * 9)
-
-    def test_tile_lookup(self):
-        spec = LatticeSpec(1, 3)
-        t = Tiling(spec, [0, 1, 2], [2, 1, 0], [1, 1, 1], [0, 0, 0])
-        assert t.tile((0,), 1) == (0, 2)
-        assert t.tile((2,), 1) == (2, 0)
-        assert t.tile((1,), 2) == (1, 0)
 
     def test_json_round_trip(self):
         spec = LatticeSpec(2, 3, OPEN)
@@ -115,12 +106,6 @@ class TestRules:
         assert rule_violations(t, 1) == []
         assert len(rule_violations(t, 2)) == 2
 
-    def test_same_color_degree(self):
-        spec = LatticeSpec(2, 3)
-        t = striped_witness(spec)
-        for u in spec.sites():
-            assert same_color_degree(t, 1, u) == 2
-
 
 class TestWitness:
     @pytest.mark.parametrize("r,n", [(2, 3), (2, 6), (3, 3)])
@@ -148,7 +133,7 @@ class TestWitness:
         assert e.total == 4 * n**r * (r - 1)
 
     def test_witness_flags(self):
-        t = striped_witness(LatticeSpec(2, 3), copy1_dir=0, copy2_dir=1)
+        t = striped_witness(LatticeSpec(2, 3))
         f1, f2 = classify(t, 1), classify(t, 2)
         for f in (f1, f2):
             assert f.looped and not f.has_turn
@@ -175,10 +160,8 @@ class TestWitness:
     def test_witness_validation(self):
         with pytest.raises(ValueError):
             striped_witness(LatticeSpec(2, 4))
-        with pytest.raises(ValueError):
-            striped_witness(LatticeSpec(2, 3), copy1_dir=0, copy2_dir=0)
-        with pytest.raises(ValueError):
-            striped_witness(LatticeSpec(2, 3), copy1_dir=0, copy2_dir=2)
+        with pytest.raises(ValueError, match="r >= 2"):
+            striped_witness(LatticeSpec(1, 3))
 
 
 class TestClassify:
@@ -317,7 +300,7 @@ class TestDemandGraph:
                 assert got.demands == want.demands
                 assert got.rule_conflicts == want.rule_conflicts
                 assert all(type(d.tail.site) is int for d in got.demands)
-            deg = [same_color_degree(t, 1, u) for u in spec.sites()]
+            deg = reference_same_color_degrees(t, 1)
             want_bound = 2 * len(edges(spec)) - sum(deg) + 4 * sum(n // 3 for n in deg)
             assert h1lb_bound(t, 1) == want_bound
 
@@ -342,7 +325,6 @@ class TestDemandGraph:
         assert len(g.demands) == 2
         heads = [d.head for d in g.demands]
         assert heads == [Slot(1, 1, 1), Slot(1, 1, 1)]
-        assert g.overloaded_slots() == [Slot(1, 1, 1)]
 
     def test_same_number_same_color_is_conflict(self):
         spec = LatticeSpec(1, 3, OPEN)
@@ -399,18 +381,10 @@ class TestEnergyBounds:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
-    def test_handshake_identity(self, seed):
-        spec = LatticeSpec(2, 3)
-        t = random_tiling(spec, np.random.default_rng(seed))
-        lhs, rhs = handshake_check(t, 1)
-        assert lhs == rhs
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
     def test_h1lb_closed_form_periodic(self, seed):
         spec = LatticeSpec(2, 3)
         t = random_tiling(spec, np.random.default_rng(seed))
-        deg = np.array([same_color_degree(t, 1, u) for u in spec.sites()])
+        deg = np.array(reference_same_color_degrees(t, 1))
         closed = 2 * spec.n**spec.r * spec.r - int(deg.sum()) + 4 * int((deg // 3).sum())
         assert h1lb_bound(t, 1) == closed
 
