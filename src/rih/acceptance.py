@@ -267,17 +267,17 @@ def crit_single_copy_floor(ctx):
 def crit_chain_ring_energies(ctx):
     ring = Tiling(LatticeSpec(1, 3, "periodic"), [0, 0, 0], [0, 1, 2])
     path = Tiling(LatticeSpec(1, 3, "open"), [0, 0, 0], [0, 1, 0])
-    e_ring = solver.epr_min_energy(epr_demand_graph(ring, 1))
-    e_path = solver.epr_min_energy(epr_demand_graph(path, 1))
+    e_ring = solver.tile_sector_energy(ring)
+    e_path = solver.tile_sector_energy(path)
     ok = (
         e_ring.exact
-        and abs(e_ring.value - 0.0) <= 1e-10
+        and abs(e_ring.epr_copy1 - 0.0) <= 1e-10
         and e_path.exact
-        and abs(e_path.value - 4.0) <= 1e-10
+        and abs(e_path.epr_copy1 - 4.0) <= 1e-10
     )
     return ok, (
-        f"ring 0,1,2 pairing energy {e_ring.value:.2e} (target 0); "
-        f"path 0,1,0 energy {e_path.value:.10f} (target 4); tol 1e-10"
+        f"ring 0,1,2 pairing energy {e_ring.epr_copy1:.2e} (target 0); "
+        f"path 0,1,0 energy {e_path.epr_copy1:.10f} (target 4); tol 1e-10"
     )
 
 

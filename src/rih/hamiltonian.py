@@ -61,7 +61,6 @@ EPR_HALF_PROJECTOR = np.array(
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-9
-MAX_DENSE_PAIR_DIM = 8192  # direct-matrix checks above this would be wasteful
 MAX_MATRIX_NNZ = 50_000_000
 GLOBAL_DIM_CAP = 2**26  # largest many-site space global_hamiltonian builds
 
@@ -356,19 +355,11 @@ class TwoBodyTerm:
     materializing the matrix, caching their result on the term.
     """
 
-    def __init__(self, layout, coefficients, blocks=None, matrix=None):
-        if blocks is None and matrix is None:
-            raise ValueError("term needs a block structure or an explicit matrix")
-        if matrix is not None:
-            matrix = matrix.tocsr()
-            if not matrix.has_canonical_format or not matrix.data.all():
-                matrix = matrix.copy()
-                matrix.sum_duplicates()
-                matrix.eliminate_zeros()
+    def __init__(self, layout, coefficients, blocks):
         self.layout = layout
         self.coefficients = dict(coefficients)
         self.blocks = blocks
-        self._matrix = matrix
+        self._matrix = None
         self._audit = None  # (term_hash, tile diagonality), see _audit
 
     @property
@@ -410,21 +401,14 @@ class _Bands:
     dropped), one tile of the first site at a time: band U holds rows
     U*inner*site .. (U+1)*inner*site.
 
-    A block-built term computes each band from its distinct block types, so
-    no array of the whole term's size exists; building one raises
-    BudgetExceeded first if the term has more than MAX_MATRIX_NNZ entries.
-    A matrix-only term slices its matrix, which is canonical from the
-    start."""
+    Each band is computed from the term's distinct block types, so no array
+    of the whole term's size exists; building one raises BudgetExceeded
+    first if the term has more than MAX_MATRIX_NNZ entries."""
 
     def __init__(self, term):
         layout = term.layout
         self.rows = layout.inner_dim * layout.site_dim
         self.count = layout.tile_dim
-        if term.blocks is None:
-            M = self._matrix = term.matrix()
-            self.nnz, self.dtype, self.index_dtype = M.nnz, M.dtype, M.indices.dtype
-            self._band = self._slice
-            return
         b = term.blocks
         inner = layout.inner_dim
         nn = inner * inner
@@ -457,13 +441,12 @@ class _Bands:
         self._row_nnz = row_nnz.astype(idx)
         self._starts = local.indptr.astype(idx)
         self._data = local.data
-        self._band = self._build
 
     def __call__(self, columns=True, values=True):
         """Yield (first row, row counts, column indices, values) band by
         band; a part not asked for is None."""
         for U in range(self.count):
-            yield (U * self.rows, *self._band(U, columns, values))
+            yield (U * self.rows, *self._build(U, columns, values))
 
     def _build(self, U, columns, values):
         type_row = (self._type_row0[U] + self._inner_row).ravel()
@@ -483,12 +466,6 @@ class _Bands:
         if values:
             vals = self._data[entry]
         return counts, cols, vals
-
-    def _slice(self, U, columns, values):
-        M = self._matrix
-        ptr = M.indptr[U * self.rows : (U + 1) * self.rows + 1]
-        a, z = ptr[0], ptr[-1]
-        return np.diff(ptr), M.indices[a:z] if columns else None, M.data[a:z] if values else None
 
 
 def _type_blocks(b, types, nn):
@@ -542,7 +519,7 @@ def build_site_term(plug, coefficient_overrides=None):
     """
     w = _coefficients(coefficient_overrides)
     layout, blocks = _build_blocks_two_copy(plug, w)
-    return TwoBodyTerm(layout, w, blocks=blocks)
+    return TwoBodyTerm(layout, w, blocks)
 
 
 def build_single_copy_term(coefficient_overrides=None):
@@ -550,7 +527,7 @@ def build_single_copy_term(coefficient_overrides=None):
     model used by the cross-check oracles."""
     w = _coefficients(coefficient_overrides)
     layout, blocks = _build_blocks_single_copy(w)
-    return TwoBodyTerm(layout, w, blocks=blocks)
+    return TwoBodyTerm(layout, w, blocks)
 
 
 @dataclass(frozen=True)
@@ -576,16 +553,6 @@ class SymmetryReport:
             "swap_defect": self.swap_defect,
             "passed": self.passed,
         }
-
-
-def _check_via_matrix(term):
-    H = term.matrix().toarray()
-    herm_defect = float(np.abs(H - H.conj().T).max())
-    lo = float(np.linalg.eigvalsh((H + H.conj().T) / 2).min())
-    perm = swap_permutation(term.site_dim)
-    swapped = H[np.ix_(perm, perm)]
-    swap_defect = float(np.abs(H - swapped).max())
-    return herm_defect, lo, swap_defect
 
 
 def _check_via_blocks(term):
@@ -636,19 +603,9 @@ def check_term_symmetries(term):
     """Verify Hermiticity, positive semidefiniteness, and symmetry under
     exchanging the two sites; returns a report.
 
-    A term with a block structure is checked block by block once it is larger
-    than MAX_DENSE_PAIR_DIM.  A matrix-only term that large raises
-    BudgetExceeded before anything is allocated, since its check needs the
-    dense matrix."""
-    if term.pair_dim <= MAX_DENSE_PAIR_DIM:
-        herm, lo, swap = _check_via_matrix(term)
-    elif term.blocks is not None:
-        herm, lo, swap = _check_via_blocks(term)
-    else:
-        raise BudgetExceeded(
-            f"a matrix-only term of pair dimension {term.pair_dim} is above the "
-            f"dense check's cap {MAX_DENSE_PAIR_DIM}"
-        )
+    The check runs block by block: each inner variant is built dense once,
+    next to its mirror, and no array of the term's size exists."""
+    herm, lo, swap = _check_via_blocks(term)
     return SymmetryReport(
         hermitian=herm <= HERMITICITY_TOL,
         psd=lo >= -PSD_TOL,

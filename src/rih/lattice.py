@@ -75,7 +75,19 @@ class LatticeSpec:
 
     @classmethod
     def from_json_dict(cls, obj):
-        return cls(r=int(obj["r"]), n=int(obj["n"]), boundary=obj["boundary"])
+        """The spec of a to_json_dict object; ValueError naming the field for
+        a missing or ill-typed one."""
+        if not isinstance(obj, dict):
+            raise ValueError("lattice spec JSON must be an object")
+        try:
+            r, n, boundary = obj["r"], obj["n"], obj["boundary"]
+        except KeyError as exc:
+            raise ValueError(f"lattice spec JSON lacks the field {exc}") from None
+        try:
+            r, n = int(r), int(n)
+        except (TypeError, ValueError):
+            raise ValueError("lattice spec fields 'r' and 'n' must be integers") from None
+        return cls(r=r, n=n, boundary=boundary)
 
 
 def lee_distance(x, y, spec):

@@ -29,6 +29,10 @@ class RuleSetError(ValueError):
     pass
 
 
+def _is_list_of(value, kind):
+    return isinstance(value, list) and all(isinstance(v, kind) for v in value)
+
+
 class DecodeError(ValueError):
     pass
 
@@ -68,16 +72,25 @@ class TileRuleSet:
 
     @classmethod
     def from_json_dict(cls, obj):
+        """The rule set of a to_json_dict object; RuleSetError naming the
+        field for a missing or ill-typed one."""
+        if not isinstance(obj, dict):
+            raise RuleSetError("rule set JSON must be an object")
         try:
-            alphabet = tuple(obj["alphabet"])
+            alphabet = obj["alphabet"]
         except KeyError as exc:
             raise RuleSetError(f"rule set JSON lacks the field {exc}") from None
-        return cls(
-            alphabet=alphabet,
-            forbidden_h=frozenset(map(tuple, obj.get("forbidden_h", ()))),
-            forbidden_v=frozenset(map(tuple, obj.get("forbidden_v", ()))),
-            boundary=obj.get("boundary", "periodic"),
-        )
+        if not _is_list_of(alphabet, str):
+            raise RuleSetError("rule set field 'alphabet' must be a list of tile names")
+        forbidden = {}
+        for kind in ("forbidden_h", "forbidden_v"):
+            pairs = obj.get(kind, [])
+            if not _is_list_of(pairs, list) or any(
+                len(p) != 2 or not _is_list_of(p, str) for p in pairs
+            ):
+                raise RuleSetError(f"rule set field {kind!r} must be a list of [tile, tile] pairs")
+            forbidden[kind] = frozenset(map(tuple, pairs))
+        return cls(alphabet=tuple(alphabet), boundary=obj.get("boundary", "periodic"), **forbidden)
 
 
 @dataclass(frozen=True)
@@ -96,10 +109,18 @@ class GridTiling:
 
     @classmethod
     def from_json_dict(cls, obj):
+        """The grid of a to_json_dict object; RuleSetError naming the field
+        for a missing or ill-typed one."""
+        if not isinstance(obj, dict):
+            raise RuleSetError("grid JSON must be an object")
         try:
             n, rows = obj["n"], obj["rows"]
         except KeyError as exc:
             raise RuleSetError(f"grid JSON lacks the field {exc}") from None
+        if type(n) is not int:
+            raise RuleSetError("grid field 'n' must be an integer")
+        if not (isinstance(rows, list) and all(_is_list_of(r, str) for r in rows)):
+            raise RuleSetError("grid field 'rows' must be a list of rows of tile names")
         return cls(n=n, rows=tuple(map(tuple, rows)))
 
     @classmethod

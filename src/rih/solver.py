@@ -66,8 +66,9 @@ largest component has 9 slots on the 3x3 lattices and 12 on ring 12.
 Process caches hold computed values, and each is a pure function of its
 input, so no result depends on what ran earlier in the process:
 lattice.edge_index_array and lattice.lattice_symmetry_permutations (edge
-table and symmetries per lattice), _component_key (canonical key per slot
-count and demand edge tuple), _pairing_minimum (pairing minimum per
+table and symmetries per lattice), hamiltonian._rest_offsets (embed_operator's
+offsets per factor dims and positions), _component_key (canonical key per
+slot count and demand edge tuple), _pairing_minimum (pairing minimum per
 canonical key), _dp_layout (the embedded layer sweep's layout per lattice
 and level count) and _tables (the solved numbering and coloring tables per
 lattice).
@@ -94,7 +95,6 @@ from rih.hamiltonian import (
 from rih.lattice import LatticeSpec, edge_index_array, lattice_symmetry_permutations
 from rih.tiling import (
     ClassicalEnergy,
-    EprDemandGraph,
     Tiling,
     classical_counts,
     classical_energy,
@@ -290,20 +290,6 @@ class EprEnergy:
         }
 
 
-def _normalize_demands(g):
-    """The demands as pairs of (site, port) slots.  Each must join a port-2
-    slot to a port-1 slot: a pairing component is then bipartite with the
-    ports as its sides, which the sector build of _pairing_minimum needs."""
-    if isinstance(g, EprDemandGraph):
-        demands = [((d.tail.site, d.tail.port), (d.head.site, d.head.port)) for d in g.demands]
-    else:
-        demands = [(tuple(a), tuple(b)) for a, b in g]
-    for a, b in demands:
-        if {a[1], b[1]} != {1, 2}:
-            raise ValueError(f"demand {a}-{b} does not join a port-2 slot to a port-1 slot")
-    return demands
-
-
 # the canonical key per (slot count, demand edge tuple) as met, a pure
 # function of its arguments like _pairing_minimum
 _component_key = functools.lru_cache(maxsize=None)(_canonical_component_key)
@@ -321,13 +307,13 @@ def _solve_component(k, local_edges):
     return ComponentResult(k, m, "exact", value, True)
 
 
-def _pair_groups(pairs):
-    """Connected groups of the graph whose edges are pairs, as lists of
-    indices into pairs: groups in the order of their first pair, and each
-    group's pairs in input order.  A dict union-find over the slots as met:
-    on the dozen pairs of one demand graph it takes about a third of the time
-    that numbering the slots for the array routine _components takes alone
-    (21 against 56 us for 12 pairs on the 3x3 torus)."""
+def _local_groups(pairs):
+    """Connected groups of the graph whose edges are pairs, in the order of
+    their first pair: for each, the indices of its pairs in input order, its
+    node count k, and its pairs with the nodes renumbered 0..k-1 in
+    ascending order.  A dict union-find over the nodes as met: on the dozen
+    pairs of one demand graph it is cheaper than numbering the nodes for the
+    array routine _components."""
     parent = {}
 
     def find(x):
@@ -341,13 +327,24 @@ def _pair_groups(pairs):
         if ra != rb:
             parent[ra] = rb
     groups = {}
-    for k, (a, _) in enumerate(pairs):
-        groups.setdefault(find(a), []).append(k)
-    return list(groups.values())
+    for i, (a, _) in enumerate(pairs):
+        groups.setdefault(find(a), []).append(i)
+    out = []
+    for group in groups.values():
+        local = [pairs[i] for i in group]
+        index = {x: n for n, x in enumerate(sorted({x for p in local for x in p}))}
+        out.append((group, len(index), [(index[a], index[b]) for a, b in local]))
+    return out
 
 
-def epr_min_energy(g):
-    """Minimum total pairing penalty for a demand graph.
+def epr_min_energy(demands):
+    """Minimum total pairing penalty for a list of demands.
+
+    A demand is a (tail, head) pair of slot numbers, slot (x, port) being
+    2x + port - 1: the tail is a port-2 slot (odd) and the head a port-1
+    slot (even), so a pairing component is bipartite with the ports as its
+    sides, which the sector build of _pairing_minimum needs; any other
+    demand raises ValueError.
 
     Connected slot components are independent.  A lone demand costs nothing
     (kind "isolated-demand").  Any other component of k <= EXACT_PAIRING_CAP
@@ -357,16 +354,10 @@ def epr_min_energy(g):
     (kind "bound") and is flagged inexact.  Components are listed and summed
     most slots first.
     """
-    demands = _normalize_demands(g)
-    if not demands:
-        return EprEnergy(0.0, True, ())
-    results = []
-    for group in _pair_groups(demands):
-        pairs = [demands[k] for k in group]
-        slots = sorted({s for p in pairs for s in p})
-        index = {s: i for i, s in enumerate(slots)}
-        local = [(index[a], index[b]) for a, b in pairs]
-        results.append(_solve_component(len(slots), local))
+    for a, b in demands:
+        if a % 2 != 1 or b % 2 != 0:
+            raise ValueError(f"demand {a}-{b} does not join a port-2 slot to a port-1 slot")
+    results = [_solve_component(k, local) for _, k, local in _local_groups(demands)]
     results.sort(key=lambda c: -c.num_slots)
     return EprEnergy(
         value=float(sum(c.value for c in results)),
@@ -500,15 +491,6 @@ def _embedded_diag_dp(spec, terms, d):
     return best
 
 
-def _embedded_components(spec, terms):
-    """Connected groups of the edges where some active term acts, as lists
-    of edge indices."""
-    ei = edge_index_array(spec)
-    active = [j for j in range(len(ei)) if any(int(steps[j]) for steps, _ in terms)]
-    groups = _pair_groups([(int(ei[j, 0]), int(ei[j, 1])) for j in active])
-    return [[active[k] for k in group] for group in groups]
-
-
 def embedded_step_energy(spec, steps1, steps2, plug):
     """Exact minimum of the embedded terms for fixed step patterns.
 
@@ -523,22 +505,18 @@ def embedded_step_energy(spec, steps1, steps2, plug):
         return 0.0
     if _plug_is_diagonal(terms):
         return _embedded_diag_dp(spec, terms, d)
-    ei = edge_index_array(spec)
+    ei = edge_index_array(spec).tolist()
     entries = [(steps, dense_entries(mat)) for steps, mat in terms]
+    active = [j for j in range(len(ei)) if any(int(steps[j]) for steps, _ in terms)]
     total = 0.0
-    for sites_edges in _embedded_components(spec, terms):
-        comp_sites = sorted(
-            {int(ei[j, 0]) for j in sites_edges} | {int(ei[j, 1]) for j in sites_edges}
-        )
-        local = {s: i for i, s in enumerate(comp_sites)}
-        k = len(comp_sites)
+    for group, k, local in _local_groups([ei[j] for j in active]):
         dim = d**k
         if dim > DIAG_CAP:
             raise BudgetExceeded(f"embedded component dimension {dim} exceeds cap {DIAG_CAP}")
         dims = (d,) * k
         rows, cols, vals = [], [], []
-        for j in sites_edges:
-            a, b = local[int(ei[j, 0])], local[int(ei[j, 1])]
+        for i, (a, b) in zip(group, local):
+            j = active[i]
             for steps, e in entries:
                 s = int(steps[j])
                 if s == 0:
@@ -571,7 +549,7 @@ class SectorEnergy:
     epr_copy1: float
     epr_copy2: float
     embedded: float
-    method: str  # exact-diag | component-exact | bound-only
+    method: str  # component-exact | bound-only
     breakdown: dict = field(default_factory=dict)
 
     @property
@@ -600,8 +578,8 @@ def tile_sector_energy(t, plug=None):
 
     The step patterns are read once: both copies' demands come from
     _pattern_demands, the builder the numbering table uses, which lists the
-    demands of tiling.epr_demand_graph in the same edge order with the same
-    ports, and the embedded part from embedded_step_energy on the same
+    demands of tiling.epr_demand_graph in the same edge order as slot
+    numbers, and the embedded part from embedded_step_energy on the same
     arrays, so no demand-graph objects are built.  The classical part weighs
     tiling.classical_counts by DEFAULT_COEFFICIENTS, as the ground search
     does; its breakdown is tiling.classical_energy's, under the weights
@@ -668,7 +646,9 @@ def full_space_oracle(spec, term):
 
 def sector_full_oracle(t, plug):
     """Diagonalize the full non-tile factor space of a sector in one shot:
-    both copies' qubits and the embedded levels together."""
+    both copies' qubits and the embedded levels together.  Each edge's steps
+    are read off the numbers here, not through the decomposition's
+    helpers."""
     spec = t.spec
     d = 1 if plug is None else plug.d
     N = spec.num_sites
@@ -681,13 +661,12 @@ def sector_full_oracle(t, plug):
     def pos(site, factor):
         return 5 * site + factor
 
-    ei = edge_index_array(spec)
-    s1, s2 = _step_patterns(t)
+    ei = edge_index_array(spec).tolist()
     pair_entries = dense_entries(PAIR_PENALTY)
     rows, cols, vals = [], [], []
-    for j in range(len(ei)):
-        a, b = int(ei[j, 0]), int(ei[j, 1])
-        for s, qin, qout in ((int(s1[j]), 0, 1), (int(s2[j]), 2, 3)):
+    for a, b in ei:
+        for numbers, qin, qout in ((t.numbers1, 0, 1), (t.numbers2, 2, 3)):
+            s = (int(numbers[b]) - int(numbers[a])) % 3
             if s == 1:
                 p = (pos(a, qout), pos(b, qin))
             elif s == 2:
@@ -699,13 +678,12 @@ def sector_full_oracle(t, plug):
             cols.append(c)
             vals.append(v)
     if plug is not None:
-        for s_arr, mat in ((s1, plug.horizontal), (s2, plug.vertical)):
+        for numbers, mat in ((t.numbers1, plug.horizontal), (t.numbers2, plug.vertical)):
             if not np.count_nonzero(mat):
                 continue
             e = dense_entries(mat)
-            for j in range(len(ei)):
-                a, b = int(ei[j, 0]), int(ei[j, 1])
-                s = int(s_arr[j])
+            for a, b in ei:
+                s = (int(numbers[b]) - int(numbers[a])) % 3
                 if s == 0:
                     continue
                 p = (pos(a, 4), pos(b, 4)) if s == 1 else (pos(b, 4), pos(a, 4))
@@ -811,13 +789,14 @@ def _generators(perms):
 
 
 def _pattern_demands(edge_idx, steps):
-    """Pairing demands of a step pattern, in edge order: a forward step on
-    edge (a, b) asks slot (a, 2) to pair with (b, 1), a reverse one (b, 2)
-    with (a, 1)."""
+    """Pairing demands of a step pattern as slot numbers (see
+    epr_min_energy), in edge order: a forward step on edge (a, b) asks slot
+    (a, 2), number 2a + 1, to pair with (b, 1), number 2b; a reverse one
+    (b, 2) with (a, 1)."""
     out = []
     for (a, b), s in zip(edge_idx.tolist(), steps.tolist()):
         if s:
-            out.append(((a, 2), (b, 1)) if s == 1 else ((b, 2), (a, 1)))
+            out.append((2 * a + 1, 2 * b) if s == 1 else (2 * b + 1, 2 * a))
     return out
 
 
@@ -1284,7 +1263,7 @@ def ground_energy_search(spec, plug=None):
     stats = {
         "distinct_masks": M,
         "distinct_step_patterns": int(len(nt.patterns)),
-        "sectors_total": int(9 ** spec.num_sites) if spec.num_sites < 20 else None,
+        "sectors_total": 9**spec.num_sites,
         "mask_pairs_swept": M * M,
         "embedded_refinements": refinements,
         "elapsed_seconds": round(time.perf_counter() - t0, 3),

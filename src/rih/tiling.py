@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from rih.hamiltonian import BudgetExceeded
 from rih.lattice import (
     LatticeSpec,
     coord_diff_count,
@@ -29,12 +30,24 @@ RULE_SAME_COLOR_SAME_NUMBER = 1
 RULE_DIFF_COLOR_DIFF_NUMBER = 2
 
 TILING_SCHEMA = "tiling/1"
+MAX_SITES = 2**17  # largest lattice a tiling or a striped witness is built on
+
+
+def _check_sites(spec):
+    """Refuse a lattice of more than MAX_SITES sites with BudgetExceeded,
+    before any per-site list or array exists.  With n >= 3 every r past
+    MAX_SITES's bit length is over the cap, so n**r is never computed then."""
+    if spec.r >= MAX_SITES.bit_length() or spec.num_sites > MAX_SITES:
+        raise BudgetExceeded(
+            f"the {spec.n}^{spec.r}-site lattice exceeds the tiling cap of {MAX_SITES} sites"
+        )
 
 
 class Tiling:
     """Per-site tiles for two copies, stored as int arrays in lex site order."""
 
     def __init__(self, spec, colors1, numbers1, colors2=None, numbers2=None):
+        _check_sites(spec)
         self.spec = spec
         N = spec.num_sites
         if colors2 is None:
@@ -92,21 +105,26 @@ class Tiling:
 
     @classmethod
     def from_json_dict(cls, obj):
+        """The tiling of a to_json_dict object; ValueError naming the field
+        for a missing or ill-typed one."""
+        if not isinstance(obj, dict):
+            raise ValueError("tiling JSON must be an object")
         try:
-            spec = LatticeSpec.from_json_dict(obj["spec"])
-            copies = obj["copies"]
+            spec, copies = obj["spec"], obj["copies"]
         except KeyError as exc:
             raise ValueError(f"tiling JSON lacks the field {exc}") from None
-        if len(copies) not in (1, 2):
+        spec = LatticeSpec.from_json_dict(spec)
+        if not isinstance(copies, list) or len(copies) not in (1, 2):
             raise ValueError("tiling JSON must carry one or two copies")
-        c1 = [t[0] for t in copies[0]]
-        n1 = [t[1] for t in copies[0]]
-        if len(copies) == 2:
-            c2 = [t[0] for t in copies[1]]
-            n2 = [t[1] for t in copies[1]]
-        else:
-            c2 = n2 = None
-        return cls(spec, c1, n1, c2, n2)
+        arrays = []
+        for copy in copies:
+            if not isinstance(copy, list) or not all(
+                isinstance(t, list) and len(t) == 2 and all(type(v) is int for v in t)
+                for t in copy
+            ):
+                raise ValueError("each tiling copy must be a list of [color, number] integer pairs")
+            arrays += [[t[0] for t in copy], [t[1] for t in copy]]
+        return cls(spec, *arrays)
 
 
 def rule_violations(t, copy):
@@ -258,6 +276,7 @@ def striped_witness(spec):
         raise ValueError(f"striped witness needs n divisible by 3, got n={spec.n}")
     if spec.r < 2:
         raise ValueError(f"striped witness needs r >= 2, got r={spec.r}")
+    _check_sites(spec)
 
     def build(d):
         cs, ms = [], []

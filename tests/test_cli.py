@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from rih.hamiltonian import toy_plugs
 from rih.instance import reduction
 from rih.lattice import LatticeSpec
 from rih.rules import frame_configuration, open_bc_frame_ruleset
-from rih.tiling import Tiling, striped_witness
+from rih.tiling import MAX_SITES, Tiling, striped_witness
 
 
 SOLVE_REPORTS = json.loads(
@@ -185,6 +186,11 @@ class TestEncodeReduce:
         assert out["lattice"] == direct.lattice.to_json_dict()
         assert out["coefficients"]["tile"] == 8.0
 
+    def test_reduce_is_not_site_capped(self, capsys):
+        # reduce poses a lattice without enumerating its sites
+        out = run_json(capsys, "reduce", "--x", "101", "--r", "2")
+        assert LatticeSpec.from_json_dict(out["lattice"]).num_sites > MAX_SITES
+
     def test_reduce_unknown_plug(self, capsys):
         code, _, err = run(capsys, "reduce", "--x", "1", "--r", "2", "--plug", "nope")
         assert code == 2
@@ -278,6 +284,107 @@ class TestSolveWitness:
         code, out, err = run(capsys, "classify", str(path))
         assert code == 2 and out == ""
         assert err == f"error: tiling JSON lacks the field '{field}'\n"
+
+
+def run_refused(capsys, *argv):
+    """The one error line of a refused command, checking that it exits 2,
+    prints nothing on stdout and peaks under 1 MiB under tracemalloc."""
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert peak < 2**20
+    return err
+
+
+class TestSiteCap:
+    @pytest.mark.parametrize("r,n", [(2, 3000), (1_000_000_000, 3)])
+    def test_witness_over_the_cap_is_refused_before_allocating(self, capsys, r, n):
+        err = run_refused(capsys, "witness", "--r", str(r), "--n", str(n))
+        cap = f"tiling cap of {MAX_SITES} sites"
+        assert err == f"error: the {n}^{r}-site lattice exceeds the {cap}\n"
+
+    def test_classify_over_the_cap_is_refused_before_allocating(self, capsys, tmp_path):
+        spec = {"r": 3, "n": 100000, "boundary": "periodic"}
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"schema": "tiling/1", "spec": spec, "copies": [[[0, 0]]]}))
+        err = run_refused(capsys, "classify", str(path))
+        cap = f"tiling cap of {MAX_SITES} sites"
+        assert err == f"error: the 100000^3-site lattice exceeds the {cap}\n"
+
+
+def _witness_json(**fields):
+    return {**striped_witness(LatticeSpec(2, 3)).to_json_dict(), **fields}
+
+
+class TestWrongShapeJson:
+    @pytest.mark.parametrize(
+        "argv,obj,message",
+        [
+            (["tiles", "lift"], [], "rule set JSON must be an object"),
+            (
+                ["tiles", "lift"],
+                {"alphabet": 5},
+                "rule set field 'alphabet' must be a list of tile names",
+            ),
+            (
+                ["tiles", "enumerate", "--n", "2"],
+                {"alphabet": 5},
+                "rule set field 'alphabet' must be a list of tile names",
+            ),
+            (
+                ["tiles", "lift"],
+                {"alphabet": ["a"], "forbidden_h": [5]},
+                "rule set field 'forbidden_h' must be a list of [tile, tile] pairs",
+            ),
+        ],
+        ids=["lift-list", "lift-alphabet", "enumerate-alphabet", "lift-pair"],
+    )
+    def test_rules(self, capsys, tmp_path, argv, obj, message):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(obj))
+        assert run_refused(capsys, *argv, "--rules", str(path)) == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "obj,message",
+        [
+            ([], "tiling JSON must be an object"),
+            (_witness_json(spec=[]), "lattice spec JSON must be an object"),
+            (
+                _witness_json(spec={"r": [], "n": 3, "boundary": "periodic"}),
+                "lattice spec fields 'r' and 'n' must be integers",
+            ),
+            (
+                _witness_json(copies=[[0, 1, 2]]),
+                "each tiling copy must be a list of [color, number] integer pairs",
+            ),
+            (_witness_json(copies={}), "tiling JSON must carry one or two copies"),
+        ],
+        ids=["list", "spec-list", "spec-r", "bare-ints", "copies-object"],
+    )
+    def test_classify(self, capsys, tmp_path, obj, message):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(obj))
+        assert run_refused(capsys, "classify", str(path)) == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"rows": 5}, "grid field 'rows' must be a list of rows of tile names"),
+            ({"n": "3"}, "grid field 'n' must be an integer"),
+        ],
+        ids=["rows", "n"],
+    )
+    def test_grid(self, capsys, tmp_path, fields, message):
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps(open_bc_frame_ruleset().to_json_dict()))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({**frame_configuration(3).to_json_dict(), **fields}))
+        err = run_refused(capsys, "tiles", "check", "--rules", str(rules), "--grid", str(grid))
+        assert err == f"error: {message}\n"
 
 
 class TestTiles:

@@ -12,7 +12,6 @@ from rih.hamiltonian import (
     DEFAULT_COEFFICIENTS,
     EPR_HALF_PROJECTOR,
     BudgetExceeded,
-    FactorLayout,
     PlugValidationError,
     TranslationPlug,
     TwoBodyTerm,
@@ -603,40 +602,27 @@ class TestCanonicalBuild:
         assert tile_diagonality_check(term)
         assert term._matrix is None and term._audit is None
 
-    def test_hash_canonicalizes_a_given_matrix(self):
-        sc = build_single_copy_term()
-        M = sc.matrix().tocoo()
-        rng = np.random.default_rng(4)
-        # split every value in two exact halves, add explicit zeros, shuffle
-        zeros = rng.choice(M.shape[0], 50)
-        rows = np.concatenate([M.row, M.row, zeros])
-        cols = np.concatenate([M.col, M.col, zeros[::-1]])
-        vals = np.concatenate([M.data / 2, M.data / 2, np.zeros(50)])
-        order = rng.permutation(len(vals))
-        messy = scipy.sparse.coo_matrix((vals[order], (rows[order], cols[order])), shape=M.shape)
-        given = TwoBodyTerm(sc.layout, sc.coefficients, matrix=messy)
-        # the given matrix is canonicalized once, as matrix() promises; an
-        # already canonical one is kept without a copy
-        G = given.matrix()
-        assert isinstance(G, scipy.sparse.csr_matrix)
-        assert G.has_canonical_format and G.data.all() and (G != sc.matrix()).nnz == 0
-        assert TwoBodyTerm(sc.layout, sc.coefficients, matrix=sc.matrix()).matrix() is sc.matrix()
-        assert term_hash(given) == term_hash(sc) == reference_hash(messy)
-        # explicit zeros may join different tiles, but they are no matrix
-        # elements: the check reads the canonical form, as the hash does
-        assert tile_diagonality_check(given) and reference_tile_diagonal(sc.layout, messy)
-
     def test_hash_sees_signed_zero_real_parts(self):
-        sc = build_single_copy_term()
-        M = sc.matrix()
-        data = np.zeros(M.nnz, dtype=complex)
-        data.imag = M.data
+        # one block type, the pairing variant made imaginary with every other
+        # real part a negative zero; adding 0.0 turns those into positive zeros
+        b = build_single_copy_term().blocks
+        rows, cols, vals = b.variants[1]
+        data = np.zeros(len(vals), dtype=complex)
+        data.imag = vals
         data.real[::2] = -0.0
         digests = []
-        for vals in (data, data + 0.0):
-            m = scipy.sparse.csr_matrix((vals, M.indices, M.indptr), shape=M.shape)
-            term = TwoBodyTerm(sc.layout, sc.coefficients, matrix=m)
-            assert term_hash(term) == reference_hash(m)
+        for v in (data, data + 0.0):
+            blocks = dataclasses.replace(
+                b,
+                scalar=np.zeros_like(b.scalar),
+                sig=np.zeros_like(b.sig),
+                variants=[(rows, cols, v)],
+                mirror_sig=np.zeros(1, dtype=int),
+            )
+            term = TwoBodyTerm(single_copy_layout(), DEFAULT_COEFFICIENTS, blocks)
+            M = term.matrix()
+            assert np.signbit(M.data.real).any() == (v is data)
+            assert term_hash(term) == reference_hash(M)
             digests.append(term_hash(term))
         assert digests[0] != digests[1]
 
@@ -710,50 +696,43 @@ class TestBlockCheck:
             assert not check_term_symmetries(term).passed
 
 
+def _corrupt_band_zero(monkeypatch, move):
+    """Patch _Bands._build so that band 0's columns come out as
+    move(bands, cols): a corrupted term for the tile check to catch."""
+    build = _Bands._build
+
+    def corrupted(self, U, columns, values):
+        counts, cols, vals = build(self, U, columns, values)
+        if U == 0 and cols is not None:
+            cols = move(self, cols)
+        return counts, cols, vals
+
+    monkeypatch.setattr(_Bands, "_build", corrupted)
+
+
 class TestNegativeControls:
-    def test_asymmetric_matrix_fails_swap(self):
-        lay = FactorLayout(("embedded",), (2,), 0)
-        m = scipy.sparse.csr_matrix(np.diag([0.0, 1.0, 0.0, 0.0]))  # |01><01|
-        term = TwoBodyTerm(lay, DEFAULT_COEFFICIENTS, matrix=m)
-        rep = check_term_symmetries(term)
-        assert rep.hermitian and rep.psd
-        assert not rep.swap_symmetric
-
-    def test_tile_flip_perturbation_detected(self):
-        sc = build_single_copy_term()
-        M = sc.matrix().tolil(copy=True)
-        # connect u-site tile 0 to u-site tile 1 (u_state 0 vs 4), v fixed
-        M[0 * 36 + 0, 4 * 36 + 0] = 0.5
-        M[4 * 36 + 0, 0 * 36 + 0] = 0.5
-        term = TwoBodyTerm(sc.layout, sc.coefficients, matrix=M.tocsr())
+    def test_tile_flip_perturbation_detected(self, monkeypatch):
+        # band 0's entries moved into band 1's columns: each now joins tile 0
+        # to tile 1 on the first site
+        term = build_single_copy_term()
+        _corrupt_band_zero(monkeypatch, lambda bands, cols: cols + bands.rows)
         assert not tile_diagonality_check(term)
+        assert not reference_tile_diagonal(term.layout, term.matrix())
 
-    def test_second_site_tile_flip_detected(self):
-        sc = build_single_copy_term()
-        M = sc.matrix().tolil(copy=True)
-        # connect v-site tile 0 to v-site tile 1 (v_state 0 vs 4), u fixed
-        M[0, 4] = 0.5
-        M[4, 0] = 0.5
-        term = TwoBodyTerm(sc.layout, sc.coefficients, matrix=M.tocsr())
+    def test_second_site_tile_flip_detected(self, monkeypatch):
+        # one column moved by the inner dimension keeps its first-site tile
+        # and steps its second-site tile
+        term = build_single_copy_term()
+        inner = term.layout.inner_dim
+
+        def move(bands, cols):
+            cols = cols.copy()
+            cols[0] += inner
+            return cols
+
+        _corrupt_band_zero(monkeypatch, move)
         assert not tile_diagonality_check(term)
-
-    def test_large_matrix_only_term_is_refused_before_allocating(self):
-        big = scipy.sparse.csr_matrix((1296**2, 1296**2))
-        term = TwoBodyTerm(two_copy_layout(1), DEFAULT_COEFFICIENTS, matrix=big)
-        tracemalloc.start()
-        try:
-            with pytest.raises(BudgetExceeded, match="matrix-only"):
-                check_term_symmetries(term)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
-
-    def test_zero_matrix_is_tile_diagonal(self):
-        lay = single_copy_layout()
-        z = scipy.sparse.csr_matrix((1296, 1296))
-        term = TwoBodyTerm(lay, DEFAULT_COEFFICIENTS, matrix=z)
-        assert tile_diagonality_check(term)
+        assert not reference_tile_diagonal(term.layout, term.matrix())
 
 
 class TestGlobalOperators:

@@ -167,23 +167,39 @@ class TestPairingMinimum:
             assert len(keys) == 1, k
 
 
+def slots(demands):
+    """(site, port) demand pairs as the (tail, head) slot-number pairs that
+    epr_min_energy takes, slot (x, port) being 2x + port - 1."""
+    return [(2 * a + p - 1, 2 * b + q - 1) for (a, p), (b, q) in demands]
+
+
+def slot_demands(g):
+    """The demands of an epr_demand_graph as slot-number pairs."""
+    return slots(((d.tail.site, d.tail.port), (d.head.site, d.head.port)) for d in g.demands)
+
+
 class TestEprMinEnergy:
-    def test_pair_groups_keep_first_pair_and_input_order(self):
-        # (1, 2) and (3, 4) join only through the later (2, 3)
-        pairs = [(1, 2), (5, 6), (3, 4), (6, 7), (2, 3), (0, 9)]
-        assert solver._pair_groups(pairs) == [[0, 2, 4], [1, 3], [5]]
-        assert solver._pair_groups([]) == []
+    def test_local_groups_keep_first_pair_and_input_order(self):
+        # (1, 2) and (3, 4) join only through the later (2, 3); each group's
+        # nodes are renumbered in ascending order
+        pairs = [(1, 2), (5, 6), (3, 4), (6, 7), (2, 3), (9, 0)]
+        assert solver._local_groups(pairs) == [
+            ([0, 2, 4], 4, [(0, 1), (2, 3), (1, 2)]),
+            ([1, 3], 3, [(0, 1), (1, 2)]),
+            ([5], 2, [(1, 0)]),
+        ]
+        assert solver._local_groups([]) == []
 
     def test_cyclically_numbered_ring_is_satisfied(self):
         t = Tiling(RING, [0, 0, 0], [0, 1, 2])
-        r = solver.epr_min_energy(epr_demand_graph(t, 1))
+        r = solver.epr_min_energy(slot_demands(epr_demand_graph(t, 1)))
         assert r.value == pytest.approx(0.0, abs=1e-10)
         assert r.exact
         assert all(c.kind == "isolated-demand" for c in r.components)
 
     def test_colliding_path_numbering_costs_four(self):
         t = Tiling(CHAIN, [0, 0, 0], [0, 1, 0])
-        r = solver.epr_min_energy(epr_demand_graph(t, 1))
+        r = solver.epr_min_energy(slot_demands(epr_demand_graph(t, 1)))
         assert r.value == pytest.approx(4.0, abs=1e-10)
         (comp,) = r.components
         assert comp.kind == "exact" and comp.num_slots == 3
@@ -195,26 +211,27 @@ class TestEprMinEnergy:
     @pytest.mark.parametrize("m,expected", [(2, 4.0), (3, 8.0), (4, 12.0)])
     def test_shared_head_star(self, m, expected):
         # m demands into one slot: each extra demand past the first adds 4
-        g = [((i, 2), (99, 1)) for i in range(m)]
+        g = slots([((i, 2), (99, 1)) for i in range(m)])
         assert solver.epr_min_energy(g).value == pytest.approx(expected, abs=1e-8)
 
     def test_disjoint_components_add(self):
-        a = [((0, 2), (1, 1)), ((2, 2), (1, 1))]
-        b = [((10, 2), (11, 1)), ((12, 2), (11, 1))]
+        a = slots([((0, 2), (1, 1)), ((2, 2), (1, 1))])
+        b = slots([((10, 2), (11, 1)), ((12, 2), (11, 1))])
         va = solver.epr_min_energy(a).value
         vb = solver.epr_min_energy(b).value
         assert solver.epr_min_energy(a + b).value == pytest.approx(va + vb, abs=1e-9)
 
     @pytest.mark.parametrize("demand", [((0, 2), (1, 2)), ((0, 1), (1, 1)), ((0, 2), (1, 0))])
     def test_demand_off_the_two_ports_is_refused(self, demand):
-        # the sector build holds only when each demand joins port 2 to port 1
+        # the sector build holds only when each demand joins port 2 (an odd
+        # slot number) to port 1 (an even one)
         with pytest.raises(ValueError, match="port-2 slot to a port-1 slot"):
-            solver.epr_min_energy([((5, 2), (6, 1)), demand])
+            solver.epr_min_energy(slots([((5, 2), (6, 1)), demand]))
 
     def test_repeated_demands_count_once_in_the_bound(self, monkeypatch):
         # ten copies of one demand share a zero mode, so they must not count
         # as five cherries
-        g = [((0, 2), (1, 1))] * 10 + [((2, 2), (1, 1))]
+        g = slots([((0, 2), (1, 1))] * 10 + [((2, 2), (1, 1))])
         exact = solver.epr_min_energy(g)
         monkeypatch.setattr(solver, "EXACT_PAIRING_CAP", 2)
         bound = solver.epr_min_energy(g)
@@ -223,7 +240,7 @@ class TestEprMinEnergy:
 
     def test_oversized_component_reports_certified_bound(self, monkeypatch):
         # 11 slots; a cap below that size forces the bound tier
-        g = [((i, 2), (99, 1)) for i in range(10)]
+        g = slots([((i, 2), (99, 1)) for i in range(10)])
         exact = solver.epr_min_energy(g)
         monkeypatch.setattr(solver, "EXACT_PAIRING_CAP", 4)
         bound = solver.epr_min_energy(g)
@@ -237,7 +254,7 @@ class TestEprMinEnergy:
         # an open chain numbered 0,1,0,1,... pairs its slots into one path;
         # the cap is checked ahead of the chain cache that the exact solve fills
         t = Tiling(LatticeSpec(1, 9, "open"), np.zeros(9, int), np.arange(9) % 2)
-        g = epr_demand_graph(t, 1)
+        g = slot_demands(epr_demand_graph(t, 1))
         exact = solver.epr_min_energy(g)
         (comp,) = exact.components
         assert (comp.num_slots, comp.kind, comp.exact) == (9, "exact", True)
@@ -252,7 +269,7 @@ class TestEprMinEnergy:
     def test_star_is_exact(self, k):
         # a star of k-1 demands into one slot branches; it is solved like any
         # other component, on either side of the dense cutoff
-        g = [((i, 2), (99, 1)) for i in range(k - 1)]
+        g = slots([((i, 2), (99, 1)) for i in range(k - 1)])
         (comp,) = solver.epr_min_energy(g).components
         assert (comp.num_slots, comp.kind, comp.exact) == (k, "exact", True)
         local = [(i, k - 1) for i in range(k - 1)]
@@ -261,8 +278,8 @@ class TestEprMinEnergy:
 
     def test_isomorphic_components_share_energy(self):
         # same shape under relabeling: cached or not, values must agree
-        a = [((0, 2), (5, 1)), ((1, 2), (5, 1)), ((5, 2), (2, 1)), ((3, 2), (2, 1))]
-        b = [((40, 2), (9, 1)), ((41, 2), (9, 1)), ((9, 2), (44, 1)), ((47, 2), (44, 1))]
+        a = slots([((0, 2), (5, 1)), ((1, 2), (5, 1)), ((5, 2), (2, 1)), ((3, 2), (2, 1))])
+        b = slots([((40, 2), (9, 1)), ((41, 2), (9, 1)), ((9, 2), (44, 1)), ((47, 2), (44, 1))])
         assert solver.epr_min_energy(a).value == pytest.approx(
             solver.epr_min_energy(b).value, abs=1e-9
         )
@@ -286,7 +303,7 @@ class TestEprMinEnergy:
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=8))
     def test_adding_demands_never_lowers_energy(self, raw):
         # each summand is positive semidefinite
-        demands = [((a, 2), (b, 1)) for a, b in raw]
+        demands = slots([((a, 2), (b, 1)) for a, b in raw])
         prefix = solver.epr_min_energy(demands[:-1])
         full = solver.epr_min_energy(demands)
         if prefix.exact and full.exact:
@@ -455,8 +472,8 @@ def _object_path_sector(t, plug):
     """The sector energy composed from the demand-graph objects: the
     reference for tile_sector_energy's array path."""
     ce = classical_energy(t)
-    e1 = solver.epr_min_energy(epr_demand_graph(t, 1))
-    e2 = solver.epr_min_energy(epr_demand_graph(t, 2))
+    e1 = solver.epr_min_energy(slot_demands(epr_demand_graph(t, 1)))
+    e2 = solver.epr_min_energy(slot_demands(epr_demand_graph(t, 2)))
     return solver.SectorEnergy(
         classical=float(ce.total),
         epr_copy1=e1.value,
@@ -484,8 +501,9 @@ class TestArrayPath:
             for copy, steps in zip((1, 2), solver._step_patterns(t)):
                 g = epr_demand_graph(t, copy)
                 conflicts += len(g.rule_conflicts)
+                assert solver._pattern_demands(ei, steps) == slot_demands(g)
                 got = solver.epr_min_energy(solver._pattern_demands(ei, steps))
-                want = solver.epr_min_energy(g)
+                want = solver.epr_min_energy(slot_demands(g))
                 assert (got.value, got.exact) == (want.value, want.exact)
                 assert got.components == want.components
         assert conflicts > 0
@@ -521,12 +539,8 @@ class TestArrayPath:
             for _ in range(20):
                 for steps in solver._step_patterns(_random_tiling(spec, rng)):
                     demands = solver._pattern_demands(edge_index_array(spec), steps)
-                    for group in solver._pair_groups(demands):
-                        pairs = [demands[k] for k in group]
-                        slots = sorted({s for p in pairs for s in p})
-                        index = {s: i for i, s in enumerate(slots)}
-                        local = [(index[a], index[b]) for a, b in pairs]
-                        components.append((len(slots), local))
+                    for _, k, local in solver._local_groups(demands):
+                        components.append((k, local))
         cold = []
         for k, local in components:
             solver._component_key.cache_clear()
@@ -694,7 +708,7 @@ class TestOracleAgreement:
             direct = solver.sector_qubit_oracle(t, copy)
             ce = classical_energy(t)
             part = (ce.tile1 + ce.loop1) if copy == 1 else (ce.tile2 + ce.loop2)
-            epr = solver.epr_min_energy(epr_demand_graph(t, copy))
+            epr = solver.epr_min_energy(slot_demands(epr_demand_graph(t, copy)))
             assert epr.exact
             assert direct == pytest.approx(part + epr.value, abs=1e-8)
             assert direct == pytest.approx(f["expected_total"], abs=1e-6)
@@ -1142,7 +1156,9 @@ def _reference_tables(spec):
     orbit_reps, orbit_of = np.unique(canon, return_inverse=True)
     zeros = np.zeros(N, dtype=int)
     results = [
-        solver.epr_min_energy(epr_demand_graph(Tiling(spec, zeros, digits[first[p]]), 1))
+        solver.epr_min_energy(
+            slot_demands(epr_demand_graph(Tiling(spec, zeros, digits[first[p]]), 1))
+        )
         for p in orbit_reps
     ]
     same = digits[:, ei[:, 0]] == digits[:, ei[:, 1]]

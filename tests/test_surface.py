@@ -1,8 +1,11 @@
-"""The library carries no code that only its own tests call.
+"""The library carries no code that only its own tests call, and its oracles
+stay independent of the paths they check.
 
 Every top-level function and class under src/rih must be referenced somewhere
 in the package outside its own definition, be exported in rih.__all__, or be
-one of the named test-only reference implementations below.
+one of the named test-only reference implementations below.  No oracle may
+mention a checked path, and no definition but the oracles themselves and
+acceptance.crit_oracle_agreement may mention an oracle.
 """
 
 import ast
@@ -14,10 +17,34 @@ SRC = Path(rih.__file__).resolve().parent
 
 # independent reference implementations that only the tests call; they stay
 # because they are the checks
-ORACLES = (
+TEST_ONLY_ORACLES = (
     "solver.sector_qubit_oracle",
     "solver.full_space_oracle",
     "hamiltonian.build_single_copy_term",
+)
+
+# every oracle, and the one definition outside them allowed to call one
+ORACLES = TEST_ONLY_ORACLES + (
+    "solver.sector_full_oracle",
+    "hamiltonian.global_hamiltonian",
+    "solver._pairing_sparse",
+)
+ORACLE_CALLER = "acceptance.crit_oracle_agreement"
+
+# the production paths the oracles recompute
+CHECKED = (
+    "tile_sector_energy",
+    "epr_min_energy",
+    "embedded_step_energy",
+    "_pattern_demands",
+    "_local_groups",
+    "_solve_component",
+    "_pairing_minimum",
+    "_embedded_diag_dp",
+    "ground_energy_search",
+    "NumberingTable",
+    "_tables",
+    "_step_patterns",
 )
 
 
@@ -38,29 +65,75 @@ def _names(node, skip=None):
         stack.extend(ast.iter_child_nodes(x))
 
 
-def unreferenced(src=SRC):
-    """module.name of each top-level definition nothing else in src mentions."""
-    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
-    out = []
+def _trees(src):
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+
+
+def _definitions(trees):
+    """(module.name, node) of every top-level function and class."""
     for module, tree in trees.items():
         for d in tree.body:
-            if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if not any(d.name in _names(t, skip=d) for t in trees.values()):
-                out.append(f"{module}.{d.name}")
+            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield f"{module}.{d.name}", d
+
+
+def unreferenced(src=SRC):
+    """module.name of each top-level definition nothing else in src mentions."""
+    trees = _trees(src)
+    return [
+        name
+        for name, d in _definitions(trees)
+        if not any(d.name in _names(t, skip=d) for t in trees.values())
+    ]
+
+
+def independence_breaches(src=SRC, oracles=ORACLES, caller=ORACLE_CALLER, checked=CHECKED):
+    """(definition, name) for each checked path an oracle's body mentions and
+    for each oracle that a definition other than the oracles and caller
+    mentions."""
+    oracle_names = {o.split(".")[1] for o in oracles}
+    out = []
+    for name, d in _definitions(_trees(src)):
+        if name == caller:
+            continue
+        banned = set(checked) if name in oracles else oracle_names
+        out += [(name, n) for n in sorted(banned & set(_names(d)) - {d.name})]
     return out
 
 
 def test_oracles_are_defined_and_otherwise_unused():
     # a stale entry would let a dead name through unnoticed
-    assert sorted(ORACLES) == sorted(n for n in unreferenced() if n in ORACLES)
+    found = sorted(n for n in unreferenced() if n in TEST_ONLY_ORACLES)
+    assert sorted(TEST_ONLY_ORACLES) == found
 
 
 def test_every_definition_is_used_exported_or_an_oracle():
     dead = [
-        n for n in unreferenced() if n not in ORACLES and n.split(".")[1] not in rih.__all__
+        n
+        for n in unreferenced()
+        if n not in TEST_ONLY_ORACLES and n.split(".")[1] not in rih.__all__
     ]
     assert dead == []
+
+
+def test_oracles_stay_independent_of_the_checked_paths():
+    names = {name for name, _ in _definitions(_trees(SRC))}
+    # a stale entry would leave a guard with nothing to guard
+    assert set(ORACLES) | {ORACLE_CALLER} <= names
+    assert independence_breaches() == []
+
+
+def test_the_independence_guard_sees_a_planted_call(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def fast(x):\n    return x\n\n\n"
+        "def oracle(x):\n    return fast(x)\n\n\n"
+        "def caller(x):\n    return oracle(x) - fast(x)\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "import a\n\n\nclass Report:\n    def total(self, x):\n        return a.oracle(x)\n"
+    )
+    breaches = independence_breaches(tmp_path, ("a.oracle",), "a.caller", ("fast",))
+    assert breaches == [("a.oracle", "fast"), ("b.Report", "oracle")]
 
 
 def test_the_guard_sees_an_unused_helper(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rih.hamiltonian import BudgetExceeded
 from rih.lattice import (
     OPEN,
     PERIODIC,
@@ -18,6 +19,7 @@ from rih.tiling import (
     RULE_DIFF_COLOR_DIFF_NUMBER,
     RULE_SAME_COLOR_SAME_NUMBER,
     Demand,
+    MAX_SITES,
     EprDemandGraph,
     Slot,
     Tiling,
@@ -53,6 +55,14 @@ class TestTilingBasics:
             Tiling(spec, [0] * 9, [3] * 9)
         with pytest.raises(ValueError):
             Tiling(spec, [0] * 9, [-1] * 9)
+
+    def test_site_cap_is_inclusive(self):
+        zeros = np.zeros(MAX_SITES, dtype=np.int8)
+        assert Tiling(LatticeSpec(1, MAX_SITES), zeros, zeros).spec.num_sites == MAX_SITES
+        with pytest.raises(BudgetExceeded, match="tiling cap"):
+            Tiling(LatticeSpec(1, MAX_SITES + 1), zeros, zeros)
+        with pytest.raises(BudgetExceeded, match="tiling cap"):
+            striped_witness(LatticeSpec(2, 363))
 
     def test_json_round_trip(self):
         spec = LatticeSpec(2, 3, OPEN)
