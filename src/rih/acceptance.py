@@ -28,7 +28,7 @@ from rih.hamiltonian import (
     toy_plugs,
 )
 from rih.instance import f_search, is_probable_prime
-from rih.lattice import LatticeSpec, lattice_symmetry_permutations
+from rih.lattice import LatticeSpec, _local_groups, lattice_symmetry_permutations
 from rih.rules import (
     BLANK,
     BOTTOM_BC,
@@ -119,28 +119,9 @@ def _pairing_chains_terminate(t, copy):
         return False
     if any(v > 1 for v in g.slot_degrees().values()):
         return False
-    adj = collections.defaultdict(list)
-    for d in g.demands:
-        adj[d.tail.site].append(d.head.site)
-        adj[d.head.site].append(d.tail.site)
-    seen = set()
-    for s in list(adj):
-        if s in seen:
-            continue
-        comp = set()
-        stack = [s]
-        degree_sum = 0
-        while stack:
-            u = stack.pop()
-            if u in comp:
-                continue
-            comp.add(u)
-            degree_sum += len(adj[u])
-            stack.extend(adj[u])
-        seen |= comp
-        if degree_sum // 2 != len(comp) - 1:
-            return False  # a closed chain pairs every slot it touches
-    return True
+    # a chain has one demand fewer than sites; a closed one pairs every slot
+    pairs = [(d.tail.site, d.head.site) for d in g.demands]
+    return all(len(group) == k - 1 for group, k, _ in _local_groups(pairs))
 
 
 def _witness_line_ends_free(t):

@@ -69,7 +69,6 @@ GLOBAL_DIM_CAP = 2**26  # largest many-site space global_hamiltonian builds
 class FactorLayout:
     """Ordered tensor factors of one site; tile factors come first."""
 
-    names: tuple
     dims: tuple
     num_tile_factors: int
 
@@ -91,25 +90,11 @@ class FactorLayout:
 
 
 def two_copy_layout(d):
-    return FactorLayout(
-        names=(
-            "color1",
-            "number1",
-            "color2",
-            "number2",
-            "qin1",
-            "qout1",
-            "qin2",
-            "qout2",
-            "embedded",
-        ),
-        dims=(3, 3, 3, 3, 2, 2, 2, 2, d),
-        num_tile_factors=4,
-    )
+    return FactorLayout(dims=(3, 3, 3, 3, 2, 2, 2, 2, d), num_tile_factors=4)
 
 
 def single_copy_layout():
-    return FactorLayout(names=("color", "number", "qin", "qout"), dims=(3, 3, 2, 2), num_tile_factors=2)
+    return FactorLayout(dims=(3, 3, 2, 2), num_tile_factors=2)
 
 
 def _strides(dims):

@@ -211,3 +211,33 @@ def lattice_symmetry_permutations(spec):
     out = np.array(rows, dtype=np.int64)
     out.setflags(write=False)
     return out
+
+
+def _local_groups(pairs):
+    """Connected groups of the graph whose edges are pairs, in the order of
+    their first pair: for each, the indices of its pairs in input order, its
+    node count k, and its pairs with the nodes renumbered 0..k-1 in
+    ascending order.  A dict union-find over the nodes as met: on the dozen
+    pairs of one demand graph it is cheaper than numbering the nodes for the
+    array routine solver._components."""
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(parent.setdefault(a, a)), find(parent.setdefault(b, b))
+        if ra != rb:
+            parent[ra] = rb
+    groups = {}
+    for i, (a, _) in enumerate(pairs):
+        groups.setdefault(find(a), []).append(i)
+    out = []
+    for group in groups.values():
+        local = [pairs[i] for i in group]
+        index = {x: n for n, x in enumerate(sorted({x for p in local for x in p}))}
+        out.append((group, len(index), [(index[a], index[b]) for a, b in local]))
+    return out

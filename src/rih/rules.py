@@ -21,6 +21,7 @@ RULESET_SCHEMA = "tile-rules/1"
 GRID_SCHEMA = "grid-tiling/1"
 ALPHABET_CAP = 64
 ROW_CAP = 2_000_000
+GRID_CELL_CAP = 2**17  # most cells of one enumerated grid, as tiling.MAX_SITES
 
 BLOCK_POSITIONS = ("c", "l", "r", "t", "b", "tl", "tr", "bl", "br")
 
@@ -225,14 +226,17 @@ def _walks(n, first, successors, closed):
 def enumerate_valid(rs, n, limit=None, require_present=None):
     """Exactly the valid n-by-n tilings, in lexicographic row order.
 
-    Rows are the walks of n tiles through the horizontal rules, counted
-    first so that an oversized row space fails before any row is built.
-    Grids are the walks of n rows through the vertical rules; a row's
-    successors are computed the first time a walk reaches it.  With wrap,
-    both walks close.  A limit truncates the output and sets the flag;
-    require_present keeps only tilings containing every listed tile."""
+    Rows are the walks of n tiles through the horizontal rules.  A grid of
+    more than GRID_CELL_CAP cells, or a row space that counts past ROW_CAP,
+    is refused before any row is built.  Grids are the walks of n rows
+    through the vertical rules; a row's successors are computed the first
+    time a walk reaches it.  With wrap, both walks close.  A limit
+    truncates the output and sets the flag; require_present keeps only
+    tilings containing every listed tile."""
     if n < 1:
         raise RuleSetError("grid side must be positive")
+    if n * n > GRID_CELL_CAP:
+        raise RuleSetError(f"{n}x{n} grid exceeds the enumeration cap of {GRID_CELL_CAP} cells")
     if limit is not None and limit < 0:
         raise RuleSetError(f"limit must be nonnegative, got {limit}")
     allowed_h, allowed_v = _index_rules(rs)
@@ -277,6 +281,14 @@ def split_subtile(name):
     return tile, position
 
 
+# the in-block bonds as (first, second, kind): first sits left of second
+# for kind "h" and below it for kind "v"
+_BLOCK_BONDS = (
+    ("l", "c", "h"), ("c", "r", "h"), ("tl", "t", "h"), ("t", "tr", "h"),
+    ("bl", "b", "h"), ("b", "br", "h"), ("c", "t", "v"), ("b", "c", "v"),
+)
+
+
 def lift_3x3(rs):
     """Blow each tile up into a named 3x3 block.
 
@@ -286,61 +298,28 @@ def lift_3x3(rs):
     """
     lifted = tuple(subtile(t, p) for t in rs.alphabet for p in BLOCK_POSITIONS)
     universe = set(lifted)
-    fh = set()
-    fv = set()
+    forbidden = {"h": set(), "v": set()}
 
-    def only_right_of(left, allowed):
-        fh.update((left, z) for z in universe - set(allowed))
+    def bond(kind, firsts, seconds):
+        # a first is followed only by a second, a second preceded only by a first
+        forbidden[kind].update((a, z) for a in firsts for z in universe - seconds)
+        forbidden[kind].update((z, b) for b in seconds for z in universe - firsts)
 
-    def only_left_of(right, allowed):
-        fh.update((z, right) for z in universe - set(allowed))
-
-    def only_above_of(below, allowed):
-        fv.update((below, z) for z in universe - set(allowed))
-
-    def only_below_of(above, allowed):
-        fv.update((z, above) for z in universe - set(allowed))
+    def side(position):
+        return {subtile(m, position) for m in rs.alphabet}
 
     for m in rs.alphabet:
-        c, l, r = subtile(m, "c"), subtile(m, "l"), subtile(m, "r")
-        t, b = subtile(m, "t"), subtile(m, "b")
-        tl, tr, bl, br = (subtile(m, p) for p in ("tl", "tr", "bl", "br"))
-        only_above_of(c, {t})
-        only_below_of(t, {c})
-        only_below_of(c, {b})
-        only_above_of(b, {c})
-        only_left_of(c, {l})
-        only_right_of(l, {c})
-        only_right_of(c, {r})
-        only_left_of(r, {c})
-        only_left_of(t, {tl})
-        only_right_of(tl, {t})
-        only_right_of(t, {tr})
-        only_left_of(tr, {t})
-        only_left_of(b, {bl})
-        only_right_of(bl, {b})
-        only_right_of(b, {br})
-        only_left_of(br, {b})
+        for first, second, kind in _BLOCK_BONDS:
+            bond(kind, {subtile(m, first)}, {subtile(m, second)})
+    bond("h", side("r"), side("l"))
+    bond("v", side("t"), side("b"))
 
-    left_types = {subtile(m, "l") for m in rs.alphabet}
-    right_types = {subtile(m, "r") for m in rs.alphabet}
-    top_types = {subtile(m, "t") for m in rs.alphabet}
-    bottom_types = {subtile(m, "b") for m in rs.alphabet}
-    for name in left_types:
-        only_left_of(name, right_types)
-    for name in right_types:
-        only_right_of(name, left_types)
-    for name in top_types:
-        only_above_of(name, bottom_types)
-    for name in bottom_types:
-        only_below_of(name, top_types)
+    for a, b in rs.forbidden_h:
+        forbidden["h"].add((subtile(a, "r"), subtile(b, "l")))
+    for a, b in rs.forbidden_v:
+        forbidden["v"].add((subtile(a, "t"), subtile(b, "b")))
 
-    for a, b2 in rs.forbidden_h:
-        fh.add((subtile(a, "r"), subtile(b2, "l")))
-    for a, b2 in rs.forbidden_v:
-        fv.add((subtile(a, "t"), subtile(b2, "b")))
-
-    return TileRuleSet(lifted, frozenset(fh), frozenset(fv), rs.boundary)
+    return TileRuleSet(lifted, frozenset(forbidden["h"]), frozenset(forbidden["v"]), rs.boundary)
 
 
 # block layout around a center, as (dx, dy) with +y pointing up

@@ -92,12 +92,18 @@ from rih.hamiltonian import (
     dense_entries,
     embed_operator,
 )
-from rih.lattice import LatticeSpec, edge_index_array, lattice_symmetry_permutations
+from rih.lattice import (
+    LatticeSpec,
+    _local_groups,
+    edge_index_array,
+    lattice_symmetry_permutations,
+)
 from rih.tiling import (
     ClassicalEnergy,
     Tiling,
     classical_counts,
     classical_energy,
+    counting_floor,
     epr_demand_graph,
     striped_witness,
 )
@@ -305,36 +311,6 @@ def _solve_component(k, local_edges):
         return ComponentResult(k, m, "bound", _component_bound(local_edges), False)
     value = _pairing_minimum(*_component_key(k, tuple(local_edges)))
     return ComponentResult(k, m, "exact", value, True)
-
-
-def _local_groups(pairs):
-    """Connected groups of the graph whose edges are pairs, in the order of
-    their first pair: for each, the indices of its pairs in input order, its
-    node count k, and its pairs with the nodes renumbered 0..k-1 in
-    ascending order.  A dict union-find over the nodes as met: on the dozen
-    pairs of one demand graph it is cheaper than numbering the nodes for the
-    array routine _components."""
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(parent.setdefault(a, a)), find(parent.setdefault(b, b))
-        if ra != rb:
-            parent[ra] = rb
-    groups = {}
-    for i, (a, _) in enumerate(pairs):
-        groups.setdefault(find(a), []).append(i)
-    out = []
-    for group in groups.values():
-        local = [pairs[i] for i in group]
-        index = {x: n for n, x in enumerate(sorted({x for p in local for x in p}))}
-        out.append((group, len(index), [(index[a], index[b]) for a, b in local]))
-    return out
 
 
 def epr_min_energy(demands):
@@ -711,6 +687,7 @@ def _popcount(arr):
 
 
 TABLE_ROW_CAP = 200_000  # rows of the site-0 tables: N <= 12 sites, so E <= 24
+_TABLE_DIGITS = len(np.base_repr(TABLE_ROW_CAP, 3)) - 1  # largest N - 1 the cap admits
 
 
 def _site0_digits(spec):
@@ -720,11 +697,15 @@ def _site0_digits(spec):
     On a connected lattice a global shift of the values changes neither a
     numbering's step pattern nor a coloring's same-color mask, so these rows
     reach every pattern and every mask; a numbering row is even the only one
-    with its pattern.  The size is checked before anything is allocated."""
+    with its pattern.  The size is checked before anything is allocated, by
+    exponents: with n >= 3, an r past _TABLE_DIGITS is over the cap, so
+    neither n^r nor 3^(N-1) is computed for a large lattice."""
+    if spec.r > _TABLE_DIGITS:
+        raise BudgetExceeded(f"numbering table infeasible for {spec.n}^{spec.r} sites")
     N = spec.num_sites
-    count = 3 ** (N - 1)
-    if count > TABLE_ROW_CAP:
+    if N - 1 > _TABLE_DIGITS:
         raise BudgetExceeded(f"numbering table infeasible for {N} sites")
+    count = 3 ** (N - 1)
     idx = np.arange(count, dtype=np.int64)
     out = np.zeros((count, N), dtype=np.int8)
     for k in range(N - 1, 0, -1):
@@ -1281,16 +1262,14 @@ def ground_energy_search(spec, plug=None):
 
 def single_copy_floor_check(spec):
     """Verify, for every single-copy tile sector of a small lattice, that the
-    sector energy respects the counting floor 2E - sum(deg) + 4*sum(deg//3),
+    sector energy respects the counting floor of tiling.counting_floor,
     minimizing over all numberings per color mask.  Returns (ok, margin) with
     the smallest slack found."""
     nt, ct = _tables(spec)
-    E = nt.num_edges
     if not nt.epr_exact.all():
         return False, -np.inf
     q, _ = _q_sweep(nt, ct)
-    deg = ct.same_degree.astype(int)
-    floor = 2 * E - deg.sum(axis=1) + 4 * (deg // 3).sum(axis=1)
+    floor = counting_floor(nt.num_edges, ct.same_degree.astype(int))
     energy = ct.loop_cost + q
     worst = float((energy - floor).min())
     return bool(worst > -1e-9), worst

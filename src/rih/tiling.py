@@ -19,6 +19,7 @@ import numpy as np
 from rih.hamiltonian import BudgetExceeded
 from rih.lattice import (
     LatticeSpec,
+    _local_groups,
     coord_diff_count,
     edge_index_array,
     edges,
@@ -180,34 +181,6 @@ def has_turn(t, copy):
     return False
 
 
-def same_color_loops(t, copy):
-    """Connected components of the same-color adjacency, as site-index lists."""
-    spec = t.spec
-    c = t.colors(copy).tolist()
-    N = spec.num_sites
-    adj = [[] for _ in range(N)]
-    for a, b in edge_index_array(spec).tolist():
-        if c[a] == c[b]:
-            adj[a].append(b)
-            adj[b].append(a)
-    seen = np.zeros(N, dtype=bool)
-    comps = []
-    for s in range(N):
-        if seen[s] or not adj[s]:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        comps.append(sorted(comp))
-    return comps
-
-
 def classify(t, copy):
     """Structural flags for one copy, computed against the literal definitions.
 
@@ -225,25 +198,13 @@ def classify(t, copy):
     uniformly_directed = False
     direction = None
     if looped and not turn:
-        nbr = neighbor_index_array(spec).tolist()
-        dims = set()
-        ok = True
-        for comp in same_color_loops(t, copy):
-            in_comp = set(comp)
-            comp_dims = set()
-            for i in comp:
-                u = sites[i]
-                for j in nbr[i]:
-                    if j in in_comp:
-                        v = sites[j]
-                        for d in range(spec.r):
-                            if u[d] != v[d]:
-                                comp_dims.add(d)
-            if len(comp_dims) != 1 or len(comp) != spec.n:
-                ok = False
-                break
-            dims |= comp_dims
-        if ok and len(dims) == 1:
+        ei = edge_index_array(spec)
+        c = t.colors(copy)
+        pairs = ei[c[ei[:, 0]] == c[ei[:, 1]]].tolist()
+        axes = [next(d for d in range(spec.r) if sites[a][d] != sites[b][d]) for a, b in pairs]
+        loops = [({axes[i] for i in group}, k) for group, k, _ in _local_groups(pairs)]
+        dims = set().union(*(loop_axes for loop_axes, _ in loops))
+        if len(dims) == 1 and all(k == spec.n for _, k in loops):
             uniformly_directed = True
             direction = dims.pop()
 
@@ -417,6 +378,12 @@ def classical_energy(t):
     return ClassicalEnergy.from_counts(classical_counts(t))
 
 
+def counting_floor(num_edges, deg):
+    """2*num_edges - sum(deg) + 4 * sum(deg // 3) along deg's last axis, the
+    counting floor of a copy with same-color degrees deg on num_edges edges."""
+    return 2 * num_edges - deg.sum(axis=-1) + 4 * (deg // 3).sum(axis=-1)
+
+
 def h1lb_bound(t, copy):
     """Counting lower bound on one copy's classical-plus-pairing energy.
 
@@ -424,6 +391,4 @@ def h1lb_bound(t, copy):
     degree.  On a periodic lattice |edges| = r * n^r, recovering the closed
     form 2 n^r r - sum n_u + 4 sum floor(n_u/3).
     """
-    deg = _same_color_degrees(t, copy)
-    E = len(edge_index_array(t.spec))
-    return 2 * E - int(deg.sum()) + 4 * int((deg // 3).sum())
+    return int(counting_floor(len(edge_index_array(t.spec)), _same_color_degrees(t, copy)))

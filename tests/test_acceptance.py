@@ -4,6 +4,8 @@ import pytest
 
 from rih import acceptance
 from rih.instance import verify_claims
+from rih.lattice import LatticeSpec
+from rih.tiling import Tiling, striped_witness
 
 
 @pytest.fixture(scope="module")
@@ -58,3 +60,25 @@ def test_term_audit_materializes_nothing():
     passed, detail = acceptance.crit_term_audit(ctx)
     assert passed, detail
     assert ctx.term("zero")._matrix is None
+
+
+@pytest.mark.parametrize("spec", [acceptance.OPEN3, acceptance.OPEN6], ids=["open3", "open6"])
+def test_straight_witness_chains_terminate(spec):
+    w = striped_witness(spec)
+    assert acceptance._pairing_chains_terminate(w, 1)
+    assert acceptance._pairing_chains_terminate(w, 2)
+
+
+@pytest.mark.parametrize(
+    "boundary,colors,numbers,terminates",
+    [
+        ("periodic", [0, 0, 0], [0, 1, 2], False),  # a ring closed by its demands
+        ("open", [0, 0, 0], [0, 1, 0], False),  # site 1's port-1 slot twice
+        ("open", [0, 0, 0], [0, 0, 1], False),  # a rule conflict on the first edge
+        ("open", [0, 1, 1], [0, 0, 1], True),  # the same numbers without one
+    ],
+    ids=["ring", "shared-slot", "rule-conflict", "open-chain"],
+)
+def test_pairing_chain_check(boundary, colors, numbers, terminates):
+    t = Tiling(LatticeSpec(1, 3, boundary), colors, numbers)
+    assert acceptance._pairing_chains_terminate(t, 1) is terminates

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from rih.cli import main
 from rih.hamiltonian import toy_plugs
 from rih.instance import reduction
 from rih.lattice import LatticeSpec
-from rih.rules import frame_configuration, open_bc_frame_ruleset
+from rih.rules import GRID_CELL_CAP, frame_configuration, open_bc_frame_ruleset
 from rih.tiling import MAX_SITES, Tiling, striped_witness
 
 
@@ -314,6 +315,24 @@ class TestSiteCap:
         err = run_refused(capsys, "classify", str(path))
         cap = f"tiling cap of {MAX_SITES} sites"
         assert err == f"error: the 100000^3-site lattice exceeds the {cap}\n"
+
+    @pytest.mark.parametrize(
+        "r,n,sites", [(2, 30000, "900000000"), (1_000_000, 3, "3^1000000")]
+    )
+    def test_solve_over_the_table_cap_is_refused_fast(self, capsys, r, n, sites):
+        start = time.perf_counter()
+        err = run_refused(capsys, "solve", "--r", str(r), "--n", str(n))
+        assert time.perf_counter() - start < 1.0
+        assert err == f"error: numbering table infeasible for {sites} sites\n"
+
+    def test_enumerate_over_the_cell_cap_is_refused_before_allocating(self, capsys, tmp_path):
+        path = tmp_path / "mono.json"
+        path.write_text(json.dumps({"alphabet": ["m"]}))
+        start = time.perf_counter()
+        err = run_refused(capsys, "tiles", "enumerate", "--rules", str(path), "--n", "100000")
+        assert time.perf_counter() - start < 1.0
+        cap = f"enumeration cap of {GRID_CELL_CAP} cells"
+        assert err == f"error: 100000x100000 grid exceeds the {cap}\n"
 
 
 def _witness_json(**fields):

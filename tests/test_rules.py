@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import tracemalloc
 
@@ -213,6 +214,12 @@ class TestEnumerateValid:
         else:
             assert enumerate_valid(FREE2, 4).valid_rows == 16
 
+    def test_grid_cell_cap_is_inclusive(self):
+        side = math.isqrt(rules.GRID_CELL_CAP)
+        assert enumerate_valid(MONO, side, limit=0).truncated
+        with pytest.raises(RuleSetError, match=f"{side + 1}x{side + 1} grid exceeds"):
+            enumerate_valid(MONO, side + 1, limit=0)
+
     def test_many_rows_need_no_pairwise_table(self):
         # 2^12 rows; successors are computed only for the rows a walk
         # reaches, never as a table over all pairs of rows (200 MiB here)
@@ -258,7 +265,86 @@ def all_offsets():
     return [(ox, oy) for ox in range(3) for oy in range(3)]
 
 
+def reference_lift(rs):
+    """The block lift written out bond by bond with one closure per side:
+    the reference lift_3x3's single bond rule is checked against."""
+    lifted = tuple(subtile(t, p) for t in rs.alphabet for p in rules.BLOCK_POSITIONS)
+    universe = set(lifted)
+    fh = set()
+    fv = set()
+
+    def only_right_of(left, allowed):
+        fh.update((left, z) for z in universe - set(allowed))
+
+    def only_left_of(right, allowed):
+        fh.update((z, right) for z in universe - set(allowed))
+
+    def only_above_of(below, allowed):
+        fv.update((below, z) for z in universe - set(allowed))
+
+    def only_below_of(above, allowed):
+        fv.update((z, above) for z in universe - set(allowed))
+
+    for m in rs.alphabet:
+        c, l, r = subtile(m, "c"), subtile(m, "l"), subtile(m, "r")
+        t, b = subtile(m, "t"), subtile(m, "b")
+        tl, tr, bl, br = (subtile(m, p) for p in ("tl", "tr", "bl", "br"))
+        only_above_of(c, {t})
+        only_below_of(t, {c})
+        only_below_of(c, {b})
+        only_above_of(b, {c})
+        only_left_of(c, {l})
+        only_right_of(l, {c})
+        only_right_of(c, {r})
+        only_left_of(r, {c})
+        only_left_of(t, {tl})
+        only_right_of(tl, {t})
+        only_right_of(t, {tr})
+        only_left_of(tr, {t})
+        only_left_of(b, {bl})
+        only_right_of(bl, {b})
+        only_right_of(b, {br})
+        only_left_of(br, {b})
+
+    left_types = {subtile(m, "l") for m in rs.alphabet}
+    right_types = {subtile(m, "r") for m in rs.alphabet}
+    top_types = {subtile(m, "t") for m in rs.alphabet}
+    bottom_types = {subtile(m, "b") for m in rs.alphabet}
+    for name in left_types:
+        only_left_of(name, right_types)
+    for name in right_types:
+        only_right_of(name, left_types)
+    for name in top_types:
+        only_above_of(name, bottom_types)
+    for name in bottom_types:
+        only_below_of(name, top_types)
+
+    for a, b2 in rs.forbidden_h:
+        fh.add((subtile(a, "r"), subtile(b2, "l")))
+    for a, b2 in rs.forbidden_v:
+        fv.add((subtile(a, "t"), subtile(b2, "b")))
+
+    return TileRuleSet(lifted, frozenset(fh), frozenset(fv), rs.boundary)
+
+
+def random_ruleset(rng):
+    names = tuple("abcd"[: rng.randint(1, 4)])
+    pairs = list(itertools.product(names, repeat=2))
+    return TileRuleSet(
+        names,
+        frozenset(p for p in pairs if rng.random() < 0.3),
+        frozenset(p for p in pairs if rng.random() < 0.3),
+        rng.choice(("periodic", "open")),
+    )
+
+
 class TestLift:
+    def test_matches_the_bond_by_bond_reference(self):
+        rng = random.Random(23)
+        cases = [open_bc_frame_ruleset(), MONO, AB] + [random_ruleset(rng) for _ in range(300)]
+        for rs in cases:
+            assert lift_3x3(rs) == reference_lift(rs)
+
     def test_single_tile_lift_count(self):
         lifted = lift_3x3(MONO)
         res = enumerate_valid(lifted, 3)

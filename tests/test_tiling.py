@@ -10,6 +10,7 @@ from rih.lattice import (
     OPEN,
     PERIODIC,
     LatticeSpec,
+    _local_groups,
     edge_index_array,
     edges,
     lattice_symmetry_permutations,
@@ -30,9 +31,15 @@ from rih.tiling import (
     has_turn,
     h1lb_bound,
     rule_violations,
-    same_color_loops,
     striped_witness,
 )
+
+
+def same_color_sizes(t, copy):
+    """Site counts of the groups of same-color edges, smallest site first."""
+    ei = edge_index_array(t.spec)
+    c = t.colors(copy)
+    return [k for _, k, _ in _local_groups(ei[c[ei[:, 0]] == c[ei[:, 1]]].tolist())]
 
 
 def random_tiling(spec, rng):
@@ -154,9 +161,7 @@ class TestWitness:
     def test_witness_loops_are_lines(self):
         spec = LatticeSpec(2, 6)
         t = striped_witness(spec)
-        loops = same_color_loops(t, 1)
-        assert len(loops) == 6
-        assert all(len(c) == 6 for c in loops)
+        assert same_color_sizes(t, 1) == [6] * 6
 
     def test_same_direction_copies_pay_coupling(self):
         # both copies striped along dimension 0: every same-color edge doubles up
@@ -187,9 +192,7 @@ class TestClassify:
         assert f.looped
         assert f.has_turn
         assert not f.uniformly_directed
-        loops = same_color_loops(t, 1)
-        assert len(loops) == 3
-        assert all(len(c) == 12 for c in loops)
+        assert same_color_sizes(t, 1) == [12] * 3
 
     def test_constant_color_not_looped(self):
         spec = LatticeSpec(2, 3)
