@@ -2,9 +2,10 @@
 
 Every matrix `rih` diagonalizes is small enough that a second BLAS thread
 does not pay, while an idle pool worker busy-waits between calls and burns a
-core.  The CLI therefore runs each command on one thread and puts the
-previous counts back when it returns; importing `rih` changes nothing, so a
-library caller keeps its own setting."""
+core.  The CLI therefore runs each command on one thread, and
+solver.ground_energy_search runs on one however it is called; each puts the
+previous counts back when it returns.  Importing `rih` changes nothing, so a
+library caller keeps its own setting everywhere else."""
 
 from __future__ import annotations
 

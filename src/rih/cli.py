@@ -34,7 +34,11 @@ KNOWN_ERRORS = (
     TrialBudgetError,
     solver.SolverConvergenceError,
     solver.BudgetExceeded,
+    # an input path that cannot be read as a file; the message names the path
     FileNotFoundError,
+    IsADirectoryError,
+    NotADirectoryError,
+    PermissionError,
 )
 
 

@@ -47,7 +47,14 @@ masks, and the per-copy number minimization is a vectorized sweep:
     pairs whose bound reaches the pair of row minima (4 of 8.5M on the 3x3
     torus).
 
-The joint embedded refinement of a non-separable plug stays per pattern.
+A plug that acts on both copies is not separable: the sweep's per-copy
+values bound each mask pair from below, and the pairs that can still win are
+refined with the joint embedded minimum lambda_min(H_h(p1) + H_v(p2)) of
+their pattern pairs.  That minimum too is the same for every lattice
+symmetry applied to both copies at once, so it is solved once per orbit of
+pattern pairs, on the orbit's lexicographically smallest image pair, and
+read by every pair of the orbit (8 solves for the 112 pairs that ring 7
+refines under the seed-1 random plug of the pinned random-plug reports).
 The tile, loop, pairing, copy-coupling, horizontal and vertical weights
 are read from hamiltonian.DEFAULT_COEFFICIENTS, the weights the term is
 built with.
@@ -85,6 +92,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
+from rih._blas import one_blas_thread
 from rih.hamiltonian import (
     DEFAULT_COEFFICIENTS,
     EPR_HALF_PROJECTOR,
@@ -111,8 +119,10 @@ from rih.tiling import (
 PAIR_PENALTY = DEFAULT_COEFFICIENTS["pairing"] * EPR_HALF_PROJECTOR  # one per demand
 
 DEFAULT_TOL = 1e-10
-# dense eigvalsh up to DENSE_CUTOFF, eigsh above: the crossover measured with
-# two OpenBLAS threads, not with the CLI's one
+# dense eigvalsh up to DENSE_CUTOFF, eigsh above: on a 2-core machine the
+# crossover lies between dimensions 128 and 256 with one OpenBLAS thread, as
+# with two (a ring of random d = 2 embedded terms); the CLI and
+# ground_energy_search run on one
 DENSE_CUTOFF = 2**7
 EXACT_PAIRING_CAP = 18  # slots of the largest pairing component solved exactly
 DIAG_CAP = 2**18  # largest embedded component or sector oracle diagonalized
@@ -769,6 +779,41 @@ def _generators(perms):
     return gens
 
 
+def _pattern_codes(steps):
+    """Base-3 code of each row of steps, first edge most significant, so that
+    sorted codes are lexicographically sorted patterns (the table cap gives
+    E <= 24, which fits in int64).  Built one column at a time, so no int64
+    copy of steps is made."""
+    codes = np.zeros(len(steps), dtype=np.int64)
+    for column in steps.T:
+        codes *= 3
+        codes += column
+    return codes
+
+
+def _pattern_images(nt, codes, perms, p):
+    """Pattern index of the image of pattern p under each row of perms.
+
+    The row g carries numbering x to the numbering with x[i] at site g[i],
+    whose step pattern is the image of x's.  A step pattern does not change
+    when a global shift is added to the numbering, so the image's base-3 code
+    (first edge most significant, as NumberingTable orders the patterns) is
+    looked up in codes, the ascending _pattern_codes of nt.patterns, without
+    first bringing site 0 back to 0."""
+    moved = np.empty(perms.shape, dtype=np.int64)
+    moved[np.arange(len(perms))[:, None], perms] = nt.digits[p]
+    steps = (moved[:, nt.edge_idx[:, 1]] - moved[:, nt.edge_idx[:, 0]]) % 3
+    return np.searchsorted(codes, _pattern_codes(steps))
+
+
+def _pair_key(nt, codes, perms, p1, p2):
+    """The orbit key of the pattern pair (p1, p2) under the symmetries in
+    perms applied to both copies at once: its lexicographically smallest
+    image pair (g.p1, g.p2), as pattern indices (see _pattern_images)."""
+    images = (_pattern_images(nt, codes, perms, p).tolist() for p in (p1, p2))
+    return min(zip(*images))
+
+
 def _pattern_demands(edge_idx, steps):
     """Pairing demands of a step pattern as slot numbers (see
     epr_min_energy), in edge order: a forward step on edge (a, b) asks slot
@@ -807,13 +852,7 @@ class NumberingTable:
         row_mask = np.zeros(P, dtype=np.uint64)
         for j in range(E):
             row_mask |= (steps[:, j] == 0).astype(np.uint64) << np.uint64(j)
-        # base-3 code of each row, first edge most significant, so that sorted
-        # codes are lexicographically sorted patterns (the cap gives E <= 24,
-        # which fits in int64)
-        weight = 3 ** np.arange(E - 1, -1, -1, dtype=np.int64)
-        row_codes = np.zeros(P, dtype=np.int64)
-        for j in range(E):
-            row_codes += weight[j] * steps[:, j]
+        row_codes = _pattern_codes(steps)
         order = np.argsort(row_codes)
         # each unsorted intermediate is dropped once read, so the build peaks
         # near the size of the tables it keeps
@@ -1105,6 +1144,7 @@ def _pair_sweep(values1, values2, masks):
     return float(val[0]), (int(rows[0]), int(cols[0]))
 
 
+@one_blas_thread()
 def ground_energy_search(spec, plug=None):
     """Exhaustive certified minimum of the summed term over all tile sectors.
 
@@ -1112,6 +1152,12 @@ def ground_energy_search(spec, plug=None):
     groups cover every sector exactly once, so the sweep is exhaustive even
     though nothing is enumerated site by site.  Feasible when 3^(sites) is
     enumerable; larger lattices raise BudgetExceeded.
+
+    A non-separable plug's joint refinement keys its joint embedded minima
+    by the orbit of the pattern pair (see the module docstring); the
+    embedded_refinements stat counts the distinct pattern pairs refined, not
+    the eigensolves, which number one per orbit met.  The search runs on one
+    OpenBLAS thread and gives the caller's thread counts back on return.
     """
     t0 = time.perf_counter()
     nt, ct = _tables(spec)
@@ -1153,15 +1199,23 @@ def ground_energy_search(spec, plug=None):
         # the separable sweep gives a certified lower bound per pair; refine
         # every pair whose bound undercuts the incumbent with joint embedded
         # solves until none remains
-        emb_cache = {}
+        # joint minima are solved once per orbit of pattern pairs, on the
+        # orbit's key (see _pair_key)
+        codes = _pattern_codes(nt.patterns)
+        perms = lattice_symmetry_permutations(spec)
+        orbit_key, emb_cache = {}, {}
 
         def joint_emb(p1, p2):
             nonlocal refinements
-            key = (int(p1), int(p2))
-            if key not in emb_cache:
+            pair = (int(p1), int(p2))
+            if pair not in orbit_key:
                 refinements += 1
-                emb_cache[key] = embedded_step_energy(spec, nt.patterns[p1], nt.patterns[p2], plug)
-            return emb_cache[key]
+                orbit_key[pair] = key = _pair_key(nt, codes, perms, *pair)
+                if key not in emb_cache:
+                    emb_cache[key] = embedded_step_energy(
+                        spec, nt.patterns[key[0]], nt.patterns[key[1]], plug
+                    )
+            return emb_cache[orbit_key[pair]]
 
         def joint_best(i, j, budget_val):
             """Exact min over numbering pairs in mask pair (i, j), with the

@@ -16,6 +16,21 @@ complex plug on the horizontal term alone (the separable sweep) and a real
 plug on both terms (the joint refinement).  Each case stores its plug's
 matrices, so the pinned reports do not depend on how the plugs were drawn.
 
+The joint refinement solves each joint embedded minimum once per symmetry
+orbit of pattern pairs, and every pair of the orbit reads the bits of the
+orbit's smallest pair; solved one by one, members of an orbit differ in
+their last bits.  When that change came in, four pins were regenerated, each
+only in its minimum and its argmin (another tiling of the same energy to
+within 7e-15):
+
+    random-hv-1, ring 5       9.540501409115022  ->  9.540501409115022  (0)
+    random-hv-3, ring 5       10.1068403511658   ->  10.106840351165802 (1.8e-15)
+    random-hv-1, ring 7       12.155990390401204 ->  12.155990390401215 (1.1e-14)
+    random-hv-2, open chain 6 6.994668641051881  ->  6.994668641051882  (8.9e-16)
+
+The searches run on one OpenBLAS thread, so the pins do not depend on the
+caller's thread count.
+
 Run from the repository root:
     python3 tests/fixtures/generate.py                       # sector fixtures
     python3 tests/fixtures/generate.py solve-reports         # solve reports

@@ -119,6 +119,23 @@ class TestBlasThreads:
         assert seen == [[1] * len(_openblas())]
         assert _blas_counts() == [2] * len(_openblas())
 
+    def test_search_runs_on_one_thread_and_restores(self, monkeypatch, two_blas_threads):
+        # a library call, outside any command
+        seen = []
+        pair_sweep = solver._pair_sweep
+
+        def recording(*args):
+            seen.append(_blas_counts())
+            return pair_sweep(*args)
+
+        monkeypatch.setattr(solver, "_pair_sweep", recording)
+        solver.ground_energy_search(LatticeSpec(1, 5))
+        assert seen and all(counts == [1] * len(_openblas()) for counts in seen)
+        assert _blas_counts() == [2] * len(_openblas())
+        with pytest.raises(solver.BudgetExceeded):
+            solver.ground_energy_search(LatticeSpec(2, 6))
+        assert _blas_counts() == [2] * len(_openblas())
+
     def test_import_changes_no_count_and_looks_nothing_up(self):
         if not _openblas():
             pytest.skip("no OpenBLAS pool found next to numpy or scipy")
@@ -333,6 +350,28 @@ class TestSiteCap:
         assert time.perf_counter() - start < 1.0
         cap = f"enumeration cap of {GRID_CELL_CAP} cells"
         assert err == f"error: 100000x100000 grid exceeds the {cap}\n"
+
+
+class TestPathErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "{dir}"],
+            ["tiles", "lift", "--rules", "{dir}"],
+            ["tiles", "enumerate", "--rules", "{dir}", "--n", "3"],
+            ["tiles", "check", "--rules", "{rules}", "--grid", "{dir}"],
+        ],
+        ids=["classify", "lift", "enumerate", "check"],
+    )
+    def test_directory_as_input_file_exits_2(self, capsys, tmp_path, argv):
+        rules = tmp_path / "mono.json"
+        rules.write_text(json.dumps({"alphabet": ["m"]}))
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        argv = [a.format(dir=folder, rules=rules) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: [Errno 21] Is a directory: '{folder}'\n"
 
 
 def _witness_json(**fields):

@@ -35,6 +35,20 @@ RANDOM_PLUG_REPORTS = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "random_plug_reports.json").read_text()
 )["cases"]
 
+RANDOM_PLUG_IDS = [
+    "{}-{r}d{n}{boundary:.1}".format(c["plug"]["name"], **c["spec"]) for c in RANDOM_PLUG_REPORTS
+]
+
+
+def _pinned_plug(case):
+    """The plug a random-plug report case stores."""
+    p = case["plug"]
+    h, v = (
+        np.array(p[k]["real"]) + 1j * np.array(p[k]["imag"]) for k in ("horizontal", "vertical")
+    )
+    return TranslationPlug(p["d"], h, v, p["name"])
+
+
 TORUS = LatticeSpec(2, 3, "periodic")
 OPEN3 = LatticeSpec(2, 3, "open")
 RING = LatticeSpec(1, 3, "periodic")
@@ -850,27 +864,21 @@ class TestGroundEnergySearch:
         with pytest.raises(solver.BudgetExceeded):
             solver.ground_energy_search(LatticeSpec(2, 6, "periodic"))
 
-    @pytest.mark.parametrize(
-        "case",
-        RANDOM_PLUG_REPORTS,
-        ids=[
-            "{}-{r}d{n}{boundary:.1}".format(c["plug"]["name"], **c["spec"])
-            for c in RANDOM_PLUG_REPORTS
-        ],
-    )
+    @pytest.mark.parametrize("case", RANDOM_PLUG_REPORTS, ids=RANDOM_PLUG_IDS)
     def test_random_plug_report_is_pinned(self, case):
         # the separable sweep of a complex plug and the joint refinement of a
         # real one, as tests/fixtures/random_plug_reports.json records them
-        p = case["plug"]
-        h, v = (
-            np.array(p[k]["real"]) + 1j * np.array(p[k]["imag"])
-            for k in ("horizontal", "vertical")
-        )
         spec = LatticeSpec.from_json_dict(case["spec"])
-        out = solver.ground_energy_search(spec, TranslationPlug(p["d"], h, v, p["name"]))
-        out = out.to_json_dict()
+        out = solver.ground_energy_search(spec, _pinned_plug(case)).to_json_dict()
         del out["stats"]["elapsed_seconds"]
         assert json.dumps(out, indent=1) == json.dumps(case["report"], indent=1)
+
+    @pytest.mark.parametrize("case", RANDOM_PLUG_REPORTS, ids=RANDOM_PLUG_IDS)
+    def test_pinned_minimum_is_the_pinned_argmin_energy(self, case):
+        # a regenerated pin whose two fields disagree fails here
+        argmin = Tiling.from_json_dict(case["report"]["argmin"])
+        total = solver.tile_sector_energy(argmin, _pinned_plug(case)).total
+        assert abs(total - case["report"]["minimum"]) <= 1e-12
 
 
 class TestCountingFloor:
@@ -1125,6 +1133,87 @@ class TestSymmetryOrbits:
                     if (rep, part) not in rep_value:
                         rep_value[rep, part] = energy(rep, part, plug)
                     assert energy(p, part, plug) == pytest.approx(rep_value[rep, part], abs=1e-9)
+
+
+def _joint_cases():
+    """(spec, plug) of every pinned joint random plug, and frustration_free on
+    the 3x3 torus."""
+    cases = [
+        (LatticeSpec.from_json_dict(c["spec"]), _pinned_plug(c))
+        for c in RANDOM_PLUG_REPORTS
+        if c["report"]["stats"]["embedded_refinements"]
+    ]
+    return cases + [(TORUS, toy_plugs()["frustration_free"])]
+
+
+JOINT_CASES = _joint_cases()
+
+
+def _spec_id(spec):
+    return f"{spec.r}d{spec.n}{spec.boundary[0]}"
+
+
+class TestJointOrbits:
+    @pytest.mark.parametrize(
+        "spec", [LatticeSpec(1, 7), LatticeSpec(1, 6, "open"), TORUS], ids=_spec_id
+    )
+    def test_images_of_a_pattern_are_its_orbit(self, spec):
+        nt, _ = solver._tables(spec)
+        codes = solver._pattern_codes(nt.patterns)
+        assert (np.diff(codes) > 0).all()
+        perms = lattice_symmetry_permutations(spec)
+        sizes = np.bincount(nt.orbit_of)
+        for p in range(len(nt.patterns)):
+            images = set(solver._pattern_images(nt, codes, perms, p).tolist())
+            assert p in images
+            assert all(nt.orbit_of[q] == nt.orbit_of[p] for q in images)
+            assert len(images) == sizes[nt.orbit_of[p]]
+
+    @pytest.mark.parametrize(
+        "spec,plug", JOINT_CASES, ids=[f"{p.name}-{_spec_id(s)}" for s, p in JOINT_CASES]
+    )
+    def test_each_refined_pair_has_its_key_value(self, monkeypatch, spec, plug):
+        keys = {}
+        pair_key = solver._pair_key
+
+        def recording(nt, codes, perms, p1, p2):
+            keys[p1, p2] = key = pair_key(nt, codes, perms, p1, p2)
+            return key
+
+        monkeypatch.setattr(solver, "_pair_key", recording)
+        rep = solver.ground_energy_search(spec, plug)
+        assert len(keys) == rep.stats["embedded_refinements"] > 0
+        nt, _ = solver._tables(spec)
+        codes = solver._pattern_codes(nt.patterns)
+        perms = lattice_symmetry_permutations(spec)
+
+        def energy(p1, p2):
+            return solver.embedded_step_energy(spec, nt.patterns[p1], nt.patterns[p2], plug)
+
+        for (p1, p2), key in keys.items():
+            images = zip(*(solver._pattern_images(nt, codes, perms, p) for p in (p1, p2)))
+            assert key == min((int(a), int(b)) for a, b in images)
+            assert abs(energy(p1, p2) - energy(*key)) <= 1e-12
+
+    def test_ring_seven_solves_one_joint_minimum_per_orbit(self, monkeypatch):
+        (case,) = (
+            c
+            for c, name in zip(RANDOM_PLUG_REPORTS, RANDOM_PLUG_IDS)
+            if name == "random-hv-1-1d7p"
+        )
+        joint = []
+        direct = solver.embedded_step_energy
+
+        def counting(spec, steps1, steps2, plug):
+            if np.count_nonzero(steps1) and np.count_nonzero(steps2):
+                joint.append((steps1.tobytes(), steps2.tobytes()))
+            return direct(spec, steps1, steps2, plug)
+
+        monkeypatch.setattr(solver, "embedded_step_energy", counting)
+        rep = solver.ground_energy_search(LatticeSpec(1, 7), _pinned_plug(case))
+        assert rep.stats["embedded_refinements"] == 112
+        assert len(joint) <= 8
+        assert len(set(joint)) == len(joint)
 
 
 def _reference_tables(spec):
