@@ -17,13 +17,12 @@ from rih.instance import (
     reduction,
     verify_claims,
 )
-from rih.lattice import LatticeSpec, coord_diff_count, edges, lee_distance, neighbors
+from rih.lattice import LatticeSpec, coord_diff_count, edges, neighbors
 from rih.rules import (
     GridTiling,
     TileRuleSet,
     check_tiling,
     decode_lifted,
-    encode_lifted,
     enumerate_valid,
     lift_3x3,
     open_bc_frame_ruleset,
@@ -40,7 +39,6 @@ from rih.tiling import (
     classical_energy,
     classify,
     epr_demand_graph,
-    h1lb_bound,
     rule_violations,
     striped_witness,
 )
@@ -49,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LatticeSpec",
-    "lee_distance",
     "neighbors",
     "edges",
     "coord_diff_count",
@@ -60,7 +57,6 @@ __all__ = [
     "epr_demand_graph",
     "rule_violations",
     "classical_energy",
-    "h1lb_bound",
     "TwoBodyTerm",
     "build_site_term",
     "toy_plugs",
@@ -76,7 +72,6 @@ __all__ = [
     "enumerate_valid",
     "lift_3x3",
     "decode_lifted",
-    "encode_lifted",
     "open_bc_frame_ruleset",
     "InstanceEncoding",
     "DecisionSpec",

@@ -134,10 +134,6 @@ class InstanceEncoding:
     def to_json_dict(self):
         return {"x": self.x, "p": self.p, "n": self.n}
 
-    @classmethod
-    def from_json_dict(cls, obj):
-        return cls(x=obj["x"], p=obj["p"], n=obj["n"])
-
 
 def f_search(x, seed=0, max_trials=DEFAULT_TRIAL_BUDGET):
     """Randomized search for a prime p whose top third of bits equals x.
@@ -172,19 +168,17 @@ def poly_eval(coeffs, n):
 @dataclass(frozen=True)
 class DecisionSpec:
     """One decision configuration: dimension, interaction choice, and the
-    two threshold polynomials, plus the witness-quality polynomial used when
-    reporting how tight the satisfiable side is."""
+    two threshold polynomials."""
 
     r: int
     plug: str
     p_coeffs: tuple
     q_coeffs: tuple
-    g_coeffs: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("dimension must be positive")
-        for name in ("p_coeffs", "q_coeffs", "g_coeffs"):
+        for name in ("p_coeffs", "q_coeffs"):
             object.__setattr__(
                 self, name, tuple(float(c) for c in getattr(self, name))
             )
@@ -196,9 +190,6 @@ class DecisionSpec:
 
     def q_of(self, n):
         return poly_eval(self.q_coeffs, n)
-
-    def g_of(self, n):
-        return poly_eval(self.g_coeffs, n)
 
     def decide(self, report):
         """Resolve the promise problem for a certified search report of this
@@ -229,35 +220,11 @@ class DecisionSpec:
         report.decision = decision
         return report
 
-    def completeness_bound(self, n):
-        """Satisfiable-side energy target: the witness value plus the
-        residual allowed by the witness-quality polynomial."""
-        return 4.0 * n**self.r * (self.r - 1) + 1.0 / self.g_of(n)
-
     @classmethod
-    def main_configuration(cls, r, plug="zero", g_coeffs=(0.0, 0.0, 1.0)):
+    def main_configuration(cls, r, plug="zero"):
         # unit promise gap denominator: q(n) = 1
         p_coeffs = (0.0,) * r + (4.0 * (r - 1),)
-        return cls(r=r, plug=plug, p_coeffs=p_coeffs, q_coeffs=(1.0,), g_coeffs=g_coeffs)
-
-    def to_json_dict(self):
-        return {
-            "r": self.r,
-            "plug": self.plug,
-            "p_coeffs": list(self.p_coeffs),
-            "q_coeffs": list(self.q_coeffs),
-            "g_coeffs": list(self.g_coeffs),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj):
-        return cls(
-            r=obj["r"],
-            plug=obj["plug"],
-            p_coeffs=tuple(obj["p_coeffs"]),
-            q_coeffs=tuple(obj["q_coeffs"]),
-            g_coeffs=tuple(obj.get("g_coeffs", (0.0, 0.0, 1.0))),
-        )
+        return cls(r=r, plug=plug, p_coeffs=p_coeffs, q_coeffs=(1.0,))
 
 
 def resolve_plug(plug):

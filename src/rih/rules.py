@@ -21,6 +21,7 @@ RULESET_SCHEMA = "tile-rules/1"
 GRID_SCHEMA = "grid-tiling/1"
 ALPHABET_CAP = 64
 ROW_CAP = 2_000_000
+GRID_WALK_CAP = 2**17  # most grids one enumeration walks, as GRID_CELL_CAP
 GRID_CELL_CAP = 2**17  # most cells of one enumerated grid, as tiling.MAX_SITES
 
 BLOCK_POSITIONS = ("c", "l", "r", "t", "b", "tl", "tr", "bl", "br")
@@ -232,7 +233,8 @@ def enumerate_valid(rs, n, limit=None, require_present=None):
     through the vertical rules; a row's successors are computed the first
     time a walk reaches it.  With wrap, both walks close.  A limit
     truncates the output and sets the flag; require_present keeps only
-    tilings containing every listed tile."""
+    tilings containing every listed tile.  Walking more than GRID_WALK_CAP
+    grids, kept or not, is refused."""
     if n < 1:
         raise RuleSetError("grid side must be positive")
     if n * n > GRID_CELL_CAP:
@@ -258,7 +260,16 @@ def enumerate_valid(rs, n, limit=None, require_present=None):
 
     names = rs.alphabet
     tilings = []
-    for walk in _walks(n, range(len(rows)), row_successors, wrap):
+    # closed here, not in _walks, so that the cap counts the walks that fail
+    # to close as well
+    for walked, walk in enumerate(_walks(n, range(len(rows)), row_successors, False), 1):
+        if walked > GRID_WALK_CAP:
+            raise RuleSetError(
+                f"enumeration walked past the cap of {GRID_WALK_CAP} grids; "
+                "--limit stops it at fewer tilings"
+            )
+        if wrap and walk[0] not in row_successors(walk[-1]):
+            continue
         grid = tuple(tuple(names[t] for t in rows[i]) for i in walk)
         if required and not required <= {t for row in grid for t in row}:
             continue
@@ -369,22 +380,6 @@ def decode_lifted(g, original_alphabet):
             row.append(m)
         rows.append(tuple(row))
     return GridTiling(n, tuple(rows)), (ox, oy)
-
-
-def encode_lifted(g, offset=(1, 1)):
-    """Inverse of decode_lifted for a chosen block offset."""
-    ox, oy = offset
-    if not (0 <= ox < 3 and 0 <= oy < 3):
-        raise RuleSetError("offset components must be in 0..2")
-    n3 = 3 * g.n
-    rows = [[None] * n3 for _ in range(n3)]
-    for j in range(g.n):
-        for i in range(g.n):
-            m = g.rows[j][i]
-            cx, cy = ox + 3 * i, oy + 3 * j
-            for p, (dx, dy) in _BLOCK_OFFSETS.items():
-                rows[(cy + dy) % n3][(cx + dx) % n3] = subtile(m, p)
-    return GridTiling(n3, tuple(tuple(r) for r in rows))
 
 
 LEFT_BC = "left_bc"

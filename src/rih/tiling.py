@@ -62,12 +62,13 @@ class Tiling:
             ("colors2", colors2),
             ("numbers2", numbers2),
         ):
-            a = np.asarray(a, dtype=np.int8)
+            # range before narrowing: 128 would not fit in int8
+            a = np.asarray(a)
             if a.shape != (N,):
                 raise ValueError(f"{name} must have shape ({N},), got {a.shape}")
             if a.min() < 0 or a.max() > 2:
                 raise ValueError(f"{name} entries must lie in 0..2")
-            arrays.append(a.copy())
+            arrays.append(a.astype(np.int8))
         self.colors1, self.numbers1, self.colors2, self.numbers2 = arrays
 
     def colors(self, copy):
@@ -383,12 +384,3 @@ def counting_floor(num_edges, deg):
     counting floor of a copy with same-color degrees deg on num_edges edges."""
     return 2 * num_edges - deg.sum(axis=-1) + 4 * (deg // 3).sum(axis=-1)
 
-
-def h1lb_bound(t, copy):
-    """Counting lower bound on one copy's classical-plus-pairing energy.
-
-    2*|edges| - sum_u n_u + 4 * sum_u floor(n_u / 3), with n_u the same-color
-    degree.  On a periodic lattice |edges| = r * n^r, recovering the closed
-    form 2 n^r r - sum n_u + 4 sum floor(n_u/3).
-    """
-    return int(counting_floor(len(edge_index_array(t.spec)), _same_color_degrees(t, copy)))

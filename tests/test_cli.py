@@ -17,7 +17,12 @@ from rih.cli import main
 from rih.hamiltonian import toy_plugs
 from rih.instance import reduction
 from rih.lattice import LatticeSpec
-from rih.rules import GRID_CELL_CAP, frame_configuration, open_bc_frame_ruleset
+from rih.rules import (
+    GRID_CELL_CAP,
+    GRID_WALK_CAP,
+    frame_configuration,
+    open_bc_frame_ruleset,
+)
 from rih.tiling import MAX_SITES, Tiling, striped_witness
 
 
@@ -352,6 +357,46 @@ class TestSiteCap:
         assert err == f"error: 100000x100000 grid exceeds the {cap}\n"
 
 
+class TestGridWalkCap:
+    # two tiles and no prohibitions: 2^(n*n) grids
+    FREE2 = {"alphabet": ["a", "b"]}
+    # c may sit beside nothing, so no row holds it
+    NEVER_C = {
+        "alphabet": ["a", "b", "c"],
+        "forbidden_h": [["c", "c"], ["a", "c"], ["c", "a"], ["b", "c"], ["c", "b"]],
+    }
+    ERROR = (
+        f"error: enumeration walked past the cap of {GRID_WALK_CAP} grids; "
+        "--limit stops it at fewer tilings\n"
+    )
+
+    def enumerate(self, capsys, tmp_path, rules, *argv):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(rules))
+        return run(capsys, "tiles", "enumerate", "--rules", str(path), *argv)
+
+    def test_walk_past_the_cap_is_refused(self, capsys, tmp_path):
+        start = time.perf_counter()
+        code, out, err = self.enumerate(capsys, tmp_path, self.FREE2, "--n", "5")
+        assert time.perf_counter() - start < 3.0
+        assert (code, out, err) == (2, "", self.ERROR)
+
+    def test_limit_stops_before_the_cap(self, capsys, tmp_path):
+        code, out, _ = self.enumerate(capsys, tmp_path, self.FREE2, "--n", "5", "--limit", "10")
+        report = json.loads(out)
+        assert code == 0 and report["count"] == 10 and report["truncated"] is True
+
+    def test_every_grid_under_the_cap_is_listed(self, capsys, tmp_path):
+        code, out, _ = self.enumerate(capsys, tmp_path, self.FREE2, "--n", "4")
+        report = json.loads(out)
+        assert code == 0 and report["count"] == 2**16 and report["truncated"] is False
+
+    def test_unplaceable_requirement_is_refused(self, capsys, tmp_path):
+        argv = ("--n", "5", "--require", "c", "--limit", "1")
+        code, out, err = self.enumerate(capsys, tmp_path, self.NEVER_C, *argv)
+        assert (code, out, err) == (2, "", self.ERROR)
+
+
 class TestPathErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -416,12 +461,38 @@ class TestWrongShapeJson:
                 "lattice spec fields 'r' and 'n' must be integers",
             ),
             (
+                _witness_json(spec={"r": 2, "n": 3.7, "boundary": "periodic"}),
+                "lattice spec fields 'r' and 'n' must be integers",
+            ),
+            (
+                _witness_json(spec={"r": True, "n": 3, "boundary": "periodic"}),
+                "lattice spec fields 'r' and 'n' must be integers",
+            ),
+            (
+                _witness_json(spec={"r": 2, "n": "3", "boundary": "periodic"}),
+                "lattice spec fields 'r' and 'n' must be integers",
+            ),
+            (
                 _witness_json(copies=[[0, 1, 2]]),
                 "each tiling copy must be a list of [color, number] integer pairs",
             ),
             (_witness_json(copies={}), "tiling JSON must carry one or two copies"),
+            (
+                _witness_json(copies=[[[128, 0]] + [[0, 0]] * 8]),
+                "colors1 entries must lie in 0..2",
+            ),
         ],
-        ids=["list", "spec-list", "spec-r", "bare-ints", "copies-object"],
+        ids=[
+            "list",
+            "spec-list",
+            "spec-r",
+            "spec-n-float",
+            "spec-r-bool",
+            "spec-n-string",
+            "bare-ints",
+            "copies-object",
+            "color-128",
+        ],
     )
     def test_classify(self, capsys, tmp_path, obj, message):
         path = tmp_path / "t.json"

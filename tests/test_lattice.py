@@ -11,10 +11,19 @@ from rih.lattice import (
     edge_index_array,
     edges,
     lattice_symmetry_permutations,
-    lee_distance,
     neighbor_index_array,
     neighbors,
 )
+
+
+def lee_distance(x, y, spec):
+    """Distance between two sites: wraparound per coordinate if periodic.
+    The geometry reference the neighbor, edge and metric tests check against."""
+    spec.check_site(x)
+    spec.check_site(y)
+    if spec.periodic:
+        return sum(min(abs(a - b), spec.n - abs(a - b)) for a, b in zip(x, y))
+    return sum(abs(a - b) for a, b in zip(x, y))
 
 
 def test_spec_validation():

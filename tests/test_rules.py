@@ -21,7 +21,6 @@ from rih.rules import (
     TileRuleSet,
     check_tiling,
     decode_lifted,
-    encode_lifted,
     enumerate_valid,
     frame_configuration,
     lift_3x3,
@@ -36,6 +35,27 @@ MONO = TileRuleSet(("m",), frozenset(), frozenset())
 # oriented on purpose: b left of a stays legal
 AB = TileRuleSet(("a", "b"), frozenset({("a", "b")}), frozenset())
 FREE2 = TileRuleSet(("a", "b"), frozenset(), frozenset())
+
+
+# each block position as (dx, dy) from its center, +y up
+BLOCK_OFFSETS = {
+    "c": (0, 0), "l": (-1, 0), "r": (1, 0), "t": (0, 1), "b": (0, -1),
+    "tl": (-1, 1), "tr": (1, 1), "bl": (-1, -1), "br": (1, -1),
+}
+
+
+def encode_lifted(g, offset=(1, 1)):
+    """The lifted grid of g with its block centers at offset: the reference
+    inverse of decode_lifted."""
+    ox, oy = offset
+    n3 = 3 * g.n
+    rows = [[None] * n3 for _ in range(n3)]
+    for j in range(g.n):
+        for i in range(g.n):
+            cx, cy = ox + 3 * i, oy + 3 * j
+            for p, (dx, dy) in BLOCK_OFFSETS.items():
+                rows[(cy + dy) % n3][(cx + dx) % n3] = subtile(g.rows[j][i], p)
+    return GridTiling(n3, tuple(map(tuple, rows)))
 
 
 def brute_force_valid(rs, n):
@@ -213,6 +233,16 @@ class TestEnumerateValid:
                 enumerate_valid(FREE2, 4)
         else:
             assert enumerate_valid(FREE2, 4).valid_rows == 16
+
+    @pytest.mark.parametrize("cap,fails", [(16, False), (15, True)])
+    def test_grid_walk_cap_is_exact(self, monkeypatch, cap, fails):
+        # FREE2 has 2^4 = 16 grids of side 2
+        monkeypatch.setattr(rules, "GRID_WALK_CAP", cap)
+        if fails:
+            with pytest.raises(RuleSetError, match="walked past the cap of 15 grids"):
+                enumerate_valid(FREE2, 2)
+        else:
+            assert len(enumerate_valid(FREE2, 2)) == 16
 
     def test_grid_cell_cap_is_inclusive(self):
         side = math.isqrt(rules.GRID_CELL_CAP)

@@ -2,8 +2,10 @@
 stay independent of the paths they check.
 
 Every top-level function and class under src/rih must be referenced somewhere
-in the package outside its own definition, be exported in rih.__all__, or be
-one of the named test-only reference implementations below.  No oracle may
+in the package outside its own definition and outside __init__.py, or be
+named below: a test-only reference implementation, or an export whose caller
+is still to come.  Importing a name into rih.__init__ does not count as a use,
+so nothing stays in the package only because it is exported.  No oracle may
 mention a checked path, and no definition but the oracles themselves and
 acceptance.crit_oracle_agreement may mention an oracle.
 """
@@ -22,6 +24,10 @@ TEST_ONLY_ORACLES = (
     "solver.full_space_oracle",
     "hamiltonian.build_single_copy_term",
 )
+
+# exports that no command, criterion or other module reaches yet, each with
+# the change that gives it one
+EXPORTS_AWAITING_A_CALLER = {"instance.DecisionSpec": "ROADMAP item 6: rih decide"}
 
 # every oracle, and the one definition outside them allowed to call one
 ORACLES = TEST_ONLY_ORACLES + (
@@ -78,12 +84,14 @@ def _definitions(trees):
 
 
 def unreferenced(src=SRC):
-    """module.name of each top-level definition nothing else in src mentions."""
+    """module.name of each top-level definition nothing else in src mentions;
+    a mention in __init__.py is an export, not a use."""
     trees = _trees(src)
+    users = [t for module, t in trees.items() if module != "__init__"]
     return [
         name
         for name, d in _definitions(trees)
-        if not any(d.name in _names(t, skip=d) for t in trees.values())
+        if not any(d.name in _names(t, skip=d) for t in users)
     ]
 
 
@@ -108,12 +116,15 @@ def test_oracles_are_defined_and_otherwise_unused():
 
 
 def test_every_definition_is_used_exported_or_an_oracle():
-    dead = [
-        n
-        for n in unreferenced()
-        if n not in TEST_ONLY_ORACLES and n.split(".")[1] not in rih.__all__
-    ]
-    assert dead == []
+    # an export counts as used only when it is listed as awaiting its caller
+    listed = set(TEST_ONLY_ORACLES) | set(EXPORTS_AWAITING_A_CALLER)
+    assert [n for n in unreferenced() if n not in listed] == []
+
+
+def test_exports_awaiting_a_caller_are_exported_and_unreached():
+    # a stale entry would exempt a name that is gone, unexported or used
+    assert set(EXPORTS_AWAITING_A_CALLER) <= set(unreferenced())
+    assert {n.split(".")[1] for n in EXPORTS_AWAITING_A_CALLER} <= set(rih.__all__)
 
 
 def test_oracles_stay_independent_of_the_checked_paths():
@@ -142,3 +153,12 @@ def test_the_guard_sees_an_unused_helper(tmp_path):
     )
     (tmp_path / "b.py").write_text("from a import used\n\nclass Kept:\n    x = used()\n")
     assert unreferenced(tmp_path) == ["a.recursive", "b.Kept"]
+
+
+def test_the_guard_does_not_count_an_export_as_a_use(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "from a import exported, used\n\n__all__ = ['exported', 'used']\n"
+    )
+    (tmp_path / "a.py").write_text("def exported():\n    return 1\n\n\ndef used():\n    return 2\n")
+    (tmp_path / "b.py").write_text("from a import used\n\nVALUE = used()\n")
+    assert unreferenced(tmp_path) == ["a.exported"]

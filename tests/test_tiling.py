@@ -27,12 +27,17 @@ from rih.tiling import (
     classical_energy,
     _same_color_degrees,
     classify,
+    counting_floor,
     epr_demand_graph,
     has_turn,
-    h1lb_bound,
     rule_violations,
     striped_witness,
 )
+
+
+def h1lb(t, copy):
+    """The counting floor of one copy of t, as c04 reaches it."""
+    return int(counting_floor(len(edge_index_array(t.spec)), _same_color_degrees(t, copy)))
 
 
 def same_color_sizes(t, copy):
@@ -315,7 +320,7 @@ class TestDemandGraph:
                 assert all(type(d.tail.site) is int for d in got.demands)
             deg = reference_same_color_degrees(t, 1)
             want_bound = 2 * len(edges(spec)) - sum(deg) + 4 * sum(n // 3 for n in deg)
-            assert h1lb_bound(t, 1) == want_bound
+            assert h1lb(t, 1) == want_bound
 
     def test_ring_cycle_demands(self):
         # numbers 0,1,2 around a 3-ring: three demands, every slot used once
@@ -383,14 +388,14 @@ class TestDemandGraph:
 class TestEnergyBounds:
     def test_h1lb_witness(self):
         t = striped_witness(LatticeSpec(2, 3))
-        assert h1lb_bound(t, 1) == 18
-        assert h1lb_bound(t, 2) == 18
+        assert h1lb(t, 1) == 18
+        assert h1lb(t, 2) == 18
 
     def test_h1lb_constant_color(self):
         spec = LatticeSpec(2, 3)
         t = Tiling(spec, np.zeros(9, dtype=np.int8), np.zeros(9, dtype=np.int8))
         # degree 4 everywhere: 36 - 36 + 4*9
-        assert h1lb_bound(t, 1) == 36
+        assert h1lb(t, 1) == 36
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -399,7 +404,7 @@ class TestEnergyBounds:
         t = random_tiling(spec, np.random.default_rng(seed))
         deg = np.array(reference_same_color_degrees(t, 1))
         closed = 2 * spec.n**spec.r * spec.r - int(deg.sum()) + 4 * int((deg // 3).sum())
-        assert h1lb_bound(t, 1) == closed
+        assert h1lb(t, 1) == closed
 
     def test_classical_energy_breakdown(self):
         spec = LatticeSpec(1, 3)
