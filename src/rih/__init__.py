@@ -17,7 +17,7 @@ from rih.instance import (
     reduction,
     verify_claims,
 )
-from rih.lattice import LatticeSpec, coord_diff_count, edges, neighbors
+from rih.lattice import LatticeSpec, edges
 from rih.rules import (
     GridTiling,
     TileRuleSet,
@@ -47,9 +47,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LatticeSpec",
-    "neighbors",
     "edges",
-    "coord_diff_count",
     "Tiling",
     "ClassificationFlags",
     "classify",

@@ -28,7 +28,7 @@ from rih.hamiltonian import (
     toy_plugs,
 )
 from rih.instance import f_search, is_probable_prime
-from rih.lattice import LatticeSpec, _local_groups, lattice_symmetry_permutations
+from rih.lattice import LatticeSpec, _local_groups, coordinates, lattice_symmetry_permutations
 from rih.rules import (
     BLANK,
     BOTTOM_BC,
@@ -134,20 +134,18 @@ def _witness_line_ends_free(t):
         deg = g.slot_degrees()
         if g.rule_conflicts or any(v > 1 for v in deg.values()):
             return False
-        axes = set()
-        for d in g.demands:
-            u = spec.index_site(d.tail.site)
-            v = spec.index_site(d.head.site)
-            axes.add(next(i for i in range(spec.r) if u[i] != v[i]))
+        coords = coordinates(spec)
+        tails = coords[[d.tail.site for d in g.demands]]
+        heads = coords[[d.head.site for d in g.demands]]
+        axes = set(np.argmax(tails != heads, axis=1).tolist())
         if len(axes) != 1:
             return False
         (axis,) = axes
-        expected_free = set()
-        for idx, site in enumerate(spec.sites()):
-            if site[axis] == 0:
-                expected_free.add(Slot(idx, copy, 1))
-            if site[axis] == spec.n - 1:
-                expected_free.add(Slot(idx, copy, 2))
+        expected_free = {
+            Slot(idx, copy, port)
+            for port, end in ((1, 0), (2, spec.n - 1))
+            for idx in np.flatnonzero(coords[:, axis] == end).tolist()
+        }
         every = {
             Slot(i, copy, p) for i in range(spec.num_sites) for p in (1, 2)
         }

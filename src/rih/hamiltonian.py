@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from rih.lattice import edges
+from rih.lattice import edge_index_array
 
 DEFAULT_COEFFICIENTS = {
     "tile": 8.0,
@@ -97,23 +97,15 @@ def single_copy_layout():
     return FactorLayout(dims=(3, 3, 2, 2), num_tile_factors=2)
 
 
-def _strides(dims):
-    s = [1] * len(dims)
-    for i in range(len(dims) - 2, -1, -1):
-        s[i] = s[i + 1] * dims[i + 1]
-    return s
-
-
-@functools.lru_cache(maxsize=512)
-def _rest_offsets(dims, positions):
-    """Flat offsets contributed by every joint setting of the factors NOT in
-    positions, for the mixed-radix space with the given dims."""
-    strides = _strides(dims)
+@functools.lru_cache(maxsize=1024)
+def _offsets(dims, positions):
+    """Flat offsets, in the mixed-radix space with the given dims, of every
+    joint setting of the factors at positions, the first listed most
+    significant; read-only."""
     out = np.zeros(1, dtype=np.int64)
-    for p in range(len(dims)):
-        if p in positions:
-            continue
-        out = np.add.outer(out, np.arange(dims[p], dtype=np.int64) * strides[p]).ravel()
+    for p in positions:
+        stride = math.prod(dims[p + 1 :])
+        out = np.add.outer(out, np.arange(dims[p], dtype=np.int64) * stride).ravel()
     out.setflags(write=False)
     return out
 
@@ -136,23 +128,11 @@ def embed_operator(entries, positions, dims):
     dims = tuple(dims)
     positions = tuple(positions)
     srows, scols, svals = entries
-    srows = np.asarray(srows, dtype=np.int64)
-    scols = np.asarray(scols, dtype=np.int64)
-    svals = np.asarray(svals)
-    strides = _strides(dims)
-
-    def offsets(idx):
-        off = np.zeros(len(idx), dtype=np.int64)
-        rem = idx.copy()
-        for p in reversed(positions):
-            rem, digit = np.divmod(rem, dims[p])
-            off += digit * strides[p]
-        return off
-
-    rest = _rest_offsets(dims, positions)
-    rows = (offsets(srows)[:, None] + rest[None, :]).ravel()
-    cols = (offsets(scols)[:, None] + rest[None, :]).ravel()
-    vals = np.repeat(svals, len(rest))
+    own = _offsets(dims, positions)
+    rest = _offsets(dims, tuple(p for p in range(len(dims)) if p not in positions))
+    rows = (own[np.asarray(srows, dtype=np.int64)][:, None] + rest[None, :]).ravel()
+    cols = (own[np.asarray(scols, dtype=np.int64)][:, None] + rest[None, :]).ravel()
+    vals = np.repeat(np.asarray(svals), len(rest))
     return rows, cols, vals
 
 
@@ -665,10 +645,8 @@ def global_hamiltonian(spec, term):
     M = term.matrix().tocoo()
     dims = (s,) * N
     rows, cols, vals = [], [], []
-    for u, v in edges(spec):
-        r, c, x = embed_operator(
-            (M.row, M.col, M.data), (spec.site_index(u), spec.site_index(v)), dims
-        )
+    for a, b in edge_index_array(spec).tolist():
+        r, c, x = embed_operator((M.row, M.col, M.data), (a, b), dims)
         rows.append(r)
         cols.append(c)
         vals.append(x)

@@ -2,7 +2,8 @@
 
 Sites are plain tuples of ``r`` integers in ``[0, n)``.  Everything downstream
 (site order, edge order, serialization) keys off the lexicographic site order,
-so that order is fixed here once and never revisited.
+so that order is fixed here once, in the coordinates table, and every other
+table is built from it.
 """
 
 from __future__ import annotations
@@ -45,30 +46,7 @@ class LatticeSpec:
 
     def sites(self):
         """All sites as tuples, in lexicographic order."""
-        return list(itertools.product(range(self.n), repeat=self.r))
-
-    def site_index(self, u):
-        """Lexicographic rank of a site; the first coordinate is most significant."""
-        self.check_site(u)
-        idx = 0
-        for c in u:
-            idx = idx * self.n + c
-        return idx
-
-    def index_site(self, idx):
-        if not 0 <= idx < self.num_sites:
-            raise ValueError(f"site index {idx} out of range for {self}")
-        coords = []
-        for _ in range(self.r):
-            coords.append(idx % self.n)
-            idx //= self.n
-        return tuple(reversed(coords))
-
-    def check_site(self, u):
-        if len(u) != self.r:
-            raise ValueError(f"site {u} has {len(u)} coordinates, expected {self.r}")
-        if any(not 0 <= c < self.n for c in u):
-            raise ValueError(f"site {u} has coordinates outside [0, {self.n})")
+        return [tuple(u) for u in coordinates(self).tolist()]
 
     def to_json_dict(self):
         return {"r": self.r, "n": self.n, "boundary": self.boundary}
@@ -89,61 +67,75 @@ class LatticeSpec:
         return cls(r=r, n=n, boundary=boundary)
 
 
-def coord_diff_count(u, w):
-    """Number of coordinates in which two sites differ."""
-    if len(u) != len(w):
-        raise ValueError(f"sites {u} and {w} have different dimensions")
-    return sum(1 for a, b in zip(u, w) if a != b)
+@functools.lru_cache(maxsize=None)
+def coordinates(spec):
+    """The sites as an (N, r) int array in lexicographic order: row i holds
+    the coordinates of site i, the first coordinate most significant, so
+    that coords @ _place_values(spec) gives back the site indices.
 
-
-def neighbors(u, spec):
-    """Distance-1 sites of u, in (dimension, +then-) order.
-
-    Periodic sites always have exactly 2r neighbors; open-boundary sites lose
-    the out-of-range ones.
+    Every other lattice table is built from this one.  Built once per spec
+    and shared by every caller, so the array is read-only.
     """
-    spec.check_site(u)
-    out = []
-    for i in range(spec.r):
-        for step in (1, -1):
-            c = u[i] + step
-            if spec.periodic:
-                c %= spec.n
-            elif not 0 <= c < spec.n:
-                continue
-            out.append(u[:i] + (c,) + u[i + 1 :])
+    idx = np.arange(spec.num_sites, dtype=np.int64)
+    out = idx[:, None] // _place_values(spec) % spec.n
+    out.setflags(write=False)
     return out
 
 
+def _place_values(spec):
+    """n^(r-1-i) for each coordinate i: a site's index is the dot product
+    of its coordinates with these."""
+    return spec.n ** np.arange(spec.r - 1, -1, -1, dtype=np.int64)
+
+
+def _shifted(spec, axis, step):
+    """For every site u, the index of u + step*e_axis and whether that site
+    exists (always, around a periodic lattice)."""
+    c = coordinates(spec)[:, axis]
+    moved = c + step
+    inside = np.full(len(c), True) if spec.periodic else (moved >= 0) & (moved < spec.n)
+    jump = (moved % spec.n - c) * _place_values(spec)[axis]
+    return np.arange(spec.num_sites) + jump, inside
+
+
 def edges(spec):
-    """All unordered nearest-neighbor pairs, each once.
+    """All unordered nearest-neighbor pairs, each once, as pairs of
+    coordinate tuples.
 
     Ordered lexicographically by (smaller endpoint, larger endpoint).  Periodic
     count is r*n^r; open count is r*n^(r-1)*(n-1).
     """
-    out = []
-    for u in spec.sites():
-        for i in range(spec.r):
-            c = u[i] + 1
-            if c >= spec.n:
-                if not spec.periodic:
-                    continue
-                c %= spec.n
-            v = u[:i] + (c,) + u[i + 1 :]
-            out.append((u, v) if u <= v else (v, u))
-    out.sort()
-    return out
+    sites = spec.sites()
+    return [(sites[a], sites[b]) for a, b in edge_index_array(spec).tolist()]
 
 
 @functools.lru_cache(maxsize=None)
 def edge_index_array(spec):
-    """Edges as an (E, 2) int array of lexicographic site indices.
+    """Edges as an (E, 2) int array of lexicographic site indices, smaller
+    index first, in lexicographic row order: each site's +1 step along each
+    axis, where it exists.
 
     Built once per spec and shared by every caller, so the array is read-only.
     """
-    out = np.array(
-        [[spec.site_index(u), spec.site_index(v)] for u, v in edges(spec)], dtype=np.int64
-    )
+    ends = []
+    for axis in range(spec.r):
+        head, inside = _shifted(spec, axis, 1)
+        tail = np.arange(spec.num_sites)[inside]
+        head = head[inside]
+        ends.append(np.stack((np.minimum(tail, head), np.maximum(tail, head)), axis=1))
+    out = np.concatenate(ends)
+    out = out[np.lexsort((out[:, 1], out[:, 0]))]
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def edge_axes(spec):
+    """The axis each edge of edge_index_array runs along, as an (E,) int
+    array.  Built once per spec and shared by every caller, so the array is
+    read-only."""
+    coords, ei = coordinates(spec), edge_index_array(spec)
+    out = np.argmax(coords[ei[:, 0]] != coords[ei[:, 1]], axis=1)
     out.setflags(write=False)
     return out
 
@@ -151,15 +143,19 @@ def edge_index_array(spec):
 @functools.lru_cache(maxsize=None)
 def neighbor_index_array(spec):
     """Neighbor site indices as an (N, 2r) int array: row i holds the indices
-    of neighbors(index_site(i)) in that order, padded with -1 where an open
-    boundary cuts a neighbor off.
+    of the distance-1 sites of site i in (axis, +then-) order, packed to the
+    front, padded at the end with -1 where an open boundary cuts a neighbor
+    off.
 
     Built once per spec and shared by every caller, so the array is read-only.
     """
     out = np.full((spec.num_sites, 2 * spec.r), -1, dtype=np.int64)
-    for i, u in enumerate(spec.sites()):
-        row = [spec.site_index(v) for v in neighbors(u, spec)]
-        out[i, : len(row)] = row
+    for axis in range(spec.r):
+        for k, step in enumerate((1, -1)):
+            site, inside = _shifted(spec, axis, step)
+            out[inside, 2 * axis + k] = site[inside]
+    # a stable sort on "cut off" moves the -1s to the end, keeping the order
+    out = np.take_along_axis(out, np.argsort(out < 0, axis=1, kind="stable"), axis=1)
     out.setflags(write=False)
     return out
 
@@ -170,35 +166,28 @@ def lattice_symmetry_permutations(spec):
     reflections, and (periodic only) translations.
 
     Returns an (G, N) int array; row g maps site index i to perms[g, i].
-    Deduplicated, deterministic order.  Built once per spec and shared by
-    every caller, so the array is read-only.
+    The rows run over coordinate permutations, then reflections, then
+    translations, each in itertools order.  With n >= 3 they are distinct:
+    a map's images of 0 and of each e_i fix its translation and its signed
+    coordinate permutation.  Built once per spec and shared by every caller,
+    so the array is read-only.
     """
     n, r = spec.n, spec.r
-    sites = spec.sites()
-    translations = (
-        list(itertools.product(range(n), repeat=r)) if spec.periodic else [(0,) * r]
-    )
-    seen = set()
-    rows = []
+    coords = coordinates(spec)
+    place = _place_values(spec)
+    # the translations in itertools order are the sites' own coordinates
+    shifts = coords if spec.periodic else np.zeros((1, r), dtype=np.int64)
+    blocks = []
     for perm in itertools.permutations(range(r)):
         for flips in itertools.product((False, True), repeat=r):
-            for t in translations:
-                row = []
-                for u in sites:
-                    v = []
-                    for i in range(r):
-                        c = u[perm[i]]
-                        if flips[i]:
-                            c = (n - 1 - c) if not spec.periodic else (-c) % n
-                        if spec.periodic:
-                            c = (c + t[i]) % n
-                        v.append(c)
-                    row.append(spec.site_index(tuple(v)))
-                key = tuple(row)
-                if key not in seen:
-                    seen.add(key)
-                    rows.append(row)
-    out = np.array(rows, dtype=np.int64)
+            rows = np.zeros((len(shifts), spec.num_sites), dtype=np.int64)
+            for i in range(r):
+                c = coords[:, perm[i]]
+                if flips[i]:
+                    c = (-c) % n if spec.periodic else n - 1 - c
+                rows += (c[None, :] + shifts[:, i, None]) % n * place[i]
+            blocks.append(rows)
+    out = np.concatenate(blocks)
     out.setflags(write=False)
     return out
 

@@ -203,11 +203,11 @@ def _row_count(n, allowed_h, wrap):
     return min(int(np.trace(power) if wrap else power.sum()), cap)
 
 
-def _walks(n, first, successors, closed):
+def _walks(n, first, successors):
     """Every walk of n items that starts at an item of first and steps from
-    each item to one of successors(item), as tuples.  When first and every
-    successor list ascend, the walks come in lexicographic order.  A closed
-    walk must also step from its last item back to its first."""
+    each item to one of successors(walk), where walk is the list of the
+    items so far, as tuples.  When first and every successor list ascend,
+    the walks come in lexicographic order."""
     walk = []
     branches = [iter(first)]
     while branches:
@@ -219,17 +219,43 @@ def _walks(n, first, successors, closed):
             continue
         walk.append(item)
         if depth < n:
-            branches.append(iter(successors(item)))
-        elif not closed or walk[0] in successors(item):
+            branches.append(iter(successors(walk)))
+        else:
             yield tuple(walk)
+
+
+def _rows(n, allowed_h, wrap):
+    """Every walk of n tiles through the allowed successors (closing back on
+    its first tile with wrap), as tuples in lexicographic order.
+
+    A tile is placed only where the row can still be finished, read off the
+    boolean powers reach[s] of the allowed-successor matrix (reach[s][a, b]:
+    some walk of s steps leads from a to b), so every prefix walked ends in a
+    counted row."""
+    reach = [np.eye(len(allowed_h), dtype=bool)]
+    for _ in range(n):
+        reach.append(reach[-1] @ allowed_h)
+
+    def ends(depth, first):
+        """The tiles that can sit at position depth of a row that can still
+        be finished: with wrap, back at tile first in the n - depth steps
+        left; without, anywhere in n - 1 - depth steps."""
+        return reach[n - depth][:, first] if wrap else reach[n - 1 - depth].any(axis=1)
+
+    @functools.cache
+    def steps(depth, a, first):
+        return np.flatnonzero(allowed_h[a] & ends(depth, first)).tolist()
+
+    starts = [a for a in range(len(allowed_h)) if ends(0, a)[a]]
+    return list(_walks(n, starts, lambda w: steps(len(w), w[-1], w[0] if wrap else None)))
 
 
 def enumerate_valid(rs, n, limit=None, require_present=None):
     """Exactly the valid n-by-n tilings, in lexicographic row order.
 
-    Rows are the walks of n tiles through the horizontal rules.  A grid of
-    more than GRID_CELL_CAP cells, or a row space that counts past ROW_CAP,
-    is refused before any row is built.  Grids are the walks of n rows
+    Rows are the walks of n tiles through the horizontal rules (_rows).  A
+    grid of more than GRID_CELL_CAP cells, or a row space that counts past
+    ROW_CAP, is refused before any row is built.  Grids are the walks of n rows
     through the vertical rules; a row's successors are computed the first
     time a walk reaches it.  With wrap, both walks close.  A limit
     truncates the output and sets the flag; require_present keeps only
@@ -242,12 +268,10 @@ def enumerate_valid(rs, n, limit=None, require_present=None):
     if limit is not None and limit < 0:
         raise RuleSetError(f"limit must be nonnegative, got {limit}")
     allowed_h, allowed_v = _index_rules(rs)
-    k = len(rs.alphabet)
     wrap = rs.boundary == "periodic"
     if _row_count(n, allowed_h, wrap) > ROW_CAP:
         raise RuleSetError("row space exceeds the enumeration cap")
-    tile_successors = [np.flatnonzero(allowed_h[a]).tolist() for a in range(k)]
-    rows = list(_walks(n, range(k), tile_successors.__getitem__, wrap))
+    rows = _rows(n, allowed_h, wrap)
     required = frozenset(require_present or ())
     missing = required - set(rs.alphabet)
     if missing:
@@ -260,9 +284,10 @@ def enumerate_valid(rs, n, limit=None, require_present=None):
 
     names = rs.alphabet
     tilings = []
-    # closed here, not in _walks, so that the cap counts the walks that fail
-    # to close as well
-    for walked, walk in enumerate(_walks(n, range(len(rows)), row_successors, False), 1):
+    # closed here, not in the walk, so that the cap counts the walks that
+    # fail to close as well
+    grids = _walks(n, range(len(rows)), lambda walk: row_successors(walk[-1]))
+    for walked, walk in enumerate(grids, 1):
         if walked > GRID_WALK_CAP:
             raise RuleSetError(
                 f"enumeration walked past the cap of {GRID_WALK_CAP} grids; "

@@ -72,9 +72,10 @@ largest component has 9 slots on the 3x3 lattices and 12 on ring 12.
 
 Process caches hold computed values, and each is a pure function of its
 input, so no result depends on what ran earlier in the process:
-lattice.edge_index_array and lattice.lattice_symmetry_permutations (edge
-table and symmetries per lattice), hamiltonian._rest_offsets (embed_operator's
-offsets per factor dims and positions), _component_key (canonical key per
+lattice.coordinates, lattice.edge_index_array and
+lattice.lattice_symmetry_permutations (site coordinates, edge table and
+symmetries per lattice), hamiltonian._offsets (embed_operator's flat offsets
+per factor dims and positions), _component_key (canonical key per
 slot count and demand edge tuple), _pairing_minimum (pairing minimum per
 canonical key), _dp_layout (the embedded layer sweep's layout per lattice
 and level count) and _tables (the solved numbering and coloring tables per
@@ -103,6 +104,7 @@ from rih.hamiltonian import (
 from rih.lattice import (
     LatticeSpec,
     _local_groups,
+    edge_axes,
     edge_index_array,
     lattice_symmetry_permutations,
 )
@@ -393,12 +395,14 @@ def _edge_cost_tables(spec, terms, d):
 
 
 def _layer_states(spec, d):
-    """Level assignments of one layer of constant first coordinate, d^(N/n),
-    checked against the sweep's budget before anything is allocated."""
-    S = d ** (spec.num_sites // spec.n)
-    if S > 4096 or S * S * spec.n > 2 * 10**8:
-        raise BudgetExceeded(f"layer state space {S} too large for the classical sweep")
-    return S
+    """Level assignments of one layer of constant first coordinate, d^k with
+    k = N/n, checked against the sweep's budget before anything is
+    allocated: k log2 d first, so a huge layer is refused without computing
+    d^k (the product is exact wherever d^k can be 4096, at d a power of 2)."""
+    k = spec.num_sites // spec.n
+    if k * math.log2(d) > math.log2(4096) or d**k * d**k * spec.n > 2 * 10**8:
+        raise BudgetExceeded(f"layer state space {d}^{k} too large for the classical sweep")
+    return d**k
 
 
 @functools.lru_cache(maxsize=None)
@@ -577,9 +581,11 @@ def tile_sector_energy(t, plug=None):
     viol1, viol2, diff1, diff2, both = counts
     w = DEFAULT_COEFFICIENTS
     classical = w["tile"] * (viol1 + viol2) + w["loop"] * (diff1 + diff2) + w["copy"] * both
+    # the embedded part first, so that its budget refuses before any
+    # pairing work
+    emb = 0.0 if plug is None else embedded_step_energy(spec, s1, s2, plug)
     e1 = epr_min_energy(_pattern_demands(ei, s1))
     e2 = epr_min_energy(_pattern_demands(ei, s2))
-    emb = 0.0 if plug is None else embedded_step_energy(spec, s1, s2, plug)
     method = "component-exact" if (e1.exact and e2.exact) else "bound-only"
     return SectorEnergy(
         classical=float(classical),
@@ -1000,10 +1006,7 @@ class ColoringTable:
         """Whether each mask holds two edges that meet at a site along
         different axes.  With n >= 3 two edges at a site along one axis run
         straight through it, so these are exactly the same-color turns."""
-        ei, n = self.edge_idx, self.spec.n
-        place = n ** np.arange(self.spec.r - 1, -1, -1)
-        coords = ei[:, :, None] // place % n  # (E, 2 ends, r)
-        axis = np.argmax(coords[:, 0] != coords[:, 1], axis=1)
+        ei, axis = self.edge_idx, edge_axes(self.spec)
         meet = (ei[:, None, :, None] == ei[None, :, None, :]).any(axis=(2, 3))
         flags = np.zeros(len(self.masks), dtype=bool)
         for ja, jb in zip(*np.nonzero(np.triu(meet & (axis[:, None] != axis), 1))):

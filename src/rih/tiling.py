@@ -20,7 +20,8 @@ from rih.hamiltonian import BudgetExceeded
 from rih.lattice import (
     LatticeSpec,
     _local_groups,
-    coord_diff_count,
+    coordinates,
+    edge_axes,
     edge_index_array,
     edges,
     neighbor_index_array,
@@ -131,17 +132,14 @@ class Tiling:
 
 def rule_violations(t, copy):
     """Edges whose tile pair breaks a rule, as (edge, rule_id) in edge order."""
-    out = []
     c, m = t.colors(copy), t.numbers(copy)
-    spec = t.spec
-    for u, v in edges(spec):
-        iu, iv = spec.site_index(u), spec.site_index(v)
-        if c[iu] == c[iv]:
-            if m[iu] == m[iv]:
-                out.append(((u, v), RULE_SAME_COLOR_SAME_NUMBER))
-        elif m[iu] != m[iv]:
-            out.append(((u, v), RULE_DIFF_COLOR_DIFF_NUMBER))
-    return out
+    ei = edge_index_array(t.spec)
+    same = c[ei[:, 0]] == c[ei[:, 1]]
+    # equal colors need different numbers, different colors equal numbers
+    bad = np.flatnonzero(same == (m[ei[:, 0]] == m[ei[:, 1]]))
+    rule = np.where(same[bad], RULE_SAME_COLOR_SAME_NUMBER, RULE_DIFF_COLOR_DIFF_NUMBER)
+    ends = coordinates(t.spec)[ei[bad]].tolist()
+    return [((tuple(u), tuple(v)), k) for (u, v), k in zip(ends, rule.tolist())]
 
 
 def _same_color_degrees(t, copy):
@@ -170,16 +168,17 @@ class ClassificationFlags:
 
 def has_turn(t, copy):
     """True iff some same-colored path u - v - w bends: both steps are lattice
-    edges but u and w differ in two coordinates."""
-    c = t.colors(copy).tolist()
-    sites = t.spec.sites()
-    for v, row in enumerate(neighbor_index_array(t.spec).tolist()):
-        same = [sites[u] for u in row if u >= 0 and c[u] == c[v]]
-        for i in range(len(same)):
-            for j in range(i + 1, len(same)):
-                if coord_diff_count(same[i], same[j]) == 2:
-                    return True
-    return False
+    edges but u and w differ in two coordinates.  With n >= 3 the two steps
+    of a straight path run along one axis, so a turn is a site with
+    same-colored edges along two axes."""
+    c = t.colors(copy)
+    ei = edge_index_array(t.spec)
+    same = c[ei[:, 0]] == c[ei[:, 1]]
+    along = np.zeros((t.spec.num_sites, t.spec.r), dtype=bool)
+    axes = edge_axes(t.spec)[same]
+    along[ei[same, 0], axes] = True
+    along[ei[same, 1], axes] = True
+    return bool((along.sum(axis=1) >= 2).any())
 
 
 def classify(t, copy):
@@ -195,14 +194,14 @@ def classify(t, copy):
     looped = bool((deg == 2).all())
     turn = has_turn(t, copy)
 
-    sites = spec.sites()
     uniformly_directed = False
     direction = None
     if looped and not turn:
         ei = edge_index_array(spec)
         c = t.colors(copy)
-        pairs = ei[c[ei[:, 0]] == c[ei[:, 1]]].tolist()
-        axes = [next(d for d in range(spec.r) if sites[a][d] != sites[b][d]) for a, b in pairs]
+        same = c[ei[:, 0]] == c[ei[:, 1]]
+        pairs = ei[same].tolist()
+        axes = edge_axes(spec)[same].tolist()
         loops = [({axes[i] for i in group}, k) for group, k, _ in _local_groups(pairs)]
         dims = set().union(*(loop_axes for loop_axes, _ in loops))
         if len(dims) == 1 and all(k == spec.n for _, k in loops):
@@ -211,11 +210,10 @@ def classify(t, copy):
 
     numbered_consistently = False
     if uniformly_directed:
-        m = t.numbers(copy).tolist()
-        groups = {}
-        for u, value in zip(sites, m):
-            groups.setdefault(u[direction], set()).add(value)
-        numbered_consistently = all(len(vals) == 1 for vals in groups.values())
+        # one number per coordinate along the loops: n distinct
+        # (coordinate, number) pairs
+        along = coordinates(spec)[:, direction]
+        numbered_consistently = len(np.unique(3 * along + t.numbers(copy))) == spec.n
 
     return ClassificationFlags(
         looped=looped,
@@ -239,17 +237,15 @@ def striped_witness(spec):
     if spec.r < 2:
         raise ValueError(f"striped witness needs r >= 2, got r={spec.r}")
     _check_sites(spec)
-
-    def build(d):
-        cs, ms = [], []
-        for u in spec.sites():
-            cs.append(sum(u[i] for i in range(spec.r) if i != d) % 3)
-            ms.append(u[d] % 3)
-        return cs, ms
-
-    c1, n1 = build(0)
-    c2, n2 = build(1)
-    return Tiling(spec, c1, n1, c2, n2)
+    coords = coordinates(spec)
+    total = coords.sum(axis=1)
+    return Tiling(
+        spec,
+        (total - coords[:, 0]) % 3,
+        coords[:, 0] % 3,
+        (total - coords[:, 1]) % 3,
+        coords[:, 1] % 3,
+    )
 
 
 @dataclass(frozen=True)

@@ -258,14 +258,17 @@ class TestSolveWitness:
         assert exc.value.code == 2
         assert "--cap" in capsys.readouterr().err
 
-    def test_witness_beyond_the_classical_sweep_fails_cleanly(self, capsys):
-        # the frustration_free plug's 2^12 layer states on the 12x12 torus
-        # exceed the embedded sweep's budget: a typed error, exit 2
-        code, out, err = run(
-            capsys, "witness", "--r", "2", "--n", "12", "--plug", "frustration_free"
-        )
+    @pytest.mark.parametrize(
+        "r,n,plug,space",
+        [("2", "12", "frustration_free", "2^12"), ("6", "6", "afm", "2^7776")],
+    )
+    def test_witness_beyond_the_classical_sweep_fails_cleanly(self, capsys, r, n, plug, space):
+        # 2^12 layer states on the 12x12 torus exceed the embedded sweep's
+        # budget, and so, by far, do the 6^5-site layers of the 6^6 torus: a
+        # typed error naming the space as a power, exit 2
+        code, out, err = run(capsys, "witness", "--r", r, "--n", n, "--plug", plug)
         assert code == 2 and out == ""
-        assert err.startswith("error: layer state space") and err.count("\n") == 1
+        assert err == f"error: layer state space {space} too large for the classical sweep\n"
 
     @pytest.mark.parametrize(
         "case", SOLVE_REPORTS, ids=[" ".join(c["args"]) for c in SOLVE_REPORTS]

@@ -44,8 +44,10 @@ def ints(small_max=7):
     )
 
 
-# sides stay at 7 or below; dimensions at 3 or below, since a valid r = 6,
-# n = 6 witness (46,656 sites) legitimately takes seconds
+# sides stay at 7 or below and dimensions at 3 or below, so that the random
+# draws stay small; test_witness pins the largest valid witness, r = 6 and
+# n = 6 (46,656 sites, near tiling.MAX_SITES), as examples under the same
+# wall bound
 SIDES = ints(7)
 DIMENSIONS = ints(3)
 
@@ -205,6 +207,9 @@ def test_solve(r, n, plug, boundary):
 
 @BOUNDARY
 @given(r=DIMENSIONS, n=SIDES, plug=st.none() | PLUGS, boundary=BOUNDARIES)
+# the largest valid witness, bare and refused by the embedded sweep's budget
+@example(r=6, n=6, plug=None, boundary="periodic")
+@example(r=6, n=6, plug="afm", boundary="periodic")
 def test_witness(r, n, plug, boundary):
     check_boundary("witness", r=r, n=n, plug=plug, boundary=boundary)
 

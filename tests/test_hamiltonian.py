@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -248,6 +250,35 @@ class TestEmbedOperator:
         np.add.at(got, (r, c), v)
         ref = naive_embed(small, positions, dims).real
         assert np.abs(got - ref).max() == 0.0
+
+    @pytest.mark.parametrize(
+        "dims,positions",
+        [((2, 3, 2), (1,)), ((2, 3, 2, 2), (0, 2)), ((2, 2, 3, 2), (3, 1)), ((3,) * 4, (2, 0))],
+    )
+    def test_triples_match_the_digit_by_digit_build(self, dims, positions):
+        # each small index split into digits, most significant listed first,
+        # then every setting of the other factors in ascending factor order
+        strides = [math.prod(dims[p + 1 :]) for p in range(len(dims))]
+
+        def offset(i):
+            out = 0
+            for p in reversed(positions):
+                i, digit = divmod(i, dims[p])
+                out += digit * strides[p]
+            return out
+
+        others = [p for p in range(len(dims)) if p not in positions]
+        rest = [
+            sum(x * strides[p] for x, p in zip(setting, others))
+            for setting in itertools.product(*(range(dims[p]) for p in others))
+        ]
+        sd = math.prod(dims[p] for p in positions)
+        rows, cols = np.divmod(np.arange(sd * sd), sd)
+        vals = np.arange(sd * sd) + 0.5
+        r, c, v = embed_operator((rows, cols, vals), positions, dims)
+        assert r.tolist() == [offset(i) + x for i in rows.tolist() for x in rest]
+        assert c.tolist() == [offset(j) + x for j in cols.tolist() for x in rest]
+        assert v.tolist() == [y for y in vals.tolist() for _ in rest]
 
 
 class TestBlockContent:

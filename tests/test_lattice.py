@@ -7,23 +7,149 @@ from rih.lattice import (
     LatticeSpec,
     OPEN,
     PERIODIC,
-    coord_diff_count,
+    coordinates,
+    edge_axes,
     edge_index_array,
     edges,
     lattice_symmetry_permutations,
     neighbor_index_array,
-    neighbors,
 )
+
+
+def check_site(u, spec):
+    if len(u) != spec.r:
+        raise ValueError(f"site {u} has {len(u)} coordinates, expected {spec.r}")
+    if any(not 0 <= c < spec.n for c in u):
+        raise ValueError(f"site {u} has coordinates outside [0, {spec.n})")
+
+
+def site_index(u, spec):
+    """Lexicographic rank of a site, the first coordinate most significant,
+    one coordinate at a time: the numbering the tables are checked against."""
+    check_site(u, spec)
+    idx = 0
+    for c in u:
+        idx = idx * spec.n + c
+    return idx
 
 
 def lee_distance(x, y, spec):
     """Distance between two sites: wraparound per coordinate if periodic.
     The geometry reference the neighbor, edge and metric tests check against."""
-    spec.check_site(x)
-    spec.check_site(y)
+    check_site(x, spec)
+    check_site(y, spec)
     if spec.periodic:
         return sum(min(abs(a - b), spec.n - abs(a - b)) for a, b in zip(x, y))
     return sum(abs(a - b) for a, b in zip(x, y))
+
+
+def coord_diff_count(u, w):
+    """Number of coordinates in which two sites differ."""
+    if len(u) != len(w):
+        raise ValueError(f"sites {u} and {w} have different dimensions")
+    return sum(1 for a, b in zip(u, w) if a != b)
+
+
+def neighbors(u, spec):
+    """Distance-1 sites of u, in (dimension, +then-) order, written out site
+    by site: the reference the neighbor table is checked against.
+
+    Periodic sites always have exactly 2r neighbors; open-boundary sites lose
+    the out-of-range ones.
+    """
+    check_site(u, spec)
+    out = []
+    for i in range(spec.r):
+        for step in (1, -1):
+            c = u[i] + step
+            if spec.periodic:
+                c %= spec.n
+            elif not 0 <= c < spec.n:
+                continue
+            out.append(u[:i] + (c,) + u[i + 1 :])
+    return out
+
+
+def reference_edges(spec):
+    """Each site's +1 step along each axis as a sorted pair of tuples, the
+    pairs sorted: the edge list written out site by site."""
+    out = []
+    for u in itertools.product(range(spec.n), repeat=spec.r):
+        for i in range(spec.r):
+            c = u[i] + 1
+            if c >= spec.n:
+                if not spec.periodic:
+                    continue
+                c %= spec.n
+            v = u[:i] + (c,) + u[i + 1 :]
+            out.append((u, v) if u <= v else (v, u))
+    out.sort()
+    return out
+
+
+def reference_neighbor_rows(spec):
+    """neighbors() of every site by site_index, -1 packed at the row end."""
+    rows = []
+    for u in itertools.product(range(spec.n), repeat=spec.r):
+        row = [site_index(v, spec) for v in neighbors(u, spec)]
+        rows.append(row + [-1] * (2 * spec.r - len(row)))
+    return rows
+
+
+def reference_symmetry_rows(spec):
+    """Every coordinate permutation, then reflection, then translation
+    applied to every site, one site_index at a time, each distinct row kept
+    where it first occurs."""
+    n, r = spec.n, spec.r
+    sites = list(itertools.product(range(n), repeat=r))
+    translations = sites if spec.periodic else [(0,) * r]
+    seen, rows = set(), []
+    for perm in itertools.permutations(range(r)):
+        for flips in itertools.product((False, True), repeat=r):
+            for t in translations:
+                row = []
+                for u in sites:
+                    v = []
+                    for i in range(r):
+                        c = u[perm[i]]
+                        if flips[i]:
+                            c = (n - 1 - c) if not spec.periodic else (-c) % n
+                        if spec.periodic:
+                            c = (c + t[i]) % n
+                        v.append(c)
+                    row.append(site_index(tuple(v), spec))
+                if tuple(row) not in seen:
+                    seen.add(tuple(row))
+                    rows.append(row)
+    return rows
+
+
+BOTH = (PERIODIC, OPEN)
+TABLE_SPECS = [LatticeSpec(r, n, b) for r in range(1, 5) for n in range(3, 8) for b in BOTH]
+# the reference symmetry loop costs about G * N site_index calls
+SYMMETRY_SPECS = [s for s in TABLE_SPECS if s.r <= 2 or (s.r == 3 and s.n <= 5)]
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=str)
+def test_tables_match_the_site_by_site_builders(spec):
+    expected = reference_edges(spec)
+    assert edges(spec) == expected
+    assert {type(c) for e in edges(spec) for u in e for c in u} == {int}
+    ei = edge_index_array(spec)
+    assert ei.dtype == np.int64
+    assert ei.tolist() == [[site_index(u, spec), site_index(v, spec)] for u, v in expected]
+    nbr = neighbor_index_array(spec)
+    assert nbr.dtype == np.int64
+    assert nbr.tolist() == reference_neighbor_rows(spec)
+    axes = [next(i for i in range(spec.r) if u[i] != v[i]) for u, v in expected]
+    assert edge_axes(spec).tolist() == axes
+
+
+@pytest.mark.parametrize("spec", SYMMETRY_SPECS, ids=str)
+def test_symmetries_match_the_site_by_site_loop(spec):
+    perms = lattice_symmetry_permutations(spec)
+    assert perms.dtype == np.int64
+    assert perms.tolist() == reference_symmetry_rows(spec)
 
 
 def test_spec_validation():
@@ -43,10 +169,21 @@ def test_site_order_and_index_roundtrip():
     spec = LatticeSpec(2, 4)
     sites = spec.sites()
     assert sites == sorted(sites)
-    assert len(sites) == 16
-    for i, u in enumerate(sites):
-        assert spec.site_index(u) == i
-        assert spec.index_site(i) == u
+    assert sites == list(itertools.product(range(4), repeat=2))
+    coords = coordinates(spec)
+    assert coords.tolist() == [list(u) for u in sites]
+    assert [site_index(u, spec) for u in sites] == list(range(16))
+    assert (coords @ np.array([4, 1]) == np.arange(16)).all()
+
+
+@pytest.mark.parametrize("spec", [LatticeSpec(1, 5), LatticeSpec(3, 4, OPEN)], ids=str)
+def test_coordinates_are_shared_and_read_only(spec):
+    coords = coordinates(spec)
+    assert coordinates(LatticeSpec(spec.r, spec.n, spec.boundary)) is coords
+    assert coords.shape == (spec.num_sites, spec.r)
+    assert coords.tolist() == [list(u) for u in itertools.product(range(spec.n), repeat=spec.r)]
+    with pytest.raises(ValueError):
+        coords[0, 0] = 1
 
 
 def test_lee_distance_wraparound():
@@ -132,7 +269,6 @@ def test_edge_index_array_is_shared_and_read_only():
     spec = LatticeSpec(2, 3)
     ei = edge_index_array(spec)
     assert edge_index_array(LatticeSpec(2, 3)) is ei
-    assert ei.tolist() == [[spec.site_index(u), spec.site_index(v)] for u, v in edges(spec)]
     with pytest.raises(ValueError):
         ei[0, 0] = 5
     with pytest.raises(ValueError):
@@ -149,9 +285,6 @@ def test_neighbor_index_array_is_shared_and_read_only(spec):
     nbr = neighbor_index_array(spec)
     assert neighbor_index_array(LatticeSpec(spec.r, spec.n, spec.boundary)) is nbr
     assert nbr.shape == (spec.num_sites, 2 * spec.r)
-    for i, u in enumerate(spec.sites()):
-        row = [spec.site_index(v) for v in neighbors(u, spec)]
-        assert nbr[i].tolist() == row + [-1] * (2 * spec.r - len(row))
     with pytest.raises(ValueError):
         nbr[0, 0] = 5
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -35,6 +36,10 @@ MONO = TileRuleSet(("m",), frozenset(), frozenset())
 # oriented on purpose: b left of a stays legal
 AB = TileRuleSet(("a", "b"), frozenset({("a", "b")}), frozenset())
 FREE2 = TileRuleSet(("a", "b"), frozenset(), frozenset())
+# two halves {a1, a2} and {b1, b2}: a tile may sit only beside the other half
+HALVES = ("a1", "a2", "b1", "b2")
+SAME_HALF = frozenset((x, y) for x in HALVES for y in HALVES if x[0] == y[0])
+BIPARTITE = TileRuleSet(HALVES, SAME_HALF, SAME_HALF)
 
 
 # each block position as (dx, dy) from its center, +y up
@@ -214,8 +219,7 @@ class TestEnumerateValid:
     )
     def test_row_count_is_the_number_of_rows_built(self, allowed, wrap, n):
         allowed_h = np.array(allowed).reshape(3, 3)
-        successors = [np.flatnonzero(a).tolist() for a in allowed_h]
-        rows = list(rules._walks(n, range(3), successors.__getitem__, wrap))
+        rows = rules._rows(n, allowed_h, wrap)
         assert rules._row_count(n, allowed_h, wrap) == len(rows)
         # the walks are the allowed tile sequences, in lexicographic order
         expected = [
@@ -223,6 +227,33 @@ class TestEnumerateValid:
             if all(allowed_h[a, b] for a, b in zip(r, (r[1:] + r[:1]) if wrap else r[1:]))
         ]
         assert rows == expected
+
+    @pytest.mark.parametrize("n", [21, 361])
+    def test_odd_bipartite_rows_end_fast(self, n):
+        # every row alternates halves, so an odd side closes none, though
+        # the open walks number 4 * 2^(n-1)
+        start = time.perf_counter()
+        result = enumerate_valid(BIPARTITE, n)
+        assert time.perf_counter() - start < 2
+        assert len(result) == 0 and result.valid_rows == 0
+
+    @pytest.mark.parametrize(
+        "rs,n",
+        [(BIPARTITE, 21), (BIPARTITE, 6), (FREE2, 4), (AB, 5),
+         (TileRuleSet(AB.alphabet, AB.forbidden_h, AB.forbidden_v, "open"), 5)],
+    )
+    def test_row_walk_extends_only_finishable_prefixes(self, monkeypatch, rs, n):
+        extended = []
+        walks = rules._walks
+
+        def counted(n, first, successors):
+            return walks(n, first, lambda walk: extended.append(walk) or successors(walk))
+
+        monkeypatch.setattr(rules, "_walks", counted)
+        allowed_h, _ = rules._index_rules(rs)
+        rows = rules._rows(n, allowed_h, rs.boundary == "periodic")
+        # each prefix extended lies on the way to a row, n - 1 of them per row
+        assert len(extended) <= (n - 1) * len(rows)
 
     @pytest.mark.parametrize("cap,fails", [(16, False), (15, True)])
     def test_row_cap_is_exact(self, monkeypatch, cap, fails):

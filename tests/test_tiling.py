@@ -14,7 +14,6 @@ from rih.lattice import (
     edge_index_array,
     edges,
     lattice_symmetry_permutations,
-    neighbors,
 )
 from rih.tiling import (
     RULE_DIFF_COLOR_DIFF_NUMBER,
@@ -33,6 +32,7 @@ from rih.tiling import (
     rule_violations,
     striped_witness,
 )
+from test_lattice import coord_diff_count, neighbors, site_index
 
 
 def h1lb(t, copy):
@@ -163,6 +163,32 @@ class TestWitness:
         assert f1.direction == 0
         assert f2.direction == 1
 
+    @pytest.mark.parametrize(
+        "spec",
+        [LatticeSpec(2, 3), LatticeSpec(2, 6), LatticeSpec(3, 3), LatticeSpec(3, 6, OPEN),
+         LatticeSpec(4, 3)],
+        ids=str,
+    )
+    def test_witness_matches_the_site_by_site_build(self, spec):
+        t = striped_witness(spec)
+        for copy, d in ((1, 0), (2, 1)):
+            sites = spec.sites()
+            colors = [sum(u[i] for i in range(spec.r) if i != d) % 3 for u in sites]
+            assert t.colors(copy).tolist() == colors
+            assert t.numbers(copy).tolist() == [u[d] % 3 for u in sites]
+            if not spec.periodic:
+                continue  # chains, not loops: no direction to number along
+            f = classify(t, copy)
+            assert f.direction == d and f.numbered_consistently
+            # one number off its stripe breaks the numbering, not the loops
+            numbers = t.numbers(copy).copy()
+            numbers[-1] = (numbers[-1] + 1) % 3
+            bent = Tiling(spec, t.colors(copy), numbers)
+            g = classify(bent, 1)
+            assert g.uniformly_directed and g.direction == d
+            assert g.numbered_consistently == reference_numbered_consistently(bent, 1, d)
+            assert not g.numbered_consistently
+
     def test_witness_loops_are_lines(self):
         spec = LatticeSpec(2, 6)
         t = striped_witness(spec)
@@ -191,7 +217,7 @@ class TestClassify:
         spec = LatticeSpec(2, 6)
         colors = np.zeros(36, dtype=np.int8)
         for u in spec.sites():
-            colors[spec.site_index(u)] = ((u[0] - u[1]) % 6) // 2
+            colors[site_index(u, spec)] = ((u[0] - u[1]) % 6) // 2
         t = Tiling(spec, colors, np.zeros(36, dtype=np.int8))
         f = classify(t, 1)
         assert f.looped
@@ -238,7 +264,7 @@ def reference_same_color_degrees(t, copy):
     spec = t.spec
     c = t.colors(copy)
     return [
-        sum(1 for v in neighbors(u, spec) if c[spec.site_index(v)] == c[spec.site_index(u)])
+        sum(1 for v in neighbors(u, spec) if c[site_index(v, spec)] == c[site_index(u, spec)])
         for u in spec.sites()
     ]
 
@@ -248,11 +274,35 @@ def reference_has_turn(t, copy):
     spec = t.spec
     c = t.colors(copy)
     for v in spec.sites():
-        same = [u for u in neighbors(v, spec) if c[spec.site_index(u)] == c[spec.site_index(v)]]
+        same = [u for u in neighbors(v, spec) if c[site_index(u, spec)] == c[site_index(v, spec)]]
         for a, b in itertools.combinations(same, 2):
-            if sum(x != y for x, y in zip(a, b)) == 2:
+            if coord_diff_count(a, b) == 2:
                 return True
     return False
+
+
+def reference_rule_violations(t, copy):
+    """rule_violations edge by edge, two site_index lookups per edge."""
+    spec = t.spec
+    c, m = t.colors(copy), t.numbers(copy)
+    out = []
+    for u, v in edges(spec):
+        iu, iv = site_index(u, spec), site_index(v, spec)
+        if c[iu] == c[iv]:
+            if m[iu] == m[iv]:
+                out.append(((u, v), RULE_SAME_COLOR_SAME_NUMBER))
+        elif m[iu] != m[iv]:
+            out.append(((u, v), RULE_DIFF_COLOR_DIFF_NUMBER))
+    return out
+
+
+def reference_numbered_consistently(t, copy, direction):
+    """Whether the number depends only on the coordinate along direction,
+    grouped site by site."""
+    groups = {}
+    for u, value in zip(t.spec.sites(), t.numbers(copy).tolist()):
+        groups.setdefault(u[direction], set()).add(value)
+    return all(len(values) == 1 for values in groups.values())
 
 
 TABLE_SPECS = [
@@ -275,6 +325,9 @@ def test_neighbor_table_flags_match_the_literal_definitions(spec):
         for copy in (1, 2):
             assert _same_color_degrees(t, copy).tolist() == reference_same_color_degrees(t, copy)
             assert has_turn(t, copy) == reference_has_turn(t, copy)
+            got = rule_violations(t, copy)
+            assert got == reference_rule_violations(t, copy)
+            assert all(type(c) is int for (u, v), _ in got for c in u + v)
             turns += has_turn(t, copy)
     assert (turns > 0) == (spec.r > 1)
 
@@ -285,7 +338,7 @@ def reference_demand_graph(t, copy):
     spec = t.spec
     c, m = t.colors(copy), t.numbers(copy)
     for u, v in edges(spec):
-        iu, iv = spec.site_index(u), spec.site_index(v)
+        iu, iv = site_index(u, spec), site_index(v, spec)
         step = (int(m[iv]) - int(m[iu])) % 3
         if step == 0:
             if c[iu] == c[iv]:
