@@ -508,17 +508,6 @@ class SymmetryReport:
     def passed(self):
         return self.hermitian and self.psd and self.swap_symmetric
 
-    def to_json_dict(self):
-        return {
-            "hermitian": self.hermitian,
-            "psd": self.psd,
-            "swap_symmetric": self.swap_symmetric,
-            "min_eigenvalue": self.min_eigenvalue,
-            "hermiticity_defect": self.hermiticity_defect,
-            "swap_defect": self.swap_defect,
-            "passed": self.passed,
-        }
-
 
 def _check_via_blocks(term):
     b = term.blocks

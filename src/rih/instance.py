@@ -249,12 +249,12 @@ class ReducedInstance:
         return term_hash(self.term)
 
 
-def reduction(x, r, plug="zero", seed=0, max_trials=DEFAULT_TRIAL_BUDGET):
+def reduction(x, r, plug="zero", seed=0):
     """Map an input string to a periodic lattice of side f(x) carrying the
     fixed two-body term.  The term depends on neither x nor r."""
     if r < 1:
         raise ValueError("dimension must be positive")
-    enc = f_search(x, seed=seed, max_trials=max_trials)
+    enc = f_search(x, seed=seed)
     spec = LatticeSpec(r=r, n=enc.n, boundary="periodic")
     term = build_site_term(resolve_plug(plug))
     return ReducedInstance(encoding=enc, lattice=spec, term=term)

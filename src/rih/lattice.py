@@ -88,12 +88,12 @@ def _place_values(spec):
     return spec.n ** np.arange(spec.r - 1, -1, -1, dtype=np.int64)
 
 
-def _shifted(spec, axis, step):
-    """For every site u, the index of u + step*e_axis and whether that site
+def _shifted(spec, axis):
+    """For every site u, the index of u + e_axis and whether that site
     exists (always, around a periodic lattice)."""
     c = coordinates(spec)[:, axis]
-    moved = c + step
-    inside = np.full(len(c), True) if spec.periodic else (moved >= 0) & (moved < spec.n)
+    moved = c + 1
+    inside = np.full(len(c), True) if spec.periodic else moved < spec.n
     jump = (moved % spec.n - c) * _place_values(spec)[axis]
     return np.arange(spec.num_sites) + jump, inside
 
@@ -119,7 +119,7 @@ def edge_index_array(spec):
     """
     ends = []
     for axis in range(spec.r):
-        head, inside = _shifted(spec, axis, 1)
+        head, inside = _shifted(spec, axis)
         tail = np.arange(spec.num_sites)[inside]
         head = head[inside]
         ends.append(np.stack((np.minimum(tail, head), np.maximum(tail, head)), axis=1))
@@ -136,26 +136,6 @@ def edge_axes(spec):
     read-only."""
     coords, ei = coordinates(spec), edge_index_array(spec)
     out = np.argmax(coords[ei[:, 0]] != coords[ei[:, 1]], axis=1)
-    out.setflags(write=False)
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def neighbor_index_array(spec):
-    """Neighbor site indices as an (N, 2r) int array: row i holds the indices
-    of the distance-1 sites of site i in (axis, +then-) order, packed to the
-    front, padded at the end with -1 where an open boundary cuts a neighbor
-    off.
-
-    Built once per spec and shared by every caller, so the array is read-only.
-    """
-    out = np.full((spec.num_sites, 2 * spec.r), -1, dtype=np.int64)
-    for axis in range(spec.r):
-        for k, step in enumerate((1, -1)):
-            site, inside = _shifted(spec, axis, step)
-            out[inside, 2 * axis + k] = site[inside]
-    # a stable sort on "cut off" moves the -1s to the end, keeping the order
-    out = np.take_along_axis(out, np.argsort(out < 0, axis=1, kind="stable"), axis=1)
     out.setflags(write=False)
     return out
 

@@ -35,6 +35,12 @@ def _is_list_of(value, kind):
     return isinstance(value, list) and all(isinstance(v, kind) for v in value)
 
 
+def _check_side(n):
+    """Refuse a grid side below 1, for a stored grid as for an enumeration."""
+    if n < 1:
+        raise RuleSetError("grid side must be positive")
+
+
 class DecodeError(ValueError):
     pass
 
@@ -101,6 +107,7 @@ class GridTiling:
     rows: tuple  # rows[0] is the bottom row; rows[y][x] is a tile name
 
     def __post_init__(self):
+        _check_side(self.n)
         rows = tuple(tuple(r) for r in self.rows)
         if len(rows) != self.n or any(len(r) != self.n for r in rows):
             raise RuleSetError(f"grid is not {self.n}x{self.n}")
@@ -124,10 +131,6 @@ class GridTiling:
         if not (isinstance(rows, list) and all(_is_list_of(r, str) for r in rows)):
             raise RuleSetError("grid field 'rows' must be a list of rows of tile names")
         return cls(n=n, rows=tuple(map(tuple, rows)))
-
-    @classmethod
-    def filled(cls, n, tile):
-        return cls(n, tuple((tile,) * n for _ in range(n)))
 
 
 def check_tiling(rs, g):
@@ -261,8 +264,7 @@ def enumerate_valid(rs, n, limit=None, require_present=None):
     truncates the output and sets the flag; require_present keeps only
     tilings containing every listed tile.  Walking more than GRID_WALK_CAP
     grids, kept or not, is refused."""
-    if n < 1:
-        raise RuleSetError("grid side must be positive")
+    _check_side(n)
     if n * n > GRID_CELL_CAP:
         raise RuleSetError(f"{n}x{n} grid exceeds the enumeration cap of {GRID_CELL_CAP} cells")
     if limit is not None and limit < 0:

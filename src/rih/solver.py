@@ -72,14 +72,14 @@ largest component has 9 slots on the 3x3 lattices and 12 on ring 12.
 
 Process caches hold computed values, and each is a pure function of its
 input, so no result depends on what ran earlier in the process:
-lattice.coordinates, lattice.edge_index_array and
-lattice.lattice_symmetry_permutations (site coordinates, edge table and
-symmetries per lattice), hamiltonian._offsets (embed_operator's flat offsets
-per factor dims and positions), _component_key (canonical key per
-slot count and demand edge tuple), _pairing_minimum (pairing minimum per
-canonical key), _dp_layout (the embedded layer sweep's layout per lattice
-and level count) and _tables (the solved numbering and coloring tables per
-lattice).
+lattice.coordinates, lattice.edge_index_array, lattice.edge_axes and
+lattice.lattice_symmetry_permutations (site coordinates, edge table, edge
+axes and symmetries per lattice), hamiltonian._offsets (embed_operator's
+flat offsets per factor dims and positions), _component_key (canonical key
+per slot count and demand edge tuple), _pairing_minimum (pairing minimum
+per canonical key), _dp_layout (the embedded layer sweep's layout per
+lattice and level count) and _tables (the solved numbering and coloring
+tables per lattice).
 """
 
 from __future__ import annotations
@@ -104,7 +104,6 @@ from rih.hamiltonian import (
 from rih.lattice import (
     LatticeSpec,
     _local_groups,
-    edge_axes,
     edge_index_array,
     lattice_symmetry_permutations,
 )
@@ -115,6 +114,7 @@ from rih.tiling import (
     classical_energy,
     counting_floor,
     epr_demand_graph,
+    same_color_geometry,
     striped_witness,
 )
 
@@ -989,30 +989,15 @@ class ColoringTable:
         self.same_count = _popcount(self.masks)
         # the loop weight for each different-color edge
         self.loop_cost = DEFAULT_COEFFICIENTS["loop"] * (self.num_edges - self.same_count)
-        deg = np.zeros((len(self.masks), self.spec.num_sites), dtype=np.int8)
-        for j, (a, b) in enumerate(self.edge_idx):
-            hit = ((self.masks >> np.uint64(j)) & np.uint64(1)).astype(bool)
-            deg[hit, a] += 1
-            deg[hit, b] += 1
-        self.same_degree = deg
+        bits = np.arange(self.num_edges, dtype=np.uint64)
+        same = ((self.masks[:, None] >> bits) & np.uint64(1)).astype(bool)
+        deg, self.has_turn = same_color_geometry(self.spec, same)
+        self.same_degree = deg.astype(np.int8)
         self.looped = (deg == 2).all(axis=1)
-        self.has_turn = self._turn_flags()
         # each pattern joins its own mask to its orbit representative's
         group_of = nt.group_of
         canon = _components(len(self.masks), group_of, group_of[nt.orbit_reps[nt.orbit_of]])
         self.orbit_reps, self.orbit_of = _orbit_index(canon)
-
-    def _turn_flags(self):
-        """Whether each mask holds two edges that meet at a site along
-        different axes.  With n >= 3 two edges at a site along one axis run
-        straight through it, so these are exactly the same-color turns."""
-        ei, axis = self.edge_idx, edge_axes(self.spec)
-        meet = (ei[:, None, :, None] == ei[None, :, None, :]).any(axis=(2, 3))
-        flags = np.zeros(len(self.masks), dtype=bool)
-        for ja, jb in zip(*np.nonzero(np.triu(meet & (axis[:, None] != axis), 1))):
-            both = np.uint64((1 << int(ja)) | (1 << int(jb)))
-            flags |= (self.masks & both) == both
-        return flags
 
 
 @functools.lru_cache(maxsize=None)

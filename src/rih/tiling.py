@@ -17,15 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rih.hamiltonian import BudgetExceeded
-from rih.lattice import (
-    LatticeSpec,
-    _local_groups,
-    coordinates,
-    edge_axes,
-    edge_index_array,
-    edges,
-    neighbor_index_array,
-)
+from rih.lattice import LatticeSpec, coordinates, edge_axes, edge_index_array, edges
 
 COLORS = ("red", "yellow", "blue")  # fixed index mapping: red=0, yellow=1, blue=2
 RULE_SAME_COLOR_SAME_NUMBER = 1
@@ -142,10 +134,23 @@ def rule_violations(t, copy):
     return [((tuple(u), tuple(v)), k) for (u, v), k in zip(ends, rule.tolist())]
 
 
-def _same_color_degrees(t, copy):
-    c = t.colors(copy)
-    nbr = neighbor_index_array(t.spec)
-    return ((nbr >= 0) & (c[nbr] == c[:, None])).sum(axis=1)
+def same_color_geometry(spec, same):
+    """Same-color degrees and turn flags of edge sets on spec.
+
+    same is an (..., E) bool array over the edges of edge_index_array(spec).
+    Returns each site's count of same edges, shape (..., N), and whether
+    some same-colored path u - v - w bends, shape (...).  With n >= 3 the
+    two steps of a straight path run along one axis, so a turn is a site
+    with same edges along two axes.  One bincount counts the edge ends per
+    (set, axis, site)."""
+    same = np.asarray(same, dtype=bool)
+    lead, N, r = same.shape[:-1], spec.num_sites, spec.r
+    flat = same.reshape(-1, same.shape[-1])
+    ei, axes = edge_index_array(spec), edge_axes(spec)
+    row, edge = np.nonzero(flat)
+    cell = (row * r + axes[edge])[:, None] * N + ei[edge]
+    ends = np.bincount(cell.ravel(), minlength=len(flat) * r * N).reshape(lead + (r, N))
+    return ends.sum(axis=-2), (np.count_nonzero(ends, axis=-2) >= 2).any(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -166,47 +171,31 @@ class ClassificationFlags:
         }
 
 
-def has_turn(t, copy):
-    """True iff some same-colored path u - v - w bends: both steps are lattice
-    edges but u and w differ in two coordinates.  With n >= 3 the two steps
-    of a straight path run along one axis, so a turn is a site with
-    same-colored edges along two axes."""
-    c = t.colors(copy)
-    ei = edge_index_array(t.spec)
-    same = c[ei[:, 0]] == c[ei[:, 1]]
-    along = np.zeros((t.spec.num_sites, t.spec.r), dtype=bool)
-    axes = edge_axes(t.spec)[same]
-    along[ei[same, 0], axes] = True
-    along[ei[same, 1], axes] = True
-    return bool((along.sum(axis=1) >= 2).any())
-
-
 def classify(t, copy):
-    """Structural flags for one copy, computed against the literal definitions.
+    """Structural flags for one copy.
 
     looped: every site has exactly two same-colored neighbors.  has_turn: some
     same-colored bent path exists.  uniformly_directed: looped, turn-free, and
     all loops run along one common dimension.  numbered_consistently: on top of
     that, the number depends only on the coordinate along that dimension.
+
+    A looped, turn-free copy has both same-colored edges of each site along
+    one axis, so every loop is a straight line of n sites, and the loops
+    share a dimension exactly when the same-colored edges use one axis.
     """
     spec = t.spec
-    deg = _same_color_degrees(t, copy)
+    ei = edge_index_array(spec)
+    c = t.colors(copy)
+    same = c[ei[:, 0]] == c[ei[:, 1]]
+    deg, turn = same_color_geometry(spec, same)
     looped = bool((deg == 2).all())
-    turn = has_turn(t, copy)
+    turn = bool(turn)
 
-    uniformly_directed = False
     direction = None
     if looped and not turn:
-        ei = edge_index_array(spec)
-        c = t.colors(copy)
-        same = c[ei[:, 0]] == c[ei[:, 1]]
-        pairs = ei[same].tolist()
-        axes = edge_axes(spec)[same].tolist()
-        loops = [({axes[i] for i in group}, k) for group, k, _ in _local_groups(pairs)]
-        dims = set().union(*(loop_axes for loop_axes, _ in loops))
-        if len(dims) == 1 and all(k == spec.n for _, k in loops):
-            uniformly_directed = True
-            direction = dims.pop()
+        dims = np.unique(edge_axes(spec)[same])
+        direction = int(dims[0]) if len(dims) == 1 else None
+    uniformly_directed = direction is not None
 
     numbered_consistently = False
     if uniformly_directed:

@@ -507,8 +507,10 @@ class TestWrongShapeJson:
         [
             ({"rows": 5}, "grid field 'rows' must be a list of rows of tile names"),
             ({"n": "3"}, "grid field 'n' must be an integer"),
+            # the side rule of tiles enumerate --n
+            ({"n": 0, "rows": []}, "grid side must be positive"),
         ],
-        ids=["rows", "n"],
+        ids=["rows", "n", "side-0"],
     )
     def test_grid(self, capsys, tmp_path, fields, message):
         rules = tmp_path / "rules.json"

@@ -12,7 +12,6 @@ from rih.lattice import (
     edge_index_array,
     edges,
     lattice_symmetry_permutations,
-    neighbor_index_array,
 )
 
 
@@ -52,7 +51,8 @@ def coord_diff_count(u, w):
 
 def neighbors(u, spec):
     """Distance-1 sites of u, in (dimension, +then-) order, written out site
-    by site: the reference the neighbor table is checked against.
+    by site: the reference the same-color degrees and turns are checked
+    against.
 
     Periodic sites always have exactly 2r neighbors; open-boundary sites lose
     the out-of-range ones.
@@ -85,15 +85,6 @@ def reference_edges(spec):
             out.append((u, v) if u <= v else (v, u))
     out.sort()
     return out
-
-
-def reference_neighbor_rows(spec):
-    """neighbors() of every site by site_index, -1 packed at the row end."""
-    rows = []
-    for u in itertools.product(range(spec.n), repeat=spec.r):
-        row = [site_index(v, spec) for v in neighbors(u, spec)]
-        rows.append(row + [-1] * (2 * spec.r - len(row)))
-    return rows
 
 
 def reference_symmetry_rows(spec):
@@ -138,9 +129,6 @@ def test_tables_match_the_site_by_site_builders(spec):
     ei = edge_index_array(spec)
     assert ei.dtype == np.int64
     assert ei.tolist() == [[site_index(u, spec), site_index(v, spec)] for u, v in expected]
-    nbr = neighbor_index_array(spec)
-    assert nbr.dtype == np.int64
-    assert nbr.tolist() == reference_neighbor_rows(spec)
     axes = [next(i for i in range(spec.r) if u[i] != v[i]) for u, v in expected]
     assert edge_axes(spec).tolist() == axes
 
@@ -273,20 +261,6 @@ def test_edge_index_array_is_shared_and_read_only():
         ei[0, 0] = 5
     with pytest.raises(ValueError):
         ei.sort(axis=0)
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [LatticeSpec(1, 5), LatticeSpec(1, 5, OPEN), LatticeSpec(2, 3), LatticeSpec(2, 4, OPEN),
-     LatticeSpec(3, 3, OPEN)],
-    ids=str,
-)
-def test_neighbor_index_array_is_shared_and_read_only(spec):
-    nbr = neighbor_index_array(spec)
-    assert neighbor_index_array(LatticeSpec(spec.r, spec.n, spec.boundary)) is nbr
-    assert nbr.shape == (spec.num_sites, 2 * spec.r)
-    with pytest.raises(ValueError):
-        nbr[0, 0] = 5
 
 
 def test_symmetry_permutations_are_shared_and_read_only():

@@ -49,6 +49,11 @@ BLOCK_OFFSETS = {
 }
 
 
+def filled(n, tile):
+    """The n x n grid with tile in every cell."""
+    return GridTiling(n, tuple((tile,) * n for _ in range(n)))
+
+
 def encode_lifted(g, offset=(1, 1)):
     """The lifted grid of g with its block centers at offset: the reference
     inverse of decode_lifted."""
@@ -106,7 +111,7 @@ class TestRuleSetBasics:
 
     def test_file_loaders(self, tmp_path):
         rs = AB
-        g = GridTiling.filled(2, "a")
+        g = filled(2, "a")
         p1 = tmp_path / "rules.json"
         p2 = tmp_path / "grid.json"
         p1.write_text(json.dumps(rs.to_json_dict()))
@@ -119,6 +124,8 @@ class TestRuleSetBasics:
             GridTiling(2, (("a", "a"),))
         with pytest.raises(RuleSetError):
             GridTiling(2, (("a",), ("a", "a")))
+        with pytest.raises(RuleSetError, match="grid side must be positive"):
+            GridTiling(0, ())
 
 
 class TestCheckTiling:
@@ -131,7 +138,7 @@ class TestCheckTiling:
     )
     def test_self_pair_counts(self, boundary, expected):
         rs = TileRuleSet(("a",), frozenset({("a", "a")}), frozenset(), boundary)
-        v = check_tiling(rs, GridTiling.filled(3, "a"))
+        v = check_tiling(rs, filled(3, "a"))
         assert len(v) == expected
         assert all(kind == "h" for kind, _, _ in v)
 
@@ -151,14 +158,14 @@ class TestCheckTiling:
 
     def test_unknown_tile_rejected(self):
         with pytest.raises(RuleSetError):
-            check_tiling(MONO, GridTiling.filled(2, "x"))
+            check_tiling(MONO, filled(2, "x"))
 
 
 class TestEnumerateValid:
     def test_single_tile_single_grid(self):
         res = enumerate_valid(MONO, 2)
         assert len(res) == 1 and not res.truncated
-        assert res.tilings[0] == GridTiling.filled(2, "m")
+        assert res.tilings[0] == filled(2, "m")
 
     def test_oriented_pair_periodic(self):
         # any mixed row hits the forbidden order once it wraps
@@ -441,14 +448,14 @@ class TestLift:
 
     def test_decode_rejects_broken_blocks(self):
         with pytest.raises(DecodeError):
-            decode_lifted(GridTiling.filled(3, subtile("m", "c")), ("m",))
+            decode_lifted(filled(3, subtile("m", "c")), ("m",))
         good = encode_lifted(GridTiling(1, (("m",),)), (1, 1))
         rows = [list(r) for r in good.rows]
         rows[0][0], rows[0][1] = rows[0][1], rows[0][0]
         with pytest.raises(DecodeError):
             decode_lifted(GridTiling(3, tuple(map(tuple, rows))), ("m",))
         with pytest.raises(DecodeError):
-            decode_lifted(GridTiling.filled(2, subtile("m", "c")), ("m",))
+            decode_lifted(filled(2, subtile("m", "c")), ("m",))
 
     @pytest.mark.parametrize(
         "rs",

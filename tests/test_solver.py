@@ -25,10 +25,10 @@ from rih.tiling import (
     classical_energy,
     classify,
     epr_demand_graph,
-    has_turn,
     striped_witness,
 )
 from rih import solver
+from test_tiling import reference_has_turn
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "src" / "rih" / "data"
 RANDOM_PLUG_REPORTS = json.loads(
@@ -1221,7 +1221,7 @@ def _reference_tables(spec):
     colorings: np.unique over every row's code, orbits by searchsorted on the
     sorted codes, one epr_min_energy call per orbit representative on the
     demand graph of its numbering, and has_turn from each mask's
-    representative coloring."""
+    representative coloring by the site-by-site definition."""
     N = spec.num_sites
     ei = edge_index_array(spec)
     E = len(ei)
@@ -1276,7 +1276,9 @@ def _reference_tables(spec):
         "rep_coloring": rep_coloring,
         "same_degree": deg,
         "looped": (deg == 2).all(axis=1),
-        "has_turn": np.array([has_turn(Tiling(spec, c, zeros), 1) for c in rep_coloring]),
+        "has_turn": np.array(
+            [reference_has_turn(Tiling(spec, c, zeros), 1) for c in rep_coloring]
+        ),
     }
     return numbering, coloring
 

@@ -11,6 +11,8 @@ from rih.lattice import (
     PERIODIC,
     LatticeSpec,
     _local_groups,
+    coordinates,
+    edge_axes,
     edge_index_array,
     edges,
     lattice_symmetry_permutations,
@@ -24,27 +26,33 @@ from rih.tiling import (
     Slot,
     Tiling,
     classical_energy,
-    _same_color_degrees,
     classify,
     counting_floor,
     epr_demand_graph,
-    has_turn,
     rule_violations,
+    same_color_geometry,
     striped_witness,
 )
 from test_lattice import coord_diff_count, neighbors, site_index
 
 
+def same_edges(t, copy):
+    """Whether each edge of edge_index_array joins two sites of one color."""
+    ei = edge_index_array(t.spec)
+    c = t.colors(copy)
+    return c[ei[:, 0]] == c[ei[:, 1]]
+
+
 def h1lb(t, copy):
     """The counting floor of one copy of t, as c04 reaches it."""
-    return int(counting_floor(len(edge_index_array(t.spec)), _same_color_degrees(t, copy)))
+    deg, _ = same_color_geometry(t.spec, same_edges(t, copy))
+    return int(counting_floor(len(edge_index_array(t.spec)), deg))
 
 
 def same_color_sizes(t, copy):
     """Site counts of the groups of same-color edges, smallest site first."""
     ei = edge_index_array(t.spec)
-    c = t.colors(copy)
-    return [k for _, k, _ in _local_groups(ei[c[ei[:, 0]] == c[ei[:, 1]]].tolist())]
+    return [k for _, k, _ in _local_groups(ei[same_edges(t, copy)].tolist())]
 
 
 def random_tiling(spec, rng):
@@ -315,7 +323,7 @@ TABLE_SPECS = [
 @pytest.mark.parametrize("spec", TABLE_SPECS, ids=str)
 def test_neighbor_table_flags_match_the_literal_definitions(spec):
     rng = np.random.default_rng(31)
-    turns = 0
+    same, want_deg, want_turn = [], [], []
     for k in range(40):
         t = random_tiling(spec, rng)
         if k % 2:
@@ -323,13 +331,80 @@ def test_neighbor_table_flags_match_the_literal_definitions(spec):
             # stretches come up as well as turns
             t = Tiling(spec, rng.integers(0, 2, spec.num_sites), t.numbers1)
         for copy in (1, 2):
-            assert _same_color_degrees(t, copy).tolist() == reference_same_color_degrees(t, copy)
-            assert has_turn(t, copy) == reference_has_turn(t, copy)
+            same.append(same_edges(t, copy))
+            want_deg.append(reference_same_color_degrees(t, copy))
+            want_turn.append(reference_has_turn(t, copy))
+            deg, turn = same_color_geometry(spec, same[-1])
+            assert (deg.shape, turn.shape) == ((spec.num_sites,), ())
+            assert deg.tolist() == want_deg[-1]
+            assert bool(turn) == want_turn[-1]
             got = rule_violations(t, copy)
             assert got == reference_rule_violations(t, copy)
             assert all(type(c) is int for (u, v), _ in got for c in u + v)
-            turns += has_turn(t, copy)
-    assert (turns > 0) == (spec.r > 1)
+    assert any(want_turn) == (spec.r > 1)
+    # the stacked (M, E) form the coloring table passes, and one more axis
+    deg, turn = same_color_geometry(spec, np.array(same))
+    assert deg.tolist() == want_deg and turn.tolist() == want_turn
+    deg, turn = same_color_geometry(spec, np.array(same).reshape(8, 10, -1))
+    assert deg.reshape(80, -1).tolist() == want_deg and turn.ravel().tolist() == want_turn
+
+
+def reference_direction(t, copy):
+    """The common axis of a looped, turn-free copy's same-color loops, by
+    grouping the same-colored edges into loops with the dict union-find;
+    None unless every loop has n sites and all loops share one axis."""
+    spec = t.spec
+    if set(reference_same_color_degrees(t, copy)) != {2} or reference_has_turn(t, copy):
+        return None
+    same = same_edges(t, copy)
+    pairs = edge_index_array(spec)[same].tolist()
+    axes = edge_axes(spec)[same].tolist()
+    loops = [({axes[i] for i in group}, k) for group, k, _ in _local_groups(pairs)]
+    dims = set().union(*(loop_axes for loop_axes, _ in loops))
+    if len(dims) == 1 and all(k == spec.n for _, k in loops):
+        return dims.pop()
+    return None
+
+
+def line_stripes(spec, rng):
+    """Colors constant along the lines of one random axis.  Half the draws
+    color every line at random; the other half color the lines by their
+    off-axis coordinate sum mod 3 (mod 2 unless 3 divides n), which keeps
+    neighboring lines apart, and recolor about one line in six at random."""
+    axis = rng.integers(spec.r)
+    off = np.delete(coordinates(spec), axis, axis=1)
+    line = off @ spec.n ** np.arange(spec.r - 1)
+    colors = rng.permutation(3)[off.sum(axis=1) % (3 if spec.n % 3 == 0 else 2)]
+    recolor = rng.random(spec.n ** (spec.r - 1)) < rng.choice((1 / 6, 1))
+    return np.where(recolor[line], rng.integers(0, 3, len(recolor))[line], colors)
+
+
+DIRECTION_SPECS = [
+    LatticeSpec(r, n, boundary)
+    for r, n in ((1, 3), (1, 4), (1, 6), (2, 3), (2, 4), (2, 6), (3, 3), (3, 4))
+    for boundary in (PERIODIC, OPEN)
+]
+
+
+@pytest.mark.parametrize("spec", DIRECTION_SPECS, ids=str)
+def test_uniform_direction_matches_the_loop_grouping(spec):
+    rng = np.random.default_rng(spec.num_sites + spec.periodic)
+    tilings = [striped_witness(spec)] if spec.r >= 2 and spec.n % 3 == 0 else []
+    N = spec.num_sites
+    for _ in range(130):
+        numbers = rng.integers(0, 3, N)
+        tilings.append(Tiling(spec, rng.integers(0, 2, N), numbers))
+        tilings.append(Tiling(spec, line_stripes(spec, rng), numbers))
+    directed = 0
+    for t in tilings:
+        # copy 2 of the drawn tilings is all one color; the witness has two
+        for copy in (1, 2) if t.colors2.any() else (1,):
+            f, want = classify(t, copy), reference_direction(t, copy)
+            assert f.uniformly_directed == (want is not None)
+            assert f.direction == want
+            directed += f.uniformly_directed
+    # stripes close into loops only around a periodic lattice
+    assert (directed > 0) == spec.periodic
 
 
 def reference_demand_graph(t, copy):
