@@ -95,6 +95,9 @@ def _cmd_solve(args):
 def _cmd_witness(args):
     spec = LatticeSpec(args.r, args.n, args.boundary)
     w = striped_witness(spec)
+    # the sector first: it refuses a plug whose sweep is over budget before
+    # any of the output is built
+    sector = None if args.plug is None else solver.tile_sector_energy(w, resolve_plug(args.plug))
     out = {
         "tiling": w.to_json_dict(),
         "classical": classical_energy(w).to_json_dict(),
@@ -103,9 +106,8 @@ def _cmd_witness(args):
             "copy2": classify(w, 2).to_json_dict(),
         },
     }
-    if args.plug is not None:
-        se = solver.tile_sector_energy(w, resolve_plug(args.plug))
-        out["sector"] = se.to_json_dict()
+    if sector is not None:
+        out["sector"] = sector.to_json_dict()
     _emit(out)
     return 0
 

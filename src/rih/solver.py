@@ -45,7 +45,11 @@ masks, and the per-copy number minimization is a vectorized sweep:
   * a mask pair's value values1[i] + values2[j] + copy*|m_i & m_j| is bounded
     below by values1[i] + values2[j], so the pair sweep evaluates only the
     pairs whose bound reaches the pair of row minima (4 of 8.5M on the 3x3
-    torus).
+    torus); where that still admits more pairs than the masks' hypercube
+    has points times bits, a min-plus transform over the hypercube gives
+    every row's exact minimum first, and only the rows that reach the
+    smallest are listed (on ring 11, 49,665 candidate pairs instead of
+    359,965).
 
 A plug that acts on both copies is not separable: the sweep's per-copy
 values bound each mask pair from below, and the pairs that can still win are
@@ -68,7 +72,7 @@ exactly up to EXACT_PAIRING_CAP slots, whatever their shape.  A larger
 component of any shape gets the certified cherry bound and is flagged
 inexact, and a search whose table holds such a bound is reported
 uncertified.  No lattice the numbering table accepts comes near the cap: its
-largest component has 9 slots on the 3x3 lattices and 12 on ring 12.
+largest component has 9 slots on the 3x3 lattices and 14 on ring 14.
 
 Process caches hold computed values, and each is a pure function of its
 input, so no result depends on what ran earlier in the process:
@@ -702,13 +706,14 @@ def _popcount(arr):
     return np.bitwise_count(np.asarray(arr, dtype=np.uint64)).astype(np.int64)
 
 
-TABLE_ROW_CAP = 200_000  # rows of the site-0 tables: N <= 12 sites, so E <= 24
+TABLE_ROW_CAP = 3**13  # rows of the site-0 tables: N <= 14 sites, so E <= 18
 _TABLE_DIGITS = len(np.base_repr(TABLE_ROW_CAP, 3)) - 1  # largest N - 1 the cap admits
 
 
 def _site0_digits(spec):
     """(3^(N-1), N) base-3 assignments of 0, 1, 2 to the sites with site 0
-    fixed to 0, in lexicographic order (site 1 most significant).
+    fixed to 0, in lexicographic order (site 1 most significant): the
+    transpose of an int8 array with one contiguous row per site.
 
     On a connected lattice a global shift of the values changes neither a
     numbering's step pattern nor a coloring's same-color mask, so these rows
@@ -721,13 +726,60 @@ def _site0_digits(spec):
     N = spec.num_sites
     if N - 1 > _TABLE_DIGITS:
         raise BudgetExceeded(f"numbering table infeasible for {N} sites")
-    count = 3 ** (N - 1)
-    idx = np.arange(count, dtype=np.int64)
-    out = np.zeros((count, N), dtype=np.int8)
-    for k in range(N - 1, 0, -1):
-        out[:, k] = idx % 3
-        idx //= 3
-    return out
+    out = np.zeros((N, 3 ** (N - 1)), dtype=np.int8)
+    for k in range(1, N):
+        # site k runs through 0, 1, 2 in runs of 3^(N-1-k) rows
+        out[k].reshape(-1, 3, 3 ** (N - 1 - k))[...] = np.arange(3, dtype=np.int8)[:, None]
+    return out.T
+
+
+def _mod3(x):
+    """x mod 3 in place, for an int8 array with entries in [-3, 5]: numpy's
+    int8 remainder is an order of magnitude slower."""
+    x += 3 * (x < 0).view(np.int8)
+    x -= 3 * (x >= 3).view(np.int8)
+    return x
+
+
+def _forest_index(digits, ends):
+    """Pattern index (see NumberingTable) of each numbering, a column of
+    digits with one row per site: its steps along the forest edges, whose
+    (tail, head) sites are the rows of ends in forest order, read in base 3
+    with the first most significant, as int32 (below TABLE_ROW_CAP)."""
+    index = np.zeros(digits.shape[1], dtype=np.int32)
+    for a, b in ends.tolist():
+        index *= 3
+        index += _mod3(digits[b] - digits[a])
+    return index
+
+
+def _forest_walk(edge_idx, N):
+    """The spanning forest that keeps each edge, in edge order, unless it
+    closes a cycle, as the (tail, head) rows of its edges, and a walk over it
+    from site 0: (site, parent, k, forward) for every site it reaches past
+    site 0, each after its parent, reached over forest edge k, which runs
+    parent -> site when forward."""
+    root = list(range(N))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    forest = []
+    for j, (a, b) in enumerate(edge_idx.tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            root[max(ra, rb)] = min(ra, rb)
+            forest.append(j)
+    ends = edge_idx[forest]
+    walk, reached = [], [0]
+    for site in reached:
+        for k, (a, b) in enumerate(ends.tolist()):
+            if site in (a, b) and a + b - site not in reached:
+                reached.append(a + b - site)
+                walk.append((a + b - site, site, k, a == site))
+    return ends, walk
 
 
 def _components(n, a, b, label=None):
@@ -785,38 +837,25 @@ def _generators(perms):
     return gens
 
 
-def _pattern_codes(steps):
-    """Base-3 code of each row of steps, first edge most significant, so that
-    sorted codes are lexicographically sorted patterns (the table cap gives
-    E <= 24, which fits in int64).  Built one column at a time, so no int64
-    copy of steps is made."""
-    codes = np.zeros(len(steps), dtype=np.int64)
-    for column in steps.T:
-        codes *= 3
-        codes += column
-    return codes
-
-
-def _pattern_images(nt, codes, perms, p):
+def _pattern_images(nt, perms, p):
     """Pattern index of the image of pattern p under each row of perms.
 
     The row g carries numbering x to the numbering with x[i] at site g[i],
-    whose step pattern is the image of x's.  A step pattern does not change
-    when a global shift is added to the numbering, so the image's base-3 code
-    (first edge most significant, as NumberingTable orders the patterns) is
-    looked up in codes, the ascending _pattern_codes of nt.patterns, without
-    first bringing site 0 back to 0."""
+    whose step pattern is the image of x's.  Its index reads its steps on
+    the forest edges in base 3, as _forest_index does for a whole table;
+    a global shift of the numbering changes no step, so site 0 need not be
+    brought back to 0 first."""
     moved = np.empty(perms.shape, dtype=np.int64)
     moved[np.arange(len(perms))[:, None], perms] = nt.digits[p]
-    steps = (moved[:, nt.edge_idx[:, 1]] - moved[:, nt.edge_idx[:, 0]]) % 3
-    return np.searchsorted(codes, _pattern_codes(steps))
+    a, b = nt.forest_ends.T
+    return ((moved[:, b] - moved[:, a]) % 3) @ 3 ** np.arange(len(a) - 1, -1, -1)
 
 
-def _pair_key(nt, codes, perms, p1, p2):
+def _pair_key(nt, perms, p1, p2):
     """The orbit key of the pattern pair (p1, p2) under the symmetries in
     perms applied to both copies at once: its lexicographically smallest
     image pair (g.p1, g.p2), as pattern indices (see _pattern_images)."""
-    images = (_pattern_images(nt, codes, perms, p).tolist() for p in (p1, p2))
+    images = (_pattern_images(nt, perms, p).tolist() for p in (p1, p2))
     return min(zip(*images))
 
 
@@ -837,76 +876,89 @@ class NumberingTable:
     a small lattice, with the patterns grouped by zero mask.
 
     A connected lattice gives each step pattern from exactly three numberings,
-    a global shift apart, so the table is built from the 3^(N-1) numberings
-    with site 0 fixed to 0: patterns[p] is the pattern of digits[p], in
-    ascending order of their base-3 codes (first edge most significant).
+    a global shift apart, so the table holds the 3^(N-1) numberings with
+    site 0 fixed to 0: patterns[p] is the pattern of digits[p], in ascending
+    order of their base-3 codes (first edge most significant).
     A pattern's zero mask marks the edges whose ends carry equal digits, so
     it is also the same-color mask of its digits read as a coloring: the
     distinct zero masks, zero_groups, are every same-color mask, and
     group_rep holds the pattern whose digits come first in lexicographic
     order in each group.  Pairing energies depend only on the step pattern
     and are invariant under the lattice symmetries, so they are solved once
-    per symmetry orbit of patterns and broadcast to the orbit's members."""
+    per symmetry orbit of patterns and broadcast to the orbit's members.
+
+    The rows are built in that order, with no sort.  Take the edges in edge
+    order and keep each one that closes no cycle: the N - 1 kept edges, the
+    forest, span the lattice, and any other edge's step is a signed sum of
+    the steps of forest edges that come before it.  So the first edge where
+    two patterns differ is a forest edge, and the patterns in code order are
+    the forest steps counted in base 3, first forest edge most significant:
+    the site-0 digit table's rows, entry k + 1 read as forest edge k's step.
+    Each row's digits follow from site 0 along the forest, and the pattern
+    index of any numbering is its steps on the forest edges, whose (tail,
+    head) sites forest_ends lists, read in base 3 (_forest_index)."""
 
     def __init__(self, spec):
-        digits = _site0_digits(spec)
+        # the site-0 digit table, one contiguous row per site: its columns
+        # read as digits are the numberings in lexicographic order, and read
+        # as forest steps (entry k + 1 for forest edge k) the patterns in
+        # code order; each intermediate is dropped once read, so the build
+        # peaks near the size of the tables it keeps
+        table = _site0_digits(spec).T
+        N, P = table.shape
         self.spec = spec
         self.edge_idx = edge_index_array(spec)
-        P, E = len(digits), len(self.edge_idx)
-        self.num_edges = E
-        steps = (digits[:, self.edge_idx[:, 1]] - digits[:, self.edge_idx[:, 0]]) % 3
+        self.num_edges = E = len(self.edge_idx)
+        # taken in lexicographic order, one np.unique over the zero masks
+        # gives the groups, each group's first row and every row's group;
+        # violation counts depend on a pattern only through its group
         row_mask = np.zeros(P, dtype=np.uint64)
-        for j in range(E):
-            row_mask |= (steps[:, j] == 0).astype(np.uint64) << np.uint64(j)
-        row_codes = _pattern_codes(steps)
-        order = np.argsort(row_codes)
-        # each unsorted intermediate is dropped once read, so the build peaks
-        # near the size of the tables it keeps
-        del row_codes
-        self.patterns = steps[order]
-        del steps
-        # the rows are in lexicographic order, so one np.unique over their
-        # zero masks gives the groups, each group's first row and every row's
-        # group; violation counts depend on a pattern only through its group
+        for j, (a, b) in enumerate(self.edge_idx.tolist()):
+            row_mask |= (table[a] == table[b]).astype(np.uint64) << np.uint64(j)
         self.zero_groups, first, row_group = np.unique(
             row_mask, return_index=True, return_inverse=True
         )
         del row_mask
-        self.group_of = row_group[order]
-        del row_group
-        self.digits = digits[order]
-        del digits
+        self.forest_ends, walk = _forest_walk(self.edge_idx, N)
         # pattern index of the numbering in each row of the site-0 digit table
-        pattern_at = np.empty(P, dtype=np.int32)
-        pattern_at[order] = np.arange(P, dtype=np.int32)
-        del order
+        pattern_at = _forest_index(table, self.forest_ends)
         self.group_rep = pattern_at[first]
-        self.orbit_reps, self.orbit_of = self._orbits(pattern_at)
+        self.group_of = np.empty_like(row_group)
+        self.group_of[pattern_at] = row_group
+        del row_group, pattern_at
+        digits = np.zeros_like(table)
+        for site, parent, k, forward in walk:
+            step = table[k + 1]
+            digits[site] = _mod3(digits[parent] + step if forward else digits[parent] - step)
+        del table
+        self.digits = digits.T
+        self.orbit_reps, self.orbit_of = self._orbits()
+        patterns = np.empty((E, P), dtype=np.int8)
+        for j, (a, b) in enumerate(self.edge_idx.tolist()):
+            patterns[j] = _mod3(digits[b] - digits[a])
+        self.patterns = patterns.T
         self.epr = np.zeros(P)
         self.epr_exact = np.zeros(P, dtype=bool)
 
-    def _orbits(self, pattern_at):
+    def _orbits(self):
         """Lattice-symmetry orbits of the step patterns: (orbit_reps,
         orbit_of), each orbit's smallest pattern index in ascending order and
         the orbit index of every pattern.
 
-        A symmetry g moves numbering x to the numbering that carries x[i] at
-        site g[i]; less its value at site 0 (mod 3), that is a row of the
-        site-0 digit table whose base-3 digits are its row index (below
-        TABLE_ROW_CAP, so int32), and its pattern is the image of x's.  The
-        images under a generating set of the symmetries join the patterns
-        into connected components, the orbits, taken one generator at a time.
-        """
-        P, N = self.digits.shape
-        place = 3 ** np.arange(N - 1, -1, -1, dtype=np.int32)
+        A symmetry g moves numbering x to the numbering y that carries x[i]
+        at site g[i], and y's step pattern is the image of x's: its index
+        reads x's steps along the forest edges' ends moved back by g.
+        The images under a generating set of the symmetries join the
+        patterns into connected components, the orbits, taken one generator
+        at a time."""
+        digits = self.digits.T
+        P = digits.shape[1]
         items = np.arange(P, dtype=np.int32)
         label = items
         for g in _generators(lattice_symmetry_permutations(self.spec)):
-            origin = self.digits[:, np.argsort(g)[0]]  # value moved onto site 0
-            row = np.zeros(P, dtype=np.int32)
-            for i in range(N):
-                row += place[g[i]] * ((self.digits[:, i] - origin) % 3)
-            label = _components(P, items, pattern_at[row], label)
+            # y at site s is x at site argsort(g)[s]
+            image = _forest_index(digits, np.argsort(g)[self.forest_ends])
+            label = _components(P, items, image, label)
         return _orbit_index(label)
 
     def broadcast(self, rep_values):
@@ -1083,23 +1135,41 @@ class EnergyReport:
         }
 
 
-def _pairs_below(values1, values2, masks, limit):
+def _slack(limit, values1):
+    """The rounding slack of a bound on a float sum values1[i] + values2[j]
+    + copy*k tested against limit: far above the rounding error of any such
+    sum, so that a slack only admits extra candidates, which the exact test
+    val <= limit then drops."""
+    return 1e-9 * (1 + abs(limit) + np.abs(values1))
+
+
+def _prefix_counts(values1, sorted2, limit):
+    """For each row i, the length of the prefix of sorted2 (values2 in
+    ascending order) whose bound values1[i] + values2[j] can reach limit, 0
+    where values1[i] is not finite."""
+    finite = np.isfinite(values1)
+    # a float sum at most limit needs values2[j] <= limit - values1[i] up to
+    # rounding
+    reach = np.full(len(values1), -np.inf)
+    reach[finite] = limit - values1[finite] + _slack(limit, values1[finite])
+    return np.searchsorted(sorted2, reach, side="right")
+
+
+def _pairs_below(values1, values2, masks, limit, order=None, counts=None):
     """Every mask pair whose value values1[i] + values2[j] + copy*|m_i & m_j|
     is at most limit, as (value, i, j) arrays in lexicographic order, with
     the copy-coupling weight copy >= 0.
 
     values1[i] + values2[j] bounds a pair's value from below, so each row i
     evaluates only the prefix of values2, in ascending order, whose bound
-    can reach limit.  Candidates go through in blocks of about SWEEP_BLOCK."""
+    can reach limit: its _prefix_counts over values2's stable ascending
+    order, which a caller that holds them passes in.  The exact test
+    val <= limit drops what the slack admitted.  Candidates go through in
+    blocks of about SWEEP_BLOCK."""
     copy = DEFAULT_COEFFICIENTS["copy"]
-    order = np.argsort(values2, kind="stable")
-    finite = np.isfinite(values1)
-    # a float sum at most limit needs values2[j] <= limit - values1[i] up to
-    # rounding; the slack only admits extra candidates, which the exact test
-    # below drops
-    reach = np.full(len(values1), -np.inf)
-    reach[finite] = limit - values1[finite] + 1e-9 * (1 + abs(limit) + np.abs(values1[finite]))
-    counts = np.searchsorted(values2[order], reach, side="right")
+    if order is None:
+        order = np.argsort(values2, kind="stable")
+        counts = _prefix_counts(values1, values2[order], limit)
     rows = np.flatnonzero(counts)
     ends = np.cumsum(counts[rows])
     found = [(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))]
@@ -1119,16 +1189,53 @@ def _pairs_below(values1, values2, masks, limit):
     return val[lex], i[lex], j[lex]
 
 
+def _overlap_floor(values2, masks, bits):
+    """g(y) = min over j of values2[j] + copy*|m_j & y|, for every y of the
+    given number of bits, as a 2^bits array indexed by y: the masks are
+    distinct, so values2 scatters onto them, and one min-plus pass per bit
+    moves that bit from the masks' side to y's (a separable distance
+    transform: Felzenszwalb & Huttenlocher, Theory of Computing 8, 415
+    (2012)), in bits * 2^bits steps."""
+    copy = DEFAULT_COEFFICIENTS["copy"]
+    g = np.full(1 << bits, np.inf)
+    g[masks.astype(np.intp)] = values2
+    for b in range(bits):
+        half = g.reshape(-1, 2, 1 << b)
+        low = np.minimum(half[:, 0], half[:, 1])
+        np.minimum(half[:, 0], half[:, 1] + copy, out=half[:, 1])
+        half[:, 0] = low
+    return g
+
+
 def _pair_sweep(values1, values2, masks):
     """min over ordered mask pairs of values1[i] + values2[j] + copy*|m_i & m_j|,
-    with the lexicographically smallest (i, j) attaining it.  The pair of the
-    two row minima seeds the limit for _pairs_below."""
+    with the lexicographically smallest (i, j) attaining it.
+
+    The pair of the two row minima seeds the limit for _pairs_below.  When
+    _overlap_floor's bits * 2^bits steps are fewer than the candidate pairs
+    that limit admits, it gives each row's exact minimum values1[i] +
+    g(m_i) up to rounding, so the limit drops to the smallest row minimum
+    plus a slack, and only the rows within that slack of it are listed.
+    Every pair attaining the minimum lies in such a row and under that
+    limit, and _pairs_below's exact test and lexicographic order pick the
+    same value and pair as from the seed."""
     i, j = int(np.argmin(values1)), int(np.argmin(values2))
     copy = DEFAULT_COEFFICIENTS["copy"]
-    seed = values1[i] + values2[j] + copy * _popcount(masks[i] & masks[j])
-    if not np.isfinite(seed):
+    limit = values1[i] + values2[j] + copy * _popcount(masks[i] & masks[j])
+    if not np.isfinite(limit):
         return np.inf, (0, 0)
-    val, rows, cols = _pairs_below(values1, values2, masks, seed)
+    order = np.argsort(values2, kind="stable")
+    sorted2 = values2[order]
+    counts = _prefix_counts(values1, sorted2, limit)
+    bits = int(masks.max()).bit_length()
+    if bits << bits < counts.sum():
+        row_min = values1 + _overlap_floor(values2, masks, bits)[masks.astype(np.intp)]
+        lo = row_min.min()
+        slack = _slack(lo, values1[np.isfinite(values1)]).max()
+        values1 = np.where(row_min <= lo + slack, values1, np.inf)
+        limit = min(limit, lo + slack)
+        counts = _prefix_counts(values1, sorted2, limit)
+    val, rows, cols = _pairs_below(values1, values2, masks, limit, order, counts)
     return float(val[0]), (int(rows[0]), int(cols[0]))
 
 
@@ -1189,7 +1296,6 @@ def ground_energy_search(spec, plug=None):
         # solves until none remains
         # joint minima are solved once per orbit of pattern pairs, on the
         # orbit's key (see _pair_key)
-        codes = _pattern_codes(nt.patterns)
         perms = lattice_symmetry_permutations(spec)
         orbit_key, emb_cache = {}, {}
 
@@ -1198,7 +1304,7 @@ def ground_energy_search(spec, plug=None):
             pair = (int(p1), int(p2))
             if pair not in orbit_key:
                 refinements += 1
-                orbit_key[pair] = key = _pair_key(nt, codes, perms, *pair)
+                orbit_key[pair] = key = _pair_key(nt, perms, *pair)
                 if key not in emb_cache:
                     emb_cache[key] = embedded_step_energy(
                         spec, nt.patterns[key[0]], nt.patterns[key[1]], plug

@@ -35,10 +35,16 @@ Run from the repository root:
     python3 tests/fixtures/generate.py                       # sector fixtures
     python3 tests/fixtures/generate.py solve-reports         # solve reports
     python3 tests/fixtures/generate.py random-plug-reports   # random-plug reports
+
+With --check after solve-reports or random-plug-reports, the reports are
+regenerated in memory and compared with the pinned ones, and nothing is
+written: each case prints "same", "new" or the JSON path of its first
+difference, and the exit status is 1 if a pinned case differs or is gone.
 """
 
 import contextlib
 import io
+import itertools
 import json
 import pathlib
 import sys
@@ -110,7 +116,7 @@ def main():
 SOLVE_CASES = (
     [["--r", "2", "--n", "3", "--plug", p] for p in ("zero", "afm", "frustration_free")]
     + [["--r", "2", "--n", "3", "--boundary", "open", "--plug", p] for p in ("zero", "afm")]
-    + [["--r", "1", "--n", str(n)] for n in (5, 7, 9, 10, 11, 12)]
+    + [["--r", "1", "--n", str(n)] for n in (5, 7, 9, 10, 11, 12, 13, 14)]
     + [["--r", "1", "--n", str(n), "--boundary", "open"] for n in (4, 6)]
 )
 
@@ -127,9 +133,53 @@ def solve_report(args):
     return report
 
 
-def solve_reports():
+def first_difference(want, got, path="$"):
+    """The JSON path of the first place where got differs from want, keys
+    in order, or None where they are equal (as parsed JSON)."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        for a, b in itertools.zip_longest(want, got):
+            if a != b:
+                return f"{path}.{a if a is not None else b}"
+            diff = first_difference(want[a], got[a], f"{path}.{a}")
+            if diff:
+                return diff
+        return None
+    if isinstance(want, list) and isinstance(got, list):
+        for k, (a, b) in enumerate(zip(want, got)):
+            diff = first_difference(a, b, f"{path}[{k}]")
+            if diff:
+                return diff
+        return None if len(want) == len(got) else f"{path}[{min(len(want), len(got))}]"
+    return None if type(want) is type(got) and want == got else path
+
+
+def check_cases(path, cases, key):
+    """Compare freshly generated cases with the pinned ones in path, writing
+    nothing: one line per case, "same", "new" or the JSON path of its first
+    difference, and "gone" for a pinned case no longer generated.  Exits 1
+    when a pinned case differs or is gone."""
+    pinned = {key(c): c for c in json.loads(path.read_text())["cases"]}
+    fresh = {key(c): c for c in json.loads(json.dumps(cases))}
+    failed = False
+    for k, case in fresh.items():
+        if k not in pinned:
+            print(f"new   {k}")
+            continue
+        diff = first_difference(pinned[k], case)
+        failed |= diff is not None
+        print(f"{diff or 'same'}   {k}")
+    for k in pinned.keys() - fresh.keys():
+        failed = True
+        print(f"gone   {k}")
+    if failed:
+        raise SystemExit(1)
+
+
+def solve_reports(check=False):
     cases = [{"args": args, "report": solve_report(args)} for args in SOLVE_CASES]
     out = HERE / "solve_reports.json"
+    if check:
+        return check_cases(out, cases, lambda c: " ".join(c["args"]))
     out.write_text(json.dumps({"schema": "solve-reports/1", "cases": cases}, indent=1) + "\n")
     print(f"wrote {len(cases)} solve reports to {out}")
 
@@ -160,7 +210,7 @@ def _matrix_json(mat):
     return {"real": mat.real.tolist(), "imag": mat.imag.tolist()}
 
 
-def random_plug_reports():
+def random_plug_reports(check=False):
     cases = []
     for spec, seeds in RANDOM_PLUG_CASES:
         for seed in seeds:
@@ -181,6 +231,10 @@ def random_plug_reports():
                 }
                 cases.append({"spec": spec.to_json_dict(), "plug": plug_json, "report": report})
     out = HERE / "random_plug_reports.json"
+    if check:
+        return check_cases(
+            out, cases, lambda c: "{plug[name]} {spec[r]}d{spec[n]} {spec[boundary]}".format(**c)
+        )
     out.write_text(
         json.dumps({"schema": "random-plug-reports/1", "cases": cases}, indent=1) + "\n"
     )
@@ -188,10 +242,10 @@ def random_plug_reports():
 
 
 if __name__ == "__main__":
-    mode = sys.argv[1:]
+    mode, check = sys.argv[1:2], sys.argv[2:] == ["--check"]
     if mode == ["solve-reports"]:
-        solve_reports()
+        solve_reports(check)
     elif mode == ["random-plug-reports"]:
-        random_plug_reports()
+        random_plug_reports(check)
     else:
         main()

@@ -270,6 +270,20 @@ class TestSolveWitness:
         assert code == 2 and out == ""
         assert err == f"error: layer state space {space} too large for the classical sweep\n"
 
+    def test_witness_refuses_the_plug_before_building_the_output(self, capsys, monkeypatch):
+        built = []
+        to_json_dict = Tiling.to_json_dict
+
+        def spy(self):
+            built.append(self.spec)
+            return to_json_dict(self)
+
+        monkeypatch.setattr(Tiling, "to_json_dict", spy)
+        code, out, err = run(capsys, "witness", "--r", "6", "--n", "6", "--plug", "afm")
+        assert code == 2 and out == ""
+        assert err == "error: layer state space 2^7776 too large for the classical sweep\n"
+        assert built == []
+
     @pytest.mark.parametrize(
         "case", SOLVE_REPORTS, ids=[" ".join(c["args"]) for c in SOLVE_REPORTS]
     )
@@ -342,7 +356,7 @@ class TestSiteCap:
         assert err == f"error: the 100000^3-site lattice exceeds the {cap}\n"
 
     @pytest.mark.parametrize(
-        "r,n,sites", [(2, 30000, "900000000"), (1_000_000, 3, "3^1000000")]
+        "r,n,sites", [(1, 15, "15"), (2, 30000, "900000000"), (1_000_000, 3, "3^1000000")]
     )
     def test_solve_over_the_table_cap_is_refused_fast(self, capsys, r, n, sites):
         start = time.perf_counter()

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from rih.hamiltonian import (
@@ -1159,12 +1159,11 @@ class TestJointOrbits:
     )
     def test_images_of_a_pattern_are_its_orbit(self, spec):
         nt, _ = solver._tables(spec)
-        codes = solver._pattern_codes(nt.patterns)
-        assert (np.diff(codes) > 0).all()
+        assert (np.diff(_pattern_codes(nt.patterns)) > 0).all()
         perms = lattice_symmetry_permutations(spec)
         sizes = np.bincount(nt.orbit_of)
         for p in range(len(nt.patterns)):
-            images = set(solver._pattern_images(nt, codes, perms, p).tolist())
+            images = set(solver._pattern_images(nt, perms, p).tolist())
             assert p in images
             assert all(nt.orbit_of[q] == nt.orbit_of[p] for q in images)
             assert len(images) == sizes[nt.orbit_of[p]]
@@ -1176,22 +1175,21 @@ class TestJointOrbits:
         keys = {}
         pair_key = solver._pair_key
 
-        def recording(nt, codes, perms, p1, p2):
-            keys[p1, p2] = key = pair_key(nt, codes, perms, p1, p2)
+        def recording(nt, perms, p1, p2):
+            keys[p1, p2] = key = pair_key(nt, perms, p1, p2)
             return key
 
         monkeypatch.setattr(solver, "_pair_key", recording)
         rep = solver.ground_energy_search(spec, plug)
         assert len(keys) == rep.stats["embedded_refinements"] > 0
         nt, _ = solver._tables(spec)
-        codes = solver._pattern_codes(nt.patterns)
         perms = lattice_symmetry_permutations(spec)
 
         def energy(p1, p2):
             return solver.embedded_step_energy(spec, nt.patterns[p1], nt.patterns[p2], plug)
 
         for (p1, p2), key in keys.items():
-            images = zip(*(solver._pattern_images(nt, codes, perms, p) for p in (p1, p2)))
+            images = zip(*(solver._pattern_images(nt, perms, p) for p in (p1, p2)))
             assert key == min((int(a), int(b)) for a, b in images)
             assert abs(energy(p1, p2) - energy(*key)) <= 1e-12
 
@@ -1283,6 +1281,92 @@ def _reference_tables(spec):
     return numbering, coloring
 
 
+def _pattern_codes(steps):
+    """Base-3 code of each row of steps, first edge most significant, so that
+    sorted codes are lexicographically sorted patterns."""
+    codes = np.zeros(len(steps), dtype=np.int64)
+    for column in steps.T:
+        codes *= 3
+        codes += column
+    return codes
+
+
+def _sorted_site0_digits(spec):
+    """The site-0 digit table as it was built before the rows came out in
+    their final order, kept as a literal reference: one int64 % 3 and //= 3
+    per column."""
+    if spec.r > solver._TABLE_DIGITS:
+        raise solver.BudgetExceeded(f"numbering table infeasible for {spec.n}^{spec.r} sites")
+    N = spec.num_sites
+    if N - 1 > solver._TABLE_DIGITS:
+        raise solver.BudgetExceeded(f"numbering table infeasible for {N} sites")
+    count = 3 ** (N - 1)
+    idx = np.arange(count, dtype=np.int64)
+    out = np.zeros((count, N), dtype=np.int8)
+    for k in range(N - 1, 0, -1):
+        out[:, k] = idx % 3
+        idx //= 3
+    return out
+
+
+class _SortedNumberingTable(solver.NumberingTable):
+    """NumberingTable's build as it was before the rows came out in their
+    final order, kept as a literal reference: every site-0 row's pattern,
+    sorted by its base-3 code, and the orbits through the row index of each
+    symmetry image.  solve_all and broadcast are NumberingTable's."""
+
+    def __init__(self, spec):
+        digits = _sorted_site0_digits(spec)
+        self.spec = spec
+        self.edge_idx = edge_index_array(spec)
+        P, E = len(digits), len(self.edge_idx)
+        self.num_edges = E
+        steps = (digits[:, self.edge_idx[:, 1]] - digits[:, self.edge_idx[:, 0]]) % 3
+        row_mask = np.zeros(P, dtype=np.uint64)
+        for j in range(E):
+            row_mask |= (steps[:, j] == 0).astype(np.uint64) << np.uint64(j)
+        row_codes = _pattern_codes(steps)
+        order = np.argsort(row_codes)
+        del row_codes
+        self.patterns = steps[order]
+        del steps
+        self.zero_groups, first, row_group = np.unique(
+            row_mask, return_index=True, return_inverse=True
+        )
+        del row_mask
+        self.group_of = row_group[order]
+        del row_group
+        self.digits = digits[order]
+        del digits
+        pattern_at = np.empty(P, dtype=np.int32)
+        pattern_at[order] = np.arange(P, dtype=np.int32)
+        del order
+        self.group_rep = pattern_at[first]
+        self.orbit_reps, self.orbit_of = self._orbits(pattern_at)
+        self.epr = np.zeros(P)
+        self.epr_exact = np.zeros(P, dtype=bool)
+
+    def _orbits(self, pattern_at):
+        P, N = self.digits.shape
+        place = 3 ** np.arange(N - 1, -1, -1, dtype=np.int32)
+        items = np.arange(P, dtype=np.int32)
+        label = items
+        for g in solver._generators(lattice_symmetry_permutations(self.spec)):
+            origin = self.digits[:, np.argsort(g)[0]]
+            row = np.zeros(P, dtype=np.int32)
+            for i in range(N):
+                row += place[g[i]] * ((self.digits[:, i] - origin) % 3)
+            label = solver._components(P, items, pattern_at[row], label)
+        return solver._orbit_index(label)
+
+
+SORTED_BUILD_SPECS = (
+    [TORUS, OPEN3]
+    + [LatticeSpec(1, n) for n in range(3, 13)]
+    + [LatticeSpec(1, n, "open") for n in range(4, 10)]
+)
+
+
 TABLE_SPECS = (
     [TORUS, OPEN3]
     + [LatticeSpec(1, n) for n in range(3, 12)]
@@ -1306,14 +1390,28 @@ class TestReducedTables:
                 assert (got.dtype, got.shape) == (ref.dtype, ref.shape), name
                 assert got.tobytes() == ref.tobytes(), name
 
+    @pytest.mark.parametrize("spec", SORTED_BUILD_SPECS, ids=_spec_id)
+    def test_rows_in_final_order_match_the_sorted_build(self, spec):
+        digits, want_digits = solver._site0_digits(spec), _sorted_site0_digits(spec)
+        assert (digits.dtype, digits.shape) == (want_digits.dtype, want_digits.shape)
+        assert digits.tobytes() == want_digits.tobytes()
+        got, want = solver.NumberingTable(spec), _SortedNumberingTable(spec)
+        got.solve_all()
+        want.solve_all()
+        names = ("digits", "patterns", "zero_groups", "group_of", "group_rep")
+        for name in names + ("orbit_reps", "orbit_of", "epr", "epr_exact"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+
     @pytest.mark.parametrize(
         "build", [solver.NumberingTable, solver._tables], ids=["NumberingTable", "tables"]
     )
     def test_oversized_table_fails_before_allocating(self, build):
         tracemalloc.start()
         try:
-            with pytest.raises(solver.BudgetExceeded, match="13 sites"):
-                build(LatticeSpec(1, 13))
+            with pytest.raises(solver.BudgetExceeded, match="15 sites"):
+                build(LatticeSpec(1, 15))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1331,9 +1429,9 @@ class TestReducedTables:
         solver.NumberingTable(spec).solve_all()
         assert solver._pairing_minimum.cache_info().currsize == solves
 
-    def test_ring_twelve_is_the_largest_accepted(self):
-        digits = solver._site0_digits(LatticeSpec(1, 12))
-        assert digits.shape == (3**11, 12) and not digits[:, 0].any()
+    def test_ring_fourteen_is_the_largest_accepted(self):
+        digits = solver._site0_digits(LatticeSpec(1, 14))
+        assert digits.shape == (3**13, 14) and not digits[:, 0].any()
 
     def test_one_build_enumerates_the_rows_once(self, monkeypatch):
         # the coloring table is read off the numbering table's rows
@@ -1438,6 +1536,48 @@ def sweep_extra():
     return get
 
 
+@st.composite
+def pair_sweep_inputs(draw, crowded):
+    """(values1, values2, masks) as _pair_sweep takes them: distinct masks of
+    at most 8 bits, up to 64 of them, and values from a half-integer grid
+    (exact ties) or non-integer floats, up to a quarter of them set to inf
+    (the rows a category sweep leaves out).  Crowded inputs hold 4 to 7
+    bits, at least half of the possible masks and values below 2, so that
+    many pairs come near the minimum and the transform pays."""
+    bits = draw(st.integers(4, 7) if crowded else st.integers(1, 8))
+    most = min(2**bits, 64)
+    masks = draw(
+        st.lists(
+            st.integers(0, 2**bits - 1),
+            min_size=most // 2 if crowded else 1,
+            max_size=most,
+            unique=True,
+        )
+    )
+    top = 2 if crowded else 20
+    value = st.one_of(
+        st.integers(0, 2 * top).map(lambda k: k / 2),
+        st.floats(0, top, allow_nan=False, allow_infinity=False),
+    )
+    values = []
+    for _ in range(2):
+        v = np.array(draw(st.lists(value, min_size=len(masks), max_size=len(masks))))
+        v[list(draw(st.sets(st.integers(0, len(masks) - 1), max_size=len(masks) // 4)))] = np.inf
+        values.append(v)
+    return values[0], values[1], np.array(masks, dtype=np.uint64)
+
+
+def _takes_the_transform(values1, values2, masks):
+    """Whether _pair_sweep bounds its listing by the hypercube transform:
+    bits * 2^bits below the candidate count that the seed limit admits."""
+    copy = solver.DEFAULT_COEFFICIENTS["copy"]
+    i, j = int(np.argmin(values1)), int(np.argmin(values2))
+    seed = values1[i] + values2[j] + copy * solver._popcount(masks[i] & masks[j])
+    bits = int(masks.max()).bit_length()
+    counts = solver._prefix_counts(values1, np.sort(values2), seed)
+    return bits << bits < counts.sum()
+
+
 class TestMaskSweep:
     @pytest.mark.parametrize(
         "spec,kind",
@@ -1476,6 +1616,38 @@ class TestMaskSweep:
         for i, m in enumerate(ct.masks):
             got = solver._mask_violations([i], ct)[0][nt.group_of]
             assert (got == 8 * _violations_for_mask(int(m), nt)).all()
+
+    @pytest.mark.parametrize("transform", [False, True], ids=["listing", "transform"])
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_pair_sweep_matches_every_pair(self, transform, data):
+        # the value and the lexicographically first pair of the full M x M
+        # matrix, bit for bit, on each side of the transform rule
+        values1, values2, masks = data.draw(pair_sweep_inputs(crowded=transform))
+        assume(_takes_the_transform(values1, values2, masks) == transform)
+        copy = solver.DEFAULT_COEFFICIENTS["copy"]
+        full = values1[:, None] + values2 + copy * solver._popcount(masks[:, None] & masks)
+        k = int(np.argmin(full))  # row-major: the first (i, j) attaining the minimum
+        value, pair = solver._pair_sweep(values1, values2, masks)
+        assert np.float64(value).tobytes() == full.flat[k].tobytes()
+        assert pair == divmod(k, len(masks))
+
+    def test_pair_sweep_keeps_a_minimum_that_rounds_above_its_bound(self):
+        # row 0's hypercube bound adds the overlap to values2 first, and
+        # v1 + (v2 + 1) rounds one ulp below the pair's value (v1 + v2) + 1:
+        # only the slack keeps the minimum pair (0, 6) under the lowered limit
+        values1 = np.array([0.279306408785453, 4.3, 3.4, 4.8, 3.3, 3.4, 3.7, 3.6, 4.5, 2.4])
+        values2 = np.array([0.0, 0.5, 0.4, 0.5, 0.3, 0.5, 0.36506324820918606, 0.1, 0.3, 0.4])
+        masks = np.array([15, 10, 1, 4, 11, 12, 2, 13, 9, 5], dtype=np.uint64)
+        assert _takes_the_transform(values1, values2, masks)
+        v1, v2 = values1[0], values2[6]
+        assert v1 + (v2 + 1.0) < v1 + v2 + 1.0
+        assert solver._pair_sweep(values1, values2, masks) == (v1 + v2 + 1.0, (0, 6))
 
     def test_pairs_below_lists_every_pair_under_the_limit(self):
         nt, ct = solver._tables(LatticeSpec(1, 7))
