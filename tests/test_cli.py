@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line entry point, in process."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -26,9 +27,11 @@ from rih.rules import (
 from rih.tiling import MAX_SITES, Tiling, striped_witness
 
 
-SOLVE_REPORTS = json.loads(
-    (Path(__file__).parent / "fixtures" / "solve_reports.json").read_text()
-)["cases"]
+FIXTURES = Path(__file__).parent / "fixtures"
+_spec = importlib.util.spec_from_file_location("generate", FIXTURES / "generate.py")
+generate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(generate)
+CORPUS = json.loads((FIXTURES / "cli_corpus.json").read_text())["cases"]
 
 
 def run(capsys, *argv):
@@ -283,16 +286,6 @@ class TestSolveWitness:
         assert code == 2 and out == ""
         assert err == "error: layer state space 2^7776 too large for the classical sweep\n"
         assert built == []
-
-    @pytest.mark.parametrize(
-        "case", SOLVE_REPORTS, ids=[" ".join(c["args"]) for c in SOLVE_REPORTS]
-    )
-    def test_solve_report_is_pinned(self, capsys, case):
-        # every minimum, certified flag, category figure and argmin of the
-        # accepted lattices, as tests/fixtures/solve_reports.json records them
-        out = run_json(capsys, "solve", *case["args"])
-        del out["stats"]["elapsed_seconds"]
-        assert json.dumps(out, indent=1) == json.dumps(case["report"], indent=1)
 
     def test_witness_energies_and_flags(self, capsys):
         out = run_json(capsys, "witness", "--r", "2", "--n", "3")
@@ -695,3 +688,13 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--mutate", "pairing")
         assert code == 2
         assert "name=value" in err
+
+
+@pytest.mark.parametrize("case", CORPUS, ids=[" ".join(c["argv"]) for c in CORPUS])
+def test_corpus_case_is_pinned(case):
+    # exit code, stdout less its timings, and stderr of every command line
+    # in tests/fixtures/cli_corpus.json, as tests/fixtures/generate.py
+    # cli-corpus recorded them; among them every minimum, certified flag,
+    # category figure and argmin of the lattices `rih solve` accepts
+    diff = generate.first_difference(case, generate.run_case(case["argv"], case["files"]))
+    assert diff is None, f"first difference at {diff}"

@@ -10,7 +10,6 @@ from rih.lattice import (
     coordinates,
     edge_axes,
     edge_index_array,
-    edges,
     lattice_symmetry_permutations,
 )
 
@@ -68,6 +67,13 @@ def neighbors(u, spec):
                 continue
             out.append(u[:i] + (c,) + u[i + 1 :])
     return out
+
+
+def edges(spec):
+    """The edges of edge_index_array as pairs of coordinate tuples, in its
+    order: the coordinate view the geometry tests read."""
+    sites = spec.sites()
+    return [(sites[a], sites[b]) for a, b in edge_index_array(spec).tolist()]
 
 
 def reference_edges(spec):

@@ -21,10 +21,12 @@ from rih.hamiltonian import (
 )
 from rih.lattice import LatticeSpec, edge_index_array, lattice_symmetry_permutations
 from rih.tiling import (
+    RULE_SAME_COLOR_SAME_NUMBER,
     Tiling,
     classical_energy,
     classify,
     epr_demand_graph,
+    rule_violations,
     striped_witness,
 )
 from rih import solver
@@ -187,9 +189,10 @@ def slots(demands):
     return [(2 * a + p - 1, 2 * b + q - 1) for (a, p), (b, q) in demands]
 
 
-def slot_demands(g):
-    """The demands of an epr_demand_graph as slot-number pairs."""
-    return slots(((d.tail.site, d.tail.port), (d.head.site, d.head.port)) for d in g.demands)
+def each_slot_once(demands):
+    """Whether no slot sits in two of these slot-number demands."""
+    flat = [s for pair in demands for s in pair]
+    return len(set(flat)) == len(flat)
 
 
 class TestEprMinEnergy:
@@ -206,14 +209,14 @@ class TestEprMinEnergy:
 
     def test_cyclically_numbered_ring_is_satisfied(self):
         t = Tiling(RING, [0, 0, 0], [0, 1, 2])
-        r = solver.epr_min_energy(slot_demands(epr_demand_graph(t, 1)))
+        r = solver.epr_min_energy(epr_demand_graph(t, 1))
         assert r.value == pytest.approx(0.0, abs=1e-10)
         assert r.exact
         assert all(c.kind == "isolated-demand" for c in r.components)
 
     def test_colliding_path_numbering_costs_four(self):
         t = Tiling(CHAIN, [0, 0, 0], [0, 1, 0])
-        r = solver.epr_min_energy(slot_demands(epr_demand_graph(t, 1)))
+        r = solver.epr_min_energy(epr_demand_graph(t, 1))
         assert r.value == pytest.approx(4.0, abs=1e-10)
         (comp,) = r.components
         assert comp.kind == "exact" and comp.num_slots == 3
@@ -268,7 +271,7 @@ class TestEprMinEnergy:
         # an open chain numbered 0,1,0,1,... pairs its slots into one path;
         # the cap is checked ahead of the chain cache that the exact solve fills
         t = Tiling(LatticeSpec(1, 9, "open"), np.zeros(9, int), np.arange(9) % 2)
-        g = slot_demands(epr_demand_graph(t, 1))
+        g = epr_demand_graph(t, 1)
         exact = solver.epr_min_energy(g)
         (comp,) = exact.components
         assert (comp.num_slots, comp.kind, comp.exact) == (9, "exact", True)
@@ -483,11 +486,11 @@ ARRAY_PATH_SPECS = [TORUS, OPEN3] + [LatticeSpec(1, n) for n in range(3, 8)] + [
 
 
 def _object_path_sector(t, plug):
-    """The sector energy composed from the demand-graph objects: the
+    """The sector energy composed from tiling.epr_demand_graph: the
     reference for tile_sector_energy's array path."""
     ce = classical_energy(t)
-    e1 = solver.epr_min_energy(slot_demands(epr_demand_graph(t, 1)))
-    e2 = solver.epr_min_energy(slot_demands(epr_demand_graph(t, 2)))
+    e1 = solver.epr_min_energy(epr_demand_graph(t, 1))
+    e2 = solver.epr_min_energy(epr_demand_graph(t, 2))
     return solver.SectorEnergy(
         classical=float(ce.total),
         epr_copy1=e1.value,
@@ -504,24 +507,44 @@ def _object_path_sector(t, plug):
     )
 
 
-class TestArrayPath:
-    @pytest.mark.parametrize("spec", ARRAY_PATH_SPECS, ids=str)
-    def test_pattern_demands_match_the_demand_graph(self, spec):
-        rng = np.random.default_rng(21)
-        ei = edge_index_array(spec)
-        conflicts = 0
-        for _ in range(30):
-            t = _random_tiling(spec, rng)
-            for copy, steps in zip((1, 2), solver._step_patterns(t)):
-                g = epr_demand_graph(t, copy)
-                conflicts += len(g.rule_conflicts)
-                assert solver._pattern_demands(ei, steps) == slot_demands(g)
-                got = solver.epr_min_energy(solver._pattern_demands(ei, steps))
-                want = solver.epr_min_energy(slot_demands(g))
-                assert (got.value, got.exact) == (want.value, want.exact)
-                assert got.components == want.components
-        assert conflicts > 0
+BUILDER_SPECS = ARRAY_PATH_SPECS + [LatticeSpec(3, 3)]
 
+
+@st.composite
+def drawn_tilings(draw):
+    spec = draw(st.sampled_from(BUILDER_SPECS))
+    tiles = st.lists(st.integers(0, 2), min_size=spec.num_sites, max_size=spec.num_sites)
+    return Tiling(spec, *(draw(tiles) for _ in range(4)))
+
+
+@settings(
+    max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(t=drawn_tilings())
+def test_the_two_demand_builders_agree(t):
+    # tiling.epr_demand_graph, which the qubit oracle and the acceptance
+    # checks read, against solver._pattern_demands, which the sector and the
+    # tables read: the same slot-number pairs, and the edges without a
+    # demand are equal-number edges whose same-colored ones are exactly
+    # rule 1's violations
+    ei = edge_index_array(t.spec)
+    sites = t.spec.sites()
+    for copy, steps in zip((1, 2), solver._step_patterns(t)):
+        demands = epr_demand_graph(t, copy)
+        assert demands == solver._pattern_demands(ei, steps)
+        kept = {tuple(sorted((a // 2, b // 2))) for a, b in demands}
+        assert len(kept) == len(demands)
+        dropped = [e for e in map(tuple, ei.tolist()) if e not in kept]
+        c, m = t.colors(copy), t.numbers(copy)
+        assert all(m[a] == m[b] for a, b in dropped)
+        want = [
+            ((sites[a], sites[b]), RULE_SAME_COLOR_SAME_NUMBER) for a, b in dropped if c[a] == c[b]
+        ]
+        rule1 = [v for v in rule_violations(t, copy) if v[1] == RULE_SAME_COLOR_SAME_NUMBER]
+        assert rule1 == want
+
+
+class TestArrayPath:
     @pytest.mark.parametrize("spec", ARRAY_PATH_SPECS, ids=str)
     def test_sector_energy_matches_the_object_composition(self, spec):
         rng = np.random.default_rng(22)
@@ -722,7 +745,7 @@ class TestOracleAgreement:
             direct = solver.sector_qubit_oracle(t, copy)
             ce = classical_energy(t)
             part = (ce.tile1 + ce.loop1) if copy == 1 else (ce.tile2 + ce.loop2)
-            epr = solver.epr_min_energy(slot_demands(epr_demand_graph(t, copy)))
+            epr = solver.epr_min_energy(epr_demand_graph(t, copy))
             assert epr.exact
             assert direct == pytest.approx(part + epr.value, abs=1e-8)
             assert direct == pytest.approx(f["expected_total"], abs=1e-6)
@@ -857,8 +880,7 @@ class TestGroundEnergySearch:
         assert rep.minimum == pytest.approx(24.0, abs=1e-9)
         assert rep.certified
         for copy in (1, 2):
-            degs = epr_demand_graph(rep.argmin, copy).slot_degrees()
-            assert all(d <= 1 for d in degs.values())
+            assert each_slot_once(epr_demand_graph(rep.argmin, copy))
 
     def test_oversized_lattice_is_rejected(self):
         with pytest.raises(solver.BudgetExceeded):
@@ -1244,7 +1266,7 @@ def _reference_tables(spec):
     zeros = np.zeros(N, dtype=int)
     results = [
         solver.epr_min_energy(
-            slot_demands(epr_demand_graph(Tiling(spec, zeros, digits[first[p]]), 1))
+            epr_demand_graph(Tiling(spec, zeros, digits[first[p]]), 1)
         )
         for p in orbit_reps
     ]
@@ -1761,9 +1783,7 @@ class TestTurnAlternatives:
         w = striped_witness(spec)
         base = solver.tile_sector_energy(w)
         assert base.total == pytest.approx(straight_total, abs=1e-9)
-        assert all(
-            d <= 1 for d in epr_demand_graph(w, 1).slot_degrees().values()
-        )
+        assert each_slot_once(epr_demand_graph(w, 1))
         alt = snake_tiling(n)
         assert classify(alt, 1).has_turn
         alt_se = solver.tile_sector_energy(alt)

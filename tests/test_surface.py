@@ -8,12 +8,19 @@ is still to come.  Importing a name into rih.__init__ does not count as a use,
 so nothing stays in the package only because it is exported.  No oracle may
 mention a checked path, and no definition but the oracles themselves and
 acceptance.crit_oracle_agreement may mention an oracle.
+
+The benchmark's tracer wraps rih names by string and reads solver report
+counters by key; every such name and key must exist.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import rih
+from rih import solver
+from rih.lattice import LatticeSpec
 
 SRC = Path(rih.__file__).resolve().parent
 
@@ -162,3 +169,22 @@ def test_the_guard_does_not_count_an_export_as_a_use(tmp_path):
     (tmp_path / "a.py").write_text("def exported():\n    return 1\n\n\ndef used():\n    return 2\n")
     (tmp_path / "b.py").write_text("from a import used\n\nVALUE = used()\n")
     assert unreferenced(tmp_path) == ["a.exported"]
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    # the tracer skips a name that is gone, and its metrics then go missing
+    # from the run's result line; perfbench/tracing.py is only read here
+    path = SRC.parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module_name, attributes in tracing.TARGETS:
+        obj = importlib.import_module(f"rih.{module_name}")
+        for part in attributes.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(f"{module_name}.{attributes}")
+    assert missing == []
+    stats = solver.ground_energy_search(LatticeSpec(1, 5)).stats
+    assert [k for k in tracing.REPORT_COUNTS if k not in stats] == []

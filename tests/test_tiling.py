@@ -14,16 +14,12 @@ from rih.lattice import (
     coordinates,
     edge_axes,
     edge_index_array,
-    edges,
     lattice_symmetry_permutations,
 )
 from rih.tiling import (
     RULE_DIFF_COLOR_DIFF_NUMBER,
     RULE_SAME_COLOR_SAME_NUMBER,
-    Demand,
     MAX_SITES,
-    EprDemandGraph,
-    Slot,
     Tiling,
     classical_energy,
     classify,
@@ -33,7 +29,7 @@ from rih.tiling import (
     same_color_geometry,
     striped_witness,
 )
-from test_lattice import coord_diff_count, neighbors, site_index
+from test_lattice import coord_diff_count, edges, neighbors, site_index
 
 
 def same_edges(t, copy):
@@ -408,22 +404,23 @@ def test_uniform_direction_matches_the_loop_grouping(spec):
 
 
 def reference_demand_graph(t, copy):
-    """The demand graph built literally: two site_index lookups per edge."""
-    g = EprDemandGraph(copy=copy)
+    """The demands built literally, as (tail, head) slot-number pairs: two
+    site_index lookups per edge."""
     spec = t.spec
-    c, m = t.colors(copy), t.numbers(copy)
+    m = t.numbers(copy)
+    out = []
     for u, v in edges(spec):
         iu, iv = site_index(u, spec), site_index(v, spec)
         step = (int(m[iv]) - int(m[iu])) % 3
-        if step == 0:
-            if c[iu] == c[iv]:
-                g.rule_conflicts.append((u, v))
-            continue
-        tail, head = (iu, iv) if step == 1 else (iv, iu)
-        g.demands.append(
-            Demand(tail=Slot(tail, copy, 2), head=Slot(head, copy, 1), edge=(u, v))
-        )
-    return g
+        if step:
+            tail, head = (iu, iv) if step == 1 else (iv, iu)
+            out.append((2 * tail + 1, 2 * head))
+    return out
+
+
+def demand_sites(g):
+    """The (tail site, head site) of each slot-number demand."""
+    return {(a // 2, b // 2) for a, b in g}
 
 
 DEMAND_SPECS = [
@@ -442,10 +439,9 @@ class TestDemandGraph:
         for _ in range(40):
             t = random_tiling(spec, rng)
             for copy in (1, 2):
-                got, want = epr_demand_graph(t, copy), reference_demand_graph(t, copy)
-                assert got.demands == want.demands
-                assert got.rule_conflicts == want.rule_conflicts
-                assert all(type(d.tail.site) is int for d in got.demands)
+                got = epr_demand_graph(t, copy)
+                assert got == reference_demand_graph(t, copy)
+                assert all(type(a) is int and type(b) is int for a, b in got)
             deg = reference_same_color_degrees(t, 1)
             want_bound = 2 * len(edges(spec)) - sum(deg) + 4 * sum(n // 3 for n in deg)
             assert h1lb(t, 1) == want_bound
@@ -455,62 +451,52 @@ class TestDemandGraph:
         spec = LatticeSpec(1, 3)
         t = Tiling(spec, [0, 0, 0], [0, 1, 2])
         g = epr_demand_graph(t, 1)
-        assert len(g.demands) == 3
-        assert g.rule_conflicts == []
-        deg = g.slot_degrees()
-        assert len(deg) == 6
-        assert set(deg.values()) == {1}
-        pairs = {(d.tail.site, d.head.site) for d in g.demands}
-        assert pairs == {(0, 1), (1, 2), (2, 0)}
+        assert g == [(1, 2), (5, 0), (3, 4)]
+        assert sorted(s for pair in g for s in pair) == list(range(6))
+        assert rule_violations(t, 1) == []
+        assert demand_sites(g) == {(0, 1), (1, 2), (2, 0)}
 
     def test_path_shared_head_slot(self):
-        # numbers 0,1,0 on an open path: both edges point into the middle site
+        # numbers 0,1,0 on an open path: both edges point into the middle
+        # site's port-1 slot, number 2
         spec = LatticeSpec(1, 3, OPEN)
         t = Tiling(spec, [0, 0, 0], [0, 1, 0])
         g = epr_demand_graph(t, 1)
-        assert len(g.demands) == 2
-        heads = [d.head for d in g.demands]
-        assert heads == [Slot(1, 1, 1), Slot(1, 1, 1)]
+        assert [head for _, head in g] == [2, 2]
 
     def test_same_number_same_color_is_conflict(self):
+        # no demand, and a rule-1 violation
         spec = LatticeSpec(1, 3, OPEN)
         t = Tiling(spec, [2, 2, 0], [1, 1, 1])
-        g = epr_demand_graph(t, 1)
-        assert g.demands == []
-        assert g.rule_conflicts == [(((0,), (1,)))]
+        assert epr_demand_graph(t, 1) == []
+        assert rule_violations(t, 1) == [(((0,), (1,)), RULE_SAME_COLOR_SAME_NUMBER)]
 
     def test_same_number_diff_color_is_silent(self):
         spec = LatticeSpec(1, 3, OPEN)
         t = Tiling(spec, [0, 1, 2], [1, 1, 1])
-        g = epr_demand_graph(t, 1)
-        assert g.demands == []
-        assert g.rule_conflicts == []
+        assert epr_demand_graph(t, 1) == []
+        assert rule_violations(t, 1) == []
 
     def test_demands_follow_numbers_not_colors(self):
-        # stepping numbers demand pairing even across different colors
+        # stepping numbers demand pairing even across different colors; each
+        # demand joins a port-2 slot (odd) to a port-1 slot (even)
         spec = LatticeSpec(1, 3, OPEN)
         t = Tiling(spec, [0, 1, 2], [0, 1, 2])
         g = epr_demand_graph(t, 1)
-        assert len(g.demands) == 2
-        assert all(d.tail.port == 2 and d.head.port == 1 for d in g.demands)
+        assert len(g) == 2
+        assert all(a % 2 == 1 and b % 2 == 0 for a, b in g)
 
     def test_demand_direction_follows_step(self):
         # numbers 2 -> 0 step forward; 0 -> 2 is the reverse orientation
         spec = LatticeSpec(1, 3, OPEN)
         t = Tiling(spec, [0, 0, 0], [2, 0, 2])
-        g = epr_demand_graph(t, 1)
-        pairs = {(d.tail.site, d.head.site) for d in g.demands}
-        assert pairs == {(0, 1), (2, 1)}
+        assert demand_sites(epr_demand_graph(t, 1)) == {(0, 1), (2, 1)}
 
-    def test_copy_label_carried(self):
+    def test_copy_two_reads_its_own_numbers(self):
         spec = LatticeSpec(1, 3)
         t = Tiling(spec, [0, 0, 0], [0, 1, 2], [0, 0, 0], [0, 2, 1])
-        g2 = epr_demand_graph(t, 2)
-        assert g2.copy == 2
-        assert all(d.tail.copy == 2 and d.head.copy == 2 for d in g2.demands)
         # copy 2 numbers run backwards, so demands flip
-        pairs = {(d.tail.site, d.head.site) for d in g2.demands}
-        assert pairs == {(1, 0), (2, 1), (0, 2)}
+        assert demand_sites(epr_demand_graph(t, 2)) == {(1, 0), (2, 1), (0, 2)}
 
 
 class TestEnergyBounds:
