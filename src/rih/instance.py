@@ -7,8 +7,9 @@ two-body interaction never changes with the input; only the lattice grows.
 Primality is Miller-Rabin with random bases drawn from a seeded stream; below
 PSI_12 the shortest prefix of the twelve-prime base set that the
 strong-pseudoprime bounds allow proves the answer, and the stream is still
-advanced exactly as the random-base test would advance it, so every search
-draws the same candidates.
+advanced as the random-base test would advance it, which leaves a caller's
+stream in the same state; no encoding depends on it, since f_search returns
+at its first prime and its draws after that reach no candidate.
 """
 
 from __future__ import annotations

@@ -52,16 +52,16 @@ masks, and the per-copy number minimization is a vectorized sweep:
     359,965).
 
 A plug that acts on both copies is not separable: the sweep's per-copy
-values bound each mask pair from below, and the pairs that can still win are
-refined with the joint embedded minimum lambda_min(H_h(p1) + H_v(p2)) of
-their pattern pairs.  That minimum too is the same for every lattice
-symmetry applied to both copies at once, so it is solved once per orbit of
-pattern pairs, on the orbit's lexicographically smallest image pair, and
-read by every pair of the orbit (8 solves for the 112 pairs that ring 7
-refines under the seed-1 random plug of the pinned random-plug reports).
-The tile, loop, pairing, copy-coupling, horizontal and vertical weights
-are read from hamiltonian.DEFAULT_COEFFICIENTS, the weights the term is
-built with.
+values bound each mask pair from below, and _joint_refinement refines the
+pairs that can still win with the joint embedded minimum
+lambda_min(H_h(p1) + H_v(p2)) of their pattern pairs.  That minimum too is
+the same for every lattice symmetry applied to both copies at once, so it
+is solved once per orbit of pattern pairs, on the orbit's
+lexicographically smallest image pair, and read by every pair of the orbit
+(8 solves for the 112 pairs that ring 7 refines under the seed-1 random
+plug of the pinned random-plug reports).  The tile, loop, pairing,
+copy-coupling, horizontal and vertical weights are read from
+hamiltonian.DEFAULT_COEFFICIENTS, the weights the term is built with.
 
 Every demand joins a port-2 slot to a port-1 slot, so rotating each port-2
 slot by pi about Y turns a pairing penalty 8(I - P_Phi+), at pairing weight
@@ -1237,6 +1237,83 @@ def _pair_sweep(values1, values2, masks):
     return float(val[0]), (int(rows[0]), int(cols[0]))
 
 
+def _joint_minimum(nt, plug, keys, minima, p1, p2):
+    """lambda_min(H_h(p1) + H_v(p2)), solved once per orbit of pattern pairs
+    on its key (see _pair_key): keys maps each pattern pair met to its key,
+    minima each key solved to its value."""
+    if (p1, p2) not in keys:
+        keys[p1, p2] = key = _pair_key(nt, lattice_symmetry_permutations(nt.spec), p1, p2)
+        if key not in minima:
+            minima[key] = embedded_step_energy(nt.spec, *nt.patterns[list(key)], plug)
+    return minima[keys[p1, p2]]
+
+
+def _refine_mask_pair(nt, ct, plug, keys, minima, i, j, best, sector):
+    """(best, sector) after the numbering pairs of mask pair (i, j): a pattern
+    pair replaces the incumbent only with a strictly smaller total.  The
+    pair of the copies' classical argmins comes first; embedded parts are
+    nonnegative, so no pair outside the window it leaves can win."""
+    inter = int(np.bitwise_count(ct.masks[i] & ct.masks[j]))
+    base = float(ct.loop_cost[i] + ct.loop_cost[j] + DEFAULT_COEFFICIENTS["copy"] * inter)
+    v1, v2 = _pattern_costs(i, nt, ct, nt.epr), _pattern_costs(j, nt, ct, nt.epr)
+    pa, pb = int(np.argmin(v1)), int(np.argmin(v2))
+    total = base + float(v1[pa] + v2[pb]) + _joint_minimum(nt, plug, keys, minima, pa, pb)
+    if total < best:
+        best, sector = total, (i, j, pa, pb)
+    limit = best - base
+    for p1 in np.flatnonzero(v1 + v2.min() <= limit).tolist():
+        for p2 in np.flatnonzero(v2 <= limit - v1[p1]).tolist():
+            total = base + float(v1[p1] + v2[p2]) + _joint_minimum(nt, plug, keys, minima, p1, p2)
+            if total < best:
+                best, sector = total, (i, j, p1, p2)
+    return best, sector
+
+
+def _joint_refinement(spec, nt, ct, plug, values1, values2, seed):
+    """(minimum, sector, refinements) of a plug that acts on both copies:
+    sector is the (i, j, p1, p2) attaining the minimum, None where the
+    striped witness does, and refinements the number of pattern pairs keyed.
+
+    The separable values bound each mask pair's total from below, so the
+    pairs whose bound undercuts the incumbent are refined in ascending
+    order of bound.  The seed pair, the sweep's argmin, goes first, so the
+    listing's limit is finite; listed again, it changes nothing.  The
+    striped witness, where the lattice has one, is the first incumbent and
+    so breaks ties in the argmin."""
+    keys, minima = {}, {}
+    best, sector = np.inf, None
+    if spec.n % 3 == 0 and spec.r >= 2:
+        best = tile_sector_energy(striped_witness(spec), plug).total
+    best, sector = _refine_mask_pair(nt, ct, plug, keys, minima, *seed, best, sector)
+    bounds, rows, cols = _pairs_below(values1, values2, ct.masks, best)
+    for bound, i, j in zip(bounds.tolist(), rows.tolist(), cols.tolist()):
+        if bound >= best:
+            break
+        best, sector = _refine_mask_pair(nt, ct, plug, keys, minima, i, j, best, sector)
+    return best, sector, len(keys)
+
+
+def _categories(ct, values1, values2):
+    """Each category's minimum over mask pairs, None where it has no pair:
+    the flags apply per copy, and where one copy must carry a flag both
+    orientations count, since a plug may treat the copies unequally."""
+    L, T = ct.looped, ct.has_turn
+    every = np.ones(len(ct.masks), dtype=bool)
+    cat = {}
+    for name, allowed in (
+        ("both_copies_straight_looped", [(L & ~T, L & ~T)]),
+        ("some_copy_not_looped", [(~L, every), (every, ~L)]),
+        ("some_copy_looped_with_turn", [(L & T, every), (every, L & T)]),
+    ):
+        v = min(
+            _pair_sweep(np.where(a, values1, np.inf), np.where(b, values2, np.inf), ct.masks)[0]
+            for a, b in allowed
+        )
+        cat[name] = v if v < np.inf else None
+    cat["looped_with_turn_masks"] = int((L & T).sum())
+    return cat
+
+
 @one_blas_thread()
 def ground_energy_search(spec, plug=None):
     """Exhaustive certified minimum of the summed term over all tile sectors.
@@ -1246,163 +1323,57 @@ def ground_energy_search(spec, plug=None):
     though nothing is enumerated site by site.  Feasible when 3^(sites) is
     enumerable; larger lattices raise BudgetExceeded.
 
-    A non-separable plug's joint refinement keys its joint embedded minima
-    by the orbit of the pattern pair (see the module docstring); the
-    embedded_refinements stat counts the distinct pattern pairs refined, not
-    the eigensolves, which number one per orbit met.  The search runs on one
-    OpenBLAS thread and gives the caller's thread counts back on return.
+    The phases: tables, per-copy mask minima, pair sweep, joint refinement
+    where the plug acts on both copies, categories.  embedded_refinements
+    counts the distinct pattern pairs refined, not the eigensolves, which
+    number one per orbit met.  The search runs on one OpenBLAS thread and
+    gives the caller's thread counts back on return.
     """
     t0 = time.perf_counter()
     nt, ct = _tables(spec)
-    E = nt.num_edges
-    plug_name = "zero" if plug is None else plug.name
-    horizontal = plug is not None and bool(np.count_nonzero(plug.horizontal))
-    vertical = plug is not None and bool(np.count_nonzero(plug.vertical))
-    separable = not (horizontal and vertical)
-
-    # per-copy, per-mask minima over numberings, with each copy's one-copy
-    # embedded minima folded in (the whole embedded part when separable)
-    M = len(ct.masks)
-    if not (horizontal or vertical):
-        q1, argn1 = q2, argn2 = _q_sweep(nt, ct)
-    else:
-        # like the pairing minima, one-copy embedded minima are invariant
-        # under the lattice symmetries: solve one pattern per orbit
-        zero_steps = np.zeros(E, dtype=np.int8)
-        reps = nt.patterns[nt.orbit_reps]
-        eh = ev = None
-        if horizontal:
-            eh = [embedded_step_energy(spec, s, zero_steps, plug) for s in reps]
-        if vertical:
-            ev = [embedded_step_energy(spec, zero_steps, s, plug) for s in reps]
-        q1, argn1 = _q_sweep(nt, ct, eh)
-        q2, argn2 = _q_sweep(nt, ct, ev)
-
-    values1 = ct.loop_cost + q1
-    values2 = ct.loop_cost + q2
-    best, (i1, i2) = _pair_sweep(values1, values2, ct.masks)
-
-    def tiling(i, j, p1, p2):
-        return Tiling(spec, ct.rep_coloring[i], nt.digits[p1], ct.rep_coloring[j], nt.digits[p2])
-
-    refinements = 0
+    # like the pairing minima, one-copy embedded minima are invariant under
+    # the lattice symmetries: one pattern per orbit is solved, and a term
+    # that does not act leaves its copy's entry None
+    zero = np.zeros(nt.num_edges, dtype=np.int8)
+    reps = nt.patterns[nt.orbit_reps]
+    eh = ev = None
+    if plug is not None and np.count_nonzero(plug.horizontal):
+        eh = [embedded_step_energy(spec, s, zero, plug) for s in reps]
+    if plug is not None and np.count_nonzero(plug.vertical):
+        ev = [embedded_step_energy(spec, zero, s, plug) for s in reps]
+    q1, argn1 = _q_sweep(nt, ct, eh)
+    q2, argn2 = (q1, argn1) if eh is None and ev is None else _q_sweep(nt, ct, ev)
+    values1, values2 = ct.loop_cost + q1, ct.loop_cost + q2
+    best, (i, j) = _pair_sweep(values1, values2, ct.masks)
+    separable = eh is None or ev is None
     if separable:
-        argmin = tiling(i1, i2, argn1(i1), argn2(i2))
+        sector, refinements = (i, j, argn1(i), argn2(j)), 0
     else:
-        # the separable sweep gives a certified lower bound per pair; refine
-        # every pair whose bound undercuts the incumbent with joint embedded
-        # solves until none remains
-        # joint minima are solved once per orbit of pattern pairs, on the
-        # orbit's key (see _pair_key)
-        perms = lattice_symmetry_permutations(spec)
-        orbit_key, emb_cache = {}, {}
-
-        def joint_emb(p1, p2):
-            nonlocal refinements
-            pair = (int(p1), int(p2))
-            if pair not in orbit_key:
-                refinements += 1
-                orbit_key[pair] = key = _pair_key(nt, perms, *pair)
-                if key not in emb_cache:
-                    emb_cache[key] = embedded_step_energy(
-                        spec, nt.patterns[key[0]], nt.patterns[key[1]], plug
-                    )
-            return emb_cache[orbit_key[pair]]
-
-        def joint_best(i, j, budget_val):
-            """Exact min over numbering pairs in mask pair (i, j), with the
-            achieving numbering pair; pairs above budget_val are skipped, so
-            the min is exact only where it is below budget_val."""
-            inter = int(np.bitwise_count(ct.masks[i] & ct.masks[j]))
-            base = float(ct.loop_cost[i] + ct.loop_cost[j] + DEFAULT_COEFFICIENTS["copy"] * inter)
-            v1, v2 = _pattern_costs(i, nt, ct, nt.epr), _pattern_costs(j, nt, ct, nt.epr)
-            # seed: the classical argmin pair is achievable, and any pair whose
-            # classical part exceeds seed_total - base can never win (embedded
-            # parts are nonnegative), so the window below is complete
-            pa, pb = int(np.argmin(v1)), int(np.argmin(v2))
-            out = base + float(v1[pa] + v2[pb]) + joint_emb(pa, pb)
-            arg = (pa, pb)
-            lim = min(budget_val, out) - base
-            for p1 in np.flatnonzero(v1 + v2.min() <= lim):
-                for p2 in np.flatnonzero(v2 <= lim - v1[p1]):
-                    if (int(p1), int(p2)) == (pa, pb):
-                        continue
-                    tot = base + float(v1[p1] + v2[p2]) + joint_emb(p1, p2)
-                    if tot < out:
-                        out, arg = tot, (int(p1), int(p2))
-            return out, arg
-
-        incumbent, argmin = np.inf, None
-        if spec.n % 3 == 0 and spec.r >= 2:
-            argmin = striped_witness(spec)
-            incumbent = tile_sector_energy(argmin, plug).total
-
-        def refine(i, j):
-            nonlocal incumbent, argmin
-            tot, (p1, p2) = joint_best(i, j, incumbent)
-            if tot < incumbent:
-                incumbent, argmin = tot, tiling(i, j, p1, p2)
-
-        # the seed pair first: listing the pairs below an infinite incumbent
-        # would list all M*M of them
-        refine(i1, i2)
-        bounds, rows, cols = _pairs_below(values1, values2, ct.masks, incumbent)
-        keep = (bounds < incumbent) & ((rows != i1) | (cols != i2))
-        for bval, i, j in zip(bounds[keep].tolist(), rows[keep].tolist(), cols[keep].tolist()):
-            if bval >= incumbent:
-                break
-            refine(i, j)
-        best = incumbent
-
-    # category minima over pairs (flags apply per copy)
-    L, T = ct.looped, ct.has_turn
-    ok_straight = L & ~T
-    cat = {}
-
-    def cat_min(allow1, allow2):
-        vals1 = np.where(allow1, values1, np.inf)
-        vals2 = np.where(allow2, values2, np.inf)
-        if not np.isfinite(vals1).any() or not np.isfinite(vals2).any():
-            return None
-        v, _ = _pair_sweep(vals1, vals2, ct.masks)
-        return v
-
-    def either_copy(flags):
-        # min over pairs where at least one copy carries the flagged mask;
-        # both orientations matter when the plug treats the copies unequally
-        every = np.ones(M, dtype=bool)
-        opts = [cat_min(flags, every), cat_min(every, flags)]
-        opts = [v for v in opts if v is not None]
-        return min(opts) if opts else None
-
-    cat["both_copies_straight_looped"] = cat_min(ok_straight, ok_straight)
-    cat["some_copy_not_looped"] = either_copy(~L)
-    cat["some_copy_looped_with_turn"] = either_copy(L & T)
-    cat["looped_with_turn_masks"] = int((L & T).sum())
-    # with a non-separable plug the category figures omit the cross-copy part
-    # of the embedded energy, so they are certified lower bounds only
-    cat["exact"] = bool(separable)
-
-    # the refinement pass, if any, explored every pair under the bound, so
-    # the minimum is certified unless some pairing value is only a bound
-    certified = bool(nt.epr_exact.all())
-
-    stats = {
-        "distinct_masks": M,
-        "distinct_step_patterns": int(len(nt.patterns)),
-        "sectors_total": 9**spec.num_sites,
-        "mask_pairs_swept": M * M,
-        "embedded_refinements": refinements,
-        "elapsed_seconds": round(time.perf_counter() - t0, 3),
-    }
+        best, sector, refinements = _joint_refinement(spec, nt, ct, plug, values1, values2, (i, j))
+    if sector is None:
+        argmin = striped_witness(spec)
+    else:
+        i, j, p1, p2 = sector
+        argmin = Tiling(spec, ct.rep_coloring[i], nt.digits[p1], ct.rep_coloring[j], nt.digits[p2])
+    # the refinement, if any, explored every pair under the bound, so the
+    # minimum is certified unless some pairing value is only a bound; with a
+    # non-separable plug the category figures omit the cross-copy part of
+    # the embedded energy, so they are certified lower bounds only
     return EnergyReport(
         spec=spec,
-        plug_name=plug_name,
+        plug_name="zero" if plug is None else plug.name,
         minimum=float(best),
         argmin=argmin,
-        certified=bool(certified),
-        categories=cat,
-        stats=stats,
+        certified=bool(nt.epr_exact.all()),
+        categories={**_categories(ct, values1, values2), "exact": separable},
+        stats={
+            "distinct_masks": len(ct.masks),
+            "distinct_step_patterns": len(nt.patterns),
+            "sectors_total": 9**spec.num_sites,
+            "mask_pairs_swept": len(ct.masks) ** 2,
+            "embedded_refinements": refinements,
+            "elapsed_seconds": round(time.perf_counter() - t0, 3),
+        },
     )
 
 

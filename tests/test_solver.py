@@ -1236,6 +1236,52 @@ class TestJointOrbits:
         assert len(set(joint)) == len(joint)
 
 
+def _exhaustive_ground_energy(spec, plug):
+    """The ground energy from the definitions, with no table, sweep or pair
+    key: the minimum over every numbering pair of its classical part
+    minimized over the colorings, both copies' pairing minima and the joint
+    embedded minimum.  A global shift of a copy's numbers or colors changes
+    no energy, so site 0 holds 0 in every assignment.  The embedded part is
+    nonnegative, so it is skipped where the rest already reaches the best."""
+    ei = edge_index_array(spec)
+    rows = np.array([(0, *x) for x in itertools.product(range(3), repeat=spec.num_sites - 1)])
+    # an edge's ends are equal: same-colored read as a coloring, a zero step
+    # read as a numbering; the classical part depends on nothing else
+    sets, zero_of = np.unique(rows[:, ei[:, 0]] == rows[:, ei[:, 1]], axis=0, return_inverse=True)
+    # one copy's part per (zero set, same-color set): 8 per violation (equal
+    # colors with equal numbers, or different colors with different ones)
+    # and 2 per different-color edge; 1 per edge same-colored in both copies
+    one = 8 * (sets[:, None] == sets).sum(axis=2) + 2 * (~sets).sum(axis=1)
+    both = (sets[:, None] & sets).sum(axis=2)
+    classical = (one[:, None, :, None] + one[:, None] + both).min(axis=(2, 3))
+    steps = (rows[:, ei[:, 1]] - rows[:, ei[:, 0]]) % 3
+    epr = np.array([solver.epr_min_energy(solver._pattern_demands(ei, s)).value for s in steps])
+    rest = classical[zero_of[:, None], zero_of] + epr[:, None] + epr
+    best = np.inf
+    for k in np.argsort(rest, axis=None).tolist():
+        x1, x2 = divmod(k, len(rows))
+        if rest[x1, x2] >= best:
+            break
+        emb = solver.embedded_step_energy(spec, steps[x1], steps[x2], plug)
+        best = min(best, rest[x1, x2] + emb)
+    return best
+
+
+class TestJointExhaustive:
+    CASES = [(spec, plug) for spec, plug in JOINT_CASES if spec.num_sites <= 6]
+
+    def test_every_small_pinned_joint_case_is_checked(self):
+        names = [f"{p.name}-{_spec_id(s)}" for s, p in self.CASES]
+        assert names == [f"random-hv-{k}-{n}" for n in ("1d5p", "1d6o") for k in (1, 2, 3)]
+
+    @pytest.mark.parametrize(
+        "spec,plug", CASES, ids=[f"{p.name}-{_spec_id(s)}" for s, p in CASES]
+    )
+    def test_search_matches_every_numbering_pair(self, spec, plug):
+        want = _exhaustive_ground_energy(spec, plug)
+        assert abs(solver.ground_energy_search(spec, plug).minimum - want) <= 1e-9
+
+
 def _reference_tables(spec):
     """The numbering and coloring tables built over all 3^N numberings and
     colorings: np.unique over every row's code, orbits by searchsorted on the
@@ -1670,6 +1716,15 @@ class TestMaskSweep:
         v1, v2 = values1[0], values2[6]
         assert v1 + (v2 + 1.0) < v1 + v2 + 1.0
         assert solver._pair_sweep(values1, values2, masks) == (v1 + v2 + 1.0, (0, 6))
+
+    def test_prefix_counts_keep_a_pair_whose_sum_is_the_limit(self):
+        # the seed pair (0, 1) sets the limit a + b, and limit - a rounds
+        # below b: only the slack keeps column 1 in row 0's prefix
+        a, b = 2.035435882441491, 0.2705674395135961
+        assert (a + b) - a < b
+        values1, values2 = np.array([a, 9.0]), np.array([9.0, b])
+        masks = np.array([1, 2], dtype=np.uint64)
+        assert solver._pair_sweep(values1, values2, masks) == (2.306003321955087, (0, 1))
 
     def test_pairs_below_lists_every_pair_under_the_limit(self):
         nt, ct = solver._tables(LatticeSpec(1, 7))
