@@ -2,6 +2,8 @@
 tile/pairing machinery needed to pose and check their ground-energy decision
 problem."""
 
+# first, so the BLAS pools load at one thread (see rih._blas)
+from rih import _blas  # noqa: F401
 from rih.hamiltonian import (
     TwoBodyTerm,
     build_site_term,

@@ -2,26 +2,50 @@
 
 Every matrix `rih` diagonalizes is small enough that a second BLAS thread
 does not pay, while an idle pool worker busy-waits between calls and burns a
-core.  The CLI therefore runs each command on one thread, and
-solver.ground_energy_search runs on one however it is called; each puts the
-previous counts back when it returns.  Importing `rih` changes nothing, so a
-library caller keeps its own setting everywhere else."""
+core.  A pool reads its starting count, and starts its workers, when its
+library loads; so the pools that importing `rih` loads load here, with
+OPENBLAS_NUM_THREADS=1 set only while they do, and start at one thread.  The
+environment is then put back as it was, so no child process inherits it.  A
+caller who set one of the variables the library reads for its count, or who
+loaded numpy before `rih`, keeps that count.
+
+A pool already loaded is reached only through one_blas_thread: the CLI runs
+each command inside it, and solver.ground_energy_search runs inside it however
+it is called; each puts the previous counts back when it returns."""
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
 import functools
+import os
+import sys
 from pathlib import Path
+
+# what this OpenBLAS reads for its starting thread count
+_COUNT_VARIABLES = (
+    "OPENBLAS_NUM_THREADS",
+    "GOTO_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "OPENBLAS_DEFAULT_NUM_THREADS",
+)
+
+# numpy's pool loads with numpy, scipy's with its BLAS-linked linalg modules
+_window = "numpy" not in sys.modules and not any(v in os.environ for v in _COUNT_VARIABLES)
+if _window:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy
+    import scipy.sparse.linalg
+finally:
+    if _window:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 
 @functools.cache
 def _openblas():
     """(get, set) thread-count functions of each OpenBLAS pool found next to
     numpy and scipy; empty under any other BLAS build."""
-    import numpy
-    import scipy
-
     pools = []
     for pkg in (numpy, scipy):
         libs = Path(pkg.__file__).resolve().parent.parent / f"{pkg.__name__}.libs"

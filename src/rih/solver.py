@@ -127,8 +127,9 @@ PAIR_PENALTY = DEFAULT_COEFFICIENTS["pairing"] * EPR_HALF_PROJECTOR  # one per d
 DEFAULT_TOL = 1e-10
 # dense eigvalsh up to DENSE_CUTOFF, eigsh above: on a 2-core machine the
 # crossover lies between dimensions 128 and 256 with one OpenBLAS thread, as
-# with two (a ring of random d = 2 embedded terms); the CLI and
-# ground_energy_search run on one
+# with two (a ring of random d = 2 embedded terms); the pools start at one
+# unless the caller set a count or loaded numpy first (rih._blas), and the CLI
+# and ground_energy_search run on one whatever it is
 DENSE_CUTOFF = 2**7
 EXACT_PAIRING_CAP = 18  # slots of the largest pairing component solved exactly
 DIAG_CAP = 2**18  # largest embedded component or sector oracle diagonalized
@@ -156,7 +157,9 @@ def min_eigenvalue(op):
     Above DENSE_CUTOFF the result's last bits depend on the BLAS thread
     count (1-4 ulps between one and two OpenBLAS threads at dimension 4096,
     deterministic for a given count), so a bit-exact pin of a Lanczos value
-    holds only for the thread count it was made with.
+    holds only for the thread count it was made with.  That count is one
+    unless the caller set one, or loaded numpy, before importing rih
+    (rih._blas).
     """
     if isinstance(op, np.ndarray):
         if op.shape[0] <= DENSE_CUTOFF:
@@ -1326,8 +1329,9 @@ def ground_energy_search(spec, plug=None):
     The phases: tables, per-copy mask minima, pair sweep, joint refinement
     where the plug acts on both copies, categories.  embedded_refinements
     counts the distinct pattern pairs refined, not the eigensolves, which
-    number one per orbit met.  The search runs on one OpenBLAS thread and
-    gives the caller's thread counts back on return.
+    number one per orbit met.  The search runs on one OpenBLAS thread even
+    where the caller chose more, and gives the caller's thread counts back on
+    return.
     """
     t0 = time.perf_counter()
     nt, ct = _tables(spec)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import rih
-from rih import cli, solver
+from rih import _blas, cli, solver
 from rih._blas import _openblas, one_blas_thread
 from rih.cli import main
 from rih.hamiltonian import toy_plugs
@@ -169,7 +169,59 @@ class TestBlasThreads:
         )
         assert out.stdout.split("\n")[:2] == ["0", str([2] * len(_openblas()))]
 
-    def test_one_thread_changes_no_oracle_value(self):
+    def _after_fresh_import(self, report, **env):
+        # the value of the expression report in a fresh interpreter, just
+        # after `import rih`; none of the variables OpenBLAS reads for its
+        # count is set but those in env, and `before` is the environment as it
+        # was before the import
+        if not _openblas():
+            pytest.skip("no OpenBLAS pool found next to numpy or scipy")
+        code = (
+            "import json, os, subprocess, sys\n"
+            "before = dict(os.environ)\n"
+            "import rih\n"
+            "from rih._blas import _openblas\n"
+            f"print(json.dumps({report}))\n"
+        )
+        src = str(Path(rih.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        base = {k: v for k, v in os.environ.items() if k not in _blas._COUNT_VARIABLES}
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**base, **env, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return json.loads(out.stdout)
+
+    def test_import_starts_the_pools_at_one_thread_and_leaves_the_environment(self):
+        child = (
+            "subprocess.run([sys.executable, '-c', 'import os; "
+            "print(\"OPENBLAS_NUM_THREADS\" in os.environ)'], "
+            "capture_output=True, text=True, check=True).stdout"
+        )
+        out = self._after_fresh_import(
+            "{'tasks': sorted(os.listdir('/proc/self/task')) if sys.platform == 'linux' else None,"
+            " 'counts': [get() for get, _ in _openblas()],"
+            " 'same_env': dict(os.environ) == before,"
+            f" 'child_sees_it': {child}}}"
+        )
+        assert out["counts"] == [1] * len(_openblas())
+        assert out["same_env"]
+        assert out["child_sees_it"] == "False\n"
+        if out["tasks"] is not None:
+            # no pool started a worker thread
+            assert len(out["tasks"]) == 1
+
+    def test_import_keeps_a_count_the_caller_set(self):
+        out = self._after_fresh_import(
+            "[[get() for get, _ in _openblas()], os.environ['OMP_NUM_THREADS']]",
+            OMP_NUM_THREADS="2",
+        )
+        assert out == [[2] * len(_openblas()), "2"]
+
+    def test_one_thread_changes_no_oracle_value(self, two_blas_threads):
         # c06's twelve full-space diagonalizations.  Lanczos at dimension 4096
         # sums in another order on one thread than on two, so a few values
         # move in their last bits; 1e-12 is four orders below c06's 1e-8
@@ -187,8 +239,8 @@ class TestBlasThreads:
 
         with one_blas_thread():
             capped = oracle_values()
-        free = oracle_values()
-        assert capped == pytest.approx(free, rel=0, abs=1e-12)
+        two = oracle_values()
+        assert capped == pytest.approx(two, rel=0, abs=1e-12)
         for f, value in zip(rows, capped):
             assert value == pytest.approx(f["expected_total"], abs=1e-6)
 
