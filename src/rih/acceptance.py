@@ -19,10 +19,10 @@ import numpy as np
 from rih import solver
 from rih.hamiltonian import (
     EPR_HALF_PROJECTOR,
+    _sum_embedded,
     build_site_term,
     check_term_symmetries,
     dense_entries,
-    embed_operator,
     term_hash,
     tile_diagonality_check,
     toy_plugs,
@@ -163,11 +163,10 @@ def _witness_line_ends_free(t):
 
 def crit_shared_slot_floor(ctx):
     t0 = perf_counter()
-    dims = (2, 2, 2)
+    e = dense_entries(EPR_HALF_PROJECTOR)
+    r, c, v = _sum_embedded([(e, (0, 1)), (e, (1, 2))], (2, 2, 2))
     dense = np.zeros((8, 8))
-    for qubits in ((0, 1), (1, 2)):
-        r, c, v = embed_operator(dense_entries(EPR_HALF_PROJECTOR), qubits, dims)
-        np.add.at(dense, (r, c), v)
+    np.add.at(dense, (r, c), v)
     value = solver.min_eigenvalue(dense)
     dt = perf_counter() - t0
     ok = abs(value - 0.25) <= 1e-12 and dt < 1.0

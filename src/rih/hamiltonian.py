@@ -298,17 +298,15 @@ def _build_blocks_single_copy(w):
     return layout, BlockStructure(inner_dims, scalar, sig, variants, mirror)
 
 
-def _sum_embedded(ops, inner_dims):
-    rows, cols, vals = [], [], []
-    for entries, positions in ops:
-        r, cc, v = embed_operator(entries, positions, inner_dims)
-        rows.append(r)
-        cols.append(cc)
-        vals.append(v)
-    if not rows:
+def _sum_embedded(ops, dims):
+    """COO triples of the sum of the (entries, positions) pieces, each placed
+    by embed_operator in the space with these dims, concatenated in order and
+    duplicates not yet summed."""
+    if not ops:
         z = np.zeros(0, dtype=np.int64)
         return z, z, np.zeros(0)
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    parts = [embed_operator(entries, positions, dims) for entries, positions in ops]
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 class TwoBodyTerm:
@@ -632,15 +630,6 @@ def global_hamiltonian(spec, term):
     if D > GLOBAL_DIM_CAP:
         raise BudgetExceeded(f"global dimension {D} exceeds cap {GLOBAL_DIM_CAP}")
     M = term.matrix().tocoo()
-    dims = (s,) * N
-    rows, cols, vals = [], [], []
-    for a, b in edge_index_array(spec).tolist():
-        r, c, x = embed_operator((M.row, M.col, M.data), (a, b), dims)
-        rows.append(r)
-        cols.append(c)
-        vals.append(x)
-    H = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(D, D)
-    ).tocsr()
-    H.sum_duplicates()
-    return H
+    ops = [((M.row, M.col, M.data), (a, b)) for a, b in edge_index_array(spec).tolist()]
+    rows, cols, vals = _sum_embedded(ops, (s,) * N)
+    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(D, D)).tocsr()

@@ -6,10 +6,11 @@ two-body interaction never changes with the input; only the lattice grows.
 
 Primality is Miller-Rabin with random bases drawn from a seeded stream; below
 PSI_12 the shortest prefix of the twelve-prime base set that the
-strong-pseudoprime bounds allow proves the answer, and the stream is still
-advanced as the random-base test would advance it, which leaves a caller's
-stream in the same state; no encoding depends on it, since f_search returns
-at its first prime and its draws after that reach no candidate.
+strong-pseudoprime bounds allow decides the answer, prime or composite, and
+the stream is still advanced as the random-base test would advance it, which
+leaves a caller's stream in the same state; no encoding depends on it, since
+f_search returns at its first prime and its draws after that reach no
+candidate.
 """
 
 from __future__ import annotations
@@ -76,10 +77,12 @@ def is_probable_prime(m, rounds=MR_ROUNDS, rng=None):
     """Miller-Rabin with independent uniform bases.
 
     Below PSI_12 the _proof_bases of m decide primality outright: at most
-    seven for m below 341550071728321 (48 bits).  A prime passes every random
-    round, so on that path the `rounds` bases are drawn from `rng` but not
-    tested: the result and the state `rng` is left in are those of the plain
-    random-base test for every input.
+    seven for m below 341550071728321 (48 bits).  The `rounds` random bases
+    are still drawn from `rng` as the plain random-base test draws them: all
+    of them, untested, when the proof bases pass, since a prime passes every
+    round, and up to the first witness when they find m composite, which is
+    then reported composite even if every random base lies.  So the state
+    `rng` is left in is that of the plain test for every input.
     """
     if m < 2:
         return False
@@ -98,7 +101,7 @@ def is_probable_prime(m, rounds=MR_ROUNDS, rng=None):
     for _ in range(rounds):
         if not _strong_probable_prime(m, rng.randrange(2, m - 1), d, s):
             return False
-    return True
+    return not bases
 
 
 def _check_bits(x):

@@ -102,8 +102,8 @@ from rih.hamiltonian import (
     DEFAULT_COEFFICIENTS,
     EPR_HALF_PROJECTOR,
     BudgetExceeded,
+    _sum_embedded,
     dense_entries,
-    embed_operator,
 )
 from rih.lattice import (
     LatticeSpec,
@@ -155,19 +155,14 @@ def min_eigenvalue(op):
     never papered over.
 
     Above DENSE_CUTOFF the result's last bits depend on the BLAS thread
-    count (1-4 ulps between one and two OpenBLAS threads at dimension 4096,
-    deterministic for a given count), so a bit-exact pin of a Lanczos value
-    holds only for the thread count it was made with.  That count is one
-    unless the caller set one, or loaded numpy, before importing rih
-    (rih._blas).
+    count (1-4 ulps between one and two OpenBLAS threads at dimension 4096)
+    and can move by a few ulps between processes at one thread too, so no
+    Lanczos value can be pinned bit-exactly.  The count is one unless the
+    caller set one, or loaded numpy, before importing rih (rih._blas).
     """
-    if isinstance(op, np.ndarray):
-        if op.shape[0] <= DENSE_CUTOFF:
-            return float(np.linalg.eigvalsh(op).min())
-        op = scipy.sparse.csr_matrix(op)
     dim = op.shape[0]
-    if dim <= DENSE_CUTOFF and scipy.sparse.issparse(op):
-        return float(np.linalg.eigvalsh(op.toarray()).min())
+    if dim <= DENSE_CUTOFF:
+        return float(np.linalg.eigvalsh(op.toarray() if scipy.sparse.issparse(op) else op).min())
     maxiter = int(10 * np.sqrt(dim) + 500)
     try:
         vals = scipy.sparse.linalg.eigsh(
@@ -188,8 +183,8 @@ def min_eigenvalue(op):
 
 def _min_eigenvalue_coo(rows, cols, vals, dim):
     """Smallest eigenvalue of the dim x dim operator with these COO entries
-    (duplicates summed).  Built dense up to DENSE_CUTOFF and as CSR above, so
-    min_eigenvalue never has to convert between the two."""
+    (duplicates summed).  Built dense up to DENSE_CUTOFF and as CSR above,
+    the form min_eigenvalue solves at each size."""
     if dim <= DENSE_CUTOFF:
         op = np.zeros((dim, dim), dtype=vals.dtype)
         np.add.at(op, (rows, cols), vals)
@@ -203,11 +198,8 @@ def _pairing_sparse(local_edges, k):
     one embedded PAIR_PENALTY per demand: the build of the independent
     oracles."""
     e = dense_entries(PAIR_PENALTY)
-    parts = [embed_operator(e, (a, b), (2,) * k) for a, b in local_edges]
-    r, c, v = (np.concatenate(x) for x in zip(*parts))
-    m = scipy.sparse.coo_matrix((v, (r, c)), shape=(2**k, 2**k)).tocsr()
-    m.sum_duplicates()
-    return m
+    r, c, v = _sum_embedded([(e, (a, b)) for a, b in local_edges], (2,) * k)
+    return scipy.sparse.coo_matrix((v, (r, c)), shape=(2**k, 2**k)).tocsr()
 
 
 @functools.lru_cache(maxsize=None)
@@ -510,22 +502,13 @@ def embedded_step_energy(spec, steps1, steps2, plug):
         dim = d**k
         if dim > DIAG_CAP:
             raise BudgetExceeded(f"embedded component dimension {dim} exceeds cap {DIAG_CAP}")
-        dims = (d,) * k
-        rows, cols, vals = [], [], []
+        ops = []
         for i, (a, b) in zip(group, local):
-            j = active[i]
             for steps, e in entries:
-                s = int(steps[j])
-                if s == 0:
-                    continue
-                pos = (a, b) if s == 1 else (b, a)
-                r, c, v = embed_operator(e, pos, dims)
-                rows.append(r)
-                cols.append(c)
-                vals.append(v)
-        total += _min_eigenvalue_coo(
-            np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), dim
-        )
+                s = int(steps[active[i]])
+                if s:
+                    ops.append((e, (a, b) if s == 1 else (b, a)))
+        total += _min_eigenvalue_coo(*_sum_embedded(ops, (d,) * k), dim)
     return float(total)
 
 
@@ -642,8 +625,8 @@ def full_space_oracle(spec, term):
 def sector_full_oracle(t, plug):
     """Diagonalize the full non-tile factor space of a sector in one shot:
     both copies' qubits and the embedded levels together.  Each edge's steps
-    are read off the numbers here, not through the decomposition's
-    helpers."""
+    are read off the numbers here; the only step shared with the
+    decomposition is the scatter, hamiltonian._sum_embedded."""
     spec = t.spec
     d = 1 if plug is None else plug.d
     N = spec.num_sites
@@ -658,20 +641,13 @@ def sector_full_oracle(t, plug):
 
     ei = edge_index_array(spec).tolist()
     pair_entries = dense_entries(PAIR_PENALTY)
-    rows, cols, vals = [], [], []
+    ops = []
     for a, b in ei:
         for numbers, qin, qout in ((t.numbers1, 0, 1), (t.numbers2, 2, 3)):
             s = (int(numbers[b]) - int(numbers[a])) % 3
-            if s == 1:
-                p = (pos(a, qout), pos(b, qin))
-            elif s == 2:
-                p = (pos(b, qout), pos(a, qin))
-            else:
-                continue
-            r, c, v = embed_operator(pair_entries, p, dims)
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
+            if s:
+                u, v = (a, b) if s == 1 else (b, a)
+                ops.append((pair_entries, (pos(u, qout), pos(v, qin))))
     if plug is not None:
         for numbers, mat in ((t.numbers1, plug.horizontal), (t.numbers2, plug.vertical)):
             if not np.count_nonzero(mat):
@@ -679,21 +655,14 @@ def sector_full_oracle(t, plug):
             e = dense_entries(mat)
             for a, b in ei:
                 s = (int(numbers[b]) - int(numbers[a])) % 3
-                if s == 0:
-                    continue
-                p = (pos(a, 4), pos(b, 4)) if s == 1 else (pos(b, 4), pos(a, 4))
-                r, c, v = embed_operator(e, p, dims)
-                rows.append(r)
-                cols.append(c)
-                vals.append(v)
+                if s:
+                    u, v = (a, b) if s == 1 else (b, a)
+                    ops.append((e, (pos(u, 4), pos(v, 4))))
     scalar = float(classical_energy(t).total)
-    if not rows:
+    if not ops:
         return scalar
-    op = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    ).tocsr()
-    op.sum_duplicates()
+    rows, cols, vals = _sum_embedded(ops, dims)
+    op = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
     return scalar + min_eigenvalue(op)
 
 

@@ -86,7 +86,9 @@ STREAM_CASES = (
 
 
 def twelve_base_is_probable_prime(m, rounds=64, rng=None):
-    """The proof path with all twelve small-prime bases below PSI_12."""
+    """The proof path with all twelve small-prime bases below PSI_12, which
+    decide there: a composite they witness is composite whatever the random
+    bases drawn after them say."""
     if m < 2:
         return False
     for q in instance._SMALL_PRIMES:
@@ -102,7 +104,7 @@ def twelve_base_is_probable_prime(m, rounds=64, rng=None):
         for _ in range(rounds):
             rng.randrange(2, m - 1)
         return True
-    return reference_is_probable_prime(m, rounds, rng)
+    return reference_is_probable_prime(m, rounds, rng) and m >= PSI_12
 
 
 def _band_cases(per_band, seed):
@@ -169,8 +171,17 @@ class TestPrimalityStream:
         for m in STREAM_CASES:
             a, b = random.Random(m), random.Random(m)
             got = is_probable_prime(m, rounds, a)
-            assert got == reference_is_probable_prime(m, rounds, b), m
+            # a composite that the twelve bases witness below PSI_12 is
+            # composite even where every random base lies
+            want = reference_is_probable_prime(m, rounds, b) and twelve_base_is_probable_prime(m, 0)
+            assert got == want, m
             assert a.getstate() == b.getstate(), m
+
+    def test_proven_composite_is_final_when_random_bases_lie(self):
+        assert not is_probable_prime(41 * 43, rounds=0)
+        # psi_3: composite, and the one random base its seed draws lies
+        assert reference_is_probable_prime(25326001, 1, random.Random(25326001))
+        assert not is_probable_prime(25326001, 1, random.Random(25326001))
 
     def test_psi12_is_the_first_twelve_base_pseudoprime(self):
         assert PSI_12 == 399165290221 * 798330580441

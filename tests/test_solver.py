@@ -737,6 +737,19 @@ class TestOracleAgreement:
             assert direct == pytest.approx(se.total, abs=1e-8)
             assert direct == pytest.approx(f["expected_total"], abs=1e-6)
 
+    @pytest.mark.parametrize("spec", [RING, CHAIN], ids=str)
+    def test_full_sector_oracle_orients_plug_edges(self, spec):
+        # the toy plugs are diagonal and swap-symmetric, so they cannot tell
+        # an edge's two orientations apart; seeded complex plugs can
+        rng = np.random.default_rng(46)  # each sector's total moves if an edge flips
+        h, v = (_random_psd(rng, 2, True) for _ in range(2))
+        plug = TranslationPlug(2, h, v, name="oriented")
+        for _ in range(2):
+            t = _random_tiling(spec, rng)
+            assert solver.sector_full_oracle(t, plug) == pytest.approx(
+                solver.tile_sector_energy(t, plug).total, abs=1e-9
+            )
+
     @pytest.mark.slow
     def test_qubit_oracle_matches_decomposition(self, fixtures):
         for f in (f for f in fixtures if f["kind"] == "sector-qubits"):

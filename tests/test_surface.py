@@ -16,6 +16,7 @@ counters by key; every such name and key must exist.
 import ast
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import rih
@@ -61,14 +62,11 @@ CHECKED = (
 )
 
 
-def _names(node, skip=None):
-    """Every name node mentions (loads, attributes, imported aliases), leaving
-    out the subtree of skip."""
+def _names(node):
+    """Every name node mentions (loads, attributes, imported aliases)."""
     stack = [node]
     while stack:
         x = stack.pop()
-        if x is skip:
-            continue
         if isinstance(x, ast.Name):
             yield x.id
         elif isinstance(x, ast.Attribute):
@@ -94,12 +92,17 @@ def unreferenced(src=SRC):
     """module.name of each top-level definition nothing else in src mentions;
     a mention in __init__.py is an export, not a use."""
     trees = _trees(src)
-    users = [t for module, t in trees.items() if module != "__init__"]
-    return [
-        name
-        for name, d in _definitions(trees)
-        if not any(d.name in _names(t, skip=d) for t in users)
-    ]
+    mentions = Counter()  # over every module but __init__, counted once
+    for module, t in trees.items():
+        if module != "__init__":
+            mentions.update(_names(t))
+    out = []
+    for name, d in _definitions(trees):
+        # a definition's mentions of its own name, as in a recursion, are no use
+        own = 0 if name.startswith("__init__.") else sum(n == d.name for n in _names(d))
+        if mentions[d.name] == own:
+            out.append(name)
+    return out
 
 
 def independence_breaches(src=SRC, oracles=ORACLES, caller=ORACLE_CALLER, checked=CHECKED):
